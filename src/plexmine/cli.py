@@ -68,9 +68,6 @@ def _add_mining_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--confidence", type=float, default=DEFAULT_MIN_CONFIDENCE,
                    help="minimum rule confidence")
     p.add_argument("--strategy", choices=["bfs", "dfs"], default="bfs")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; 1 = sequential (current engine is "
-                        "sequential for any value)")
 
 
 def _out(path: str | None, text: str) -> None:
@@ -97,12 +94,9 @@ def _load(args):
 
 
 def cmd_mine(args) -> int:
-    if args.threads < 1:
-        raise MiningError("--threads must be >= 1")
     g = _load(args)
     strategy = Strategy(args.strategy)
-    mode = "posthoc" if args.legacy_rules else args.rule_mode
-    if mode == "both":
+    if args.rule_mode == "both":
         emb = run_mining(g, args.support, args.size, args.confidence, strategy,
                          "embedded")
         post = run_mining(g, args.support, args.size, args.confidence, strategy,
@@ -118,7 +112,8 @@ def cmd_mine(args) -> int:
         if not equal:
             raise MiningInvariantError("embedded and post-hoc rule sets differ")
     else:
-        run = run_mining(g, args.support, args.size, args.confidence, strategy, mode)
+        run = run_mining(g, args.support, args.size, args.confidence, strategy,
+                         args.rule_mode)
     _out(args.patterns_out, run.patterns.dump())
     _out(args.rules_out, run.rules.to_tsv())
     _emit_timings(args, run.timings)
@@ -127,8 +122,7 @@ def cmd_mine(args) -> int:
 
 def cmd_predict(args) -> int:
     g = _load(args)
-    with open(args.rules, "r", encoding="utf-8") as fh:
-        rules = RuleSet.from_tsv(fh.read())
+    rules = RuleSet.from_tsv(args.rules)
     t0 = time.perf_counter()
     table = apply_rules(g, rules, dedupe_rule_firings=args.dedupe_rule_firings)
     apply_s = time.perf_counter() - t0
@@ -175,8 +169,6 @@ def _print_cv(result: CrossValResult, out_path: str | None) -> None:
 
 def cmd_evaluate(args) -> int:
     universe, n_neg = _universe_args(args)
-    if args.threads < 1:
-        raise EvalError("--threads must be >= 1")
     methods = args.ensemble.split(",") if args.ensemble else [args.method]
     if args.temporal:
         tg = load_temporal(args.edges, args.attrs, args.directed)
@@ -201,9 +193,8 @@ def cmd_evaluate(args) -> int:
 
     if split is not None:
         tables = [s(split.train) for s in scorers]
-        for path in args.scores_tsv or []:
-            with open(path, "r", encoding="utf-8") as fh:
-                tables.append(load_score_dump(fh.read(), g))
+        tables += [load_score_dump(path, g) for path in args.scores_tsv or []]
+        uni = None
         if len(tables) > 1:
             if args.ensemble_mode == "opt" and args.scores_tsv:
                 raise EvalError("external tables cannot be re-scored on the "
@@ -213,9 +204,12 @@ def cmd_evaluate(args) -> int:
                 seed=args.seed, scorers=scorers if not args.scores_tsv else None,
             )
             table = res.table
+            # score on the universe ensemble built, unless sampling another
+            uni = res.universe if universe == "full" else None
         else:
             table = tables[0]
-        report = roc_auc(table, split, universe=universe, n_neg=n_neg, seed=args.seed)
+        report = roc_auc(table, split, universe=universe, n_neg=n_neg,
+                         seed=args.seed, uni=uni)
         _out(args.out, report.to_tsv())
         return 0
 
@@ -226,7 +220,8 @@ def cmd_evaluate(args) -> int:
             res = ensemble(tables, fold, optimize=args.ensemble_mode == "opt",
                            seed=args.seed, scorers=scorers)
             reports.append(roc_auc(res.table, fold, universe=universe,
-                                   n_neg=n_neg, seed=args.seed))
+                                   n_neg=n_neg, seed=args.seed,
+                                   uni=res.universe if universe == "full" else None))
         _print_cv(CrossValResult.from_reports(reports), args.out)
         return 0
 
@@ -237,8 +232,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_frustration(args) -> int:
-    with open(args.rules, "r", encoding="utf-8") as fh:
-        rules = RuleSet.from_tsv(fh.read())
+    rules = RuleSet.from_tsv(args.rules)
     if args.edges:
         g = load_multiplex(args.edges, args.attrs, args.directed)
         layer_names = g.layer_names
@@ -286,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mining_args(p)
     p.add_argument("--rule-mode", choices=["embedded", "posthoc", "both"],
                    default="embedded")
-    p.add_argument("--legacy-rules", action="store_true",
-                   help="alias for --rule-mode posthoc")
     p.add_argument("--patterns-out")
     p.add_argument("--rules-out")
     p.add_argument("--timings", action="store_true")

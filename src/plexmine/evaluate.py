@@ -4,10 +4,17 @@ The candidate universe of a split contains every unobserved (u, v, l)
 between training nodes plus one old-new pseudo-candidate (u, NEW, l) per
 training node and layer. Old-old candidates are positive when the triple
 shows up in the test set; (u, NEW, l) is positive when any test edge in l
-joins u to a node outside the training node set. Unscored candidates get
-a method's baseline score, and AUC uses the rank-based 1/2-tie
-convention, so a mass of equally (un)scored candidates produces the
-straight diagonal ROC tail of a random guesser.
+joins u to a node outside the training node set.
+
+Each candidate is one int64 key ``(l * (W + 1) + u) * (W + 1) + v``, where
+W is the training graph's index width (largest node id + 1) and ``v == W``
+stands for NEW. A universe stores its old-old keys, then its old-new keys,
+each block ascending, so score tables are placed onto it by binary search.
+
+Unscored candidates get a method's baseline score. AUC is the exact
+Mann-Whitney statistic U / (P*N) computed from integer counts per group of
+tied scores, ties counting 1/2, so a mass of equally (un)scored candidates
+produces the straight diagonal ROC tail of a random guesser.
 """
 
 from __future__ import annotations
@@ -121,80 +128,112 @@ def temporal_split(tg: TemporalMultiplexGraph, t: int, delta: int) -> Split:
 
 @dataclass
 class Universe:
-    oldold: list[tuple[int, int, int]]
-    oldnew: list[tuple[int, int]]
-    oldold_pos: np.ndarray  # bool
-    oldnew_pos: np.ndarray  # bool
+    """A split's candidates as int64 keys (see the module docstring).
+
+    ``keys`` holds the ``n_oldold`` old-old candidates first, then the
+    old-new ones; each block is ascending, which is (layer, u, v) order.
+    ``labels`` marks the positives.
+    """
+
+    width: int
+    keys: np.ndarray  # int64
+    labels: np.ndarray  # bool
+    n_oldold: int
 
     @property
     def n_candidates(self) -> int:
-        return len(self.oldold) + len(self.oldnew)
+        return len(self.keys)
 
     def positives(self) -> int:
-        return int(self.oldold_pos.sum() + self.oldnew_pos.sum())
+        return int(self.labels.sum())
+
+
+def encode_keys(width: int, l, u, v) -> np.ndarray:
+    """Candidate keys of (layer, u, v); ``v == width`` stands for NEW."""
+    base = width + 1
+    return (np.asarray(l, dtype=np.int64) * base + u) * base + v
+
+
+def decode_keys(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of ``encode_keys``: (layer, u, v) arrays."""
+    lu, v = np.divmod(keys, width + 1)
+    l, u = np.divmod(lu, width + 1)
+    return l, u, v
 
 
 def candidate_universe(
     split: Split, universe: str = "full", n_neg: int | None = None, seed: int = 0
 ) -> Universe:
-    """Enumerate (and optionally negative-sample) the candidate set."""
-    g = split.train
-    nodes = sorted(g.nodes)
-    layers = sorted(g.layers)
-    oo_pos_set = {
-        e for e in split.test_edges if e[0] in g.nodes and e[1] in g.nodes
-    }
-    new_nodes = split.new_nodes
-    on_pos_set = set()
-    for u, v, l in split.test_edges:
-        if u in g.nodes and v in new_nodes:
-            on_pos_set.add((u, l))
-        if v in g.nodes and u in new_nodes:
-            on_pos_set.add((v, l))
-    oldold: list[tuple[int, int, int]] = []
-    for l in layers:
-        for i, u in enumerate(nodes):
-            vs = nodes if g.directed else nodes[i + 1:]
-            for v in vs:
-                if u == v:
-                    continue
-                if (u, v, l) in g.edges:
-                    continue
-                oldold.append((u, v, l))
-    oldnew = [(u, l) for l in layers for u in nodes]
-    oo_pos = np.array([c in oo_pos_set for c in oldold], dtype=bool)
-    on_pos = np.array([c in on_pos_set for c in oldnew], dtype=bool)
-    uni = Universe(oldold, oldnew, oo_pos, on_pos)
-    if universe == "full":
-        return uni
-    if universe != "sampled":
+    """Enumerate (and optionally negative-sample) the candidate set.
+
+    The sampled universe keeps every positive and ``n_neg`` negatives drawn
+    by position among all negatives, old-old before old-new.
+    """
+    if universe not in ("full", "sampled"):
         raise EvalError(f"unknown universe mode {universe!r}")
-    if not n_neg or n_neg < 1:
+    if universe == "sampled" and (not n_neg or n_neg < 1):
         raise EvalError("sampled universe needs n_neg >= 1")
-    rng = random.Random(seed)
-    neg_idx = [("oo", i) for i in range(len(oldold)) if not oo_pos[i]]
-    neg_idx += [("on", i) for i in range(len(oldnew)) if not on_pos[i]]
-    if n_neg < len(neg_idx):
-        neg_idx = rng.sample(neg_idx, n_neg)
-    keep_oo = {i for kind, i in neg_idx if kind == "oo"}
-    keep_oo |= {i for i in range(len(oldold)) if oo_pos[i]}
-    keep_on = {i for kind, i in neg_idx if kind == "on"}
-    keep_on |= {i for i in range(len(oldnew)) if on_pos[i]}
-    oo_keep = sorted(keep_oo)
-    on_keep = sorted(keep_on)
-    return Universe(
-        [oldold[i] for i in oo_keep],
-        [oldnew[i] for i in on_keep],
-        oo_pos[oo_keep],
-        on_pos[on_keep],
+    g = split.train
+    idx = g.index()
+    width = idx.width
+    nodes = idx.node_arr
+    layers = sorted(g.layers)
+    if g.directed:
+        iu, iv = np.nonzero(~np.eye(len(nodes), dtype=bool))
+    else:
+        iu, iv = np.triu_indices(len(nodes), 1)
+    us, vs = nodes[iu], nodes[iv]
+    oldold = np.concatenate(
+        [encode_keys(width, l, us, vs)[~idx.has_pairs(us, vs, l)] for l in layers]
     )
+    oldnew = encode_keys(width, np.array(layers)[:, None], nodes, width).ravel()
+
+    test = np.array(list(split.test_edges), dtype=np.int64).reshape(-1, 3)
+    tu, tv, tl = test.T
+    u_old, v_old = np.isin(tu, nodes), np.isin(tv, nodes)
+    oo_pos = encode_keys(width, tl, tu, tv)[u_old & v_old]
+    on_pos = np.concatenate([encode_keys(width, tl, tu, width)[u_old & ~v_old],
+                             encode_keys(width, tl, tv, width)[v_old & ~u_old]])
+    keys = np.concatenate([oldold, oldnew])
+    labels = np.concatenate([np.isin(oldold, oo_pos), np.isin(oldnew, on_pos)])
+    uni = Universe(width, keys, labels, len(oldold))
+    neg = np.flatnonzero(~labels)
+    if universe == "full" or n_neg >= len(neg):
+        return uni
+    picked = neg[random.Random(seed).sample(range(len(neg)), n_neg)]
+    keep = np.sort(np.concatenate([np.flatnonzero(labels), picked]))
+    return Universe(width, keys[keep], labels[keep], int(np.searchsorted(keep, len(oldold))))
+
+
+def _entry_keys(entries: dict, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and scores of a non-empty ``ScoreTable.oldold`` or ``.oldnew``.
+
+    Entries with a node outside [0, width) or a negative layer are dropped
+    first: no universe holds them, and their keys could alias a candidate.
+    """
+    k = np.array(list(entries), dtype=np.int64).reshape(len(entries), -1)
+    scores = np.fromiter(entries.values(), dtype=float, count=len(entries))
+    nodes = k[:, :-1]
+    ok = np.all((nodes >= 0) & (nodes < width), axis=1) & (k[:, -1] >= 0)
+    k = k[ok]
+    v = k[:, 1] if k.shape[1] == 3 else width
+    return encode_keys(width, k[:, -1], k[:, 0], v), scores[ok]
 
 
 def universe_scores(uni: Universe, table: ScoreTable) -> np.ndarray:
-    """Score vector over [oldold candidates..., oldnew candidates...]."""
-    oo = [table.oldold.get(c, table.baseline) for c in uni.oldold]
-    on = [table.oldnew.get(c, table.baseline) for c in uni.oldnew]
-    return np.array(oo + on, dtype=float)
+    """Score vector over ``uni.keys``; candidates absent from the table get
+    its baseline, and table entries outside the universe are ignored."""
+    vec = np.full(uni.n_candidates, table.baseline, dtype=float)
+    n_oo = uni.n_oldold
+    for offset, block, entries in ((0, uni.keys[:n_oo], table.oldold),
+                                   (n_oo, uni.keys[n_oo:], table.oldnew)):
+        if not entries or not len(block):
+            continue
+        keys, scores = _entry_keys(entries, uni.width)
+        pos = np.minimum(np.searchsorted(block, keys), len(block) - 1)
+        hit = block[pos] == keys
+        vec[offset + pos[hit]] = scores[hit]
+    return vec
 
 
 # -- ROC / AUC ----------------------------------------------------------------
@@ -227,13 +266,9 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def auc_and_roc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list[tuple[float, float]]]:
-    """Grouped-threshold ROC and its trapezoidal area.
-
-    Candidates sharing a score move together, producing diagonal segments
-    for tied groups; the trapezoid integral then equals the Mann-Whitney
-    statistic with the 1/2-tie convention.
-    """
+def _tie_groups(scores: np.ndarray, labels: np.ndarray):
+    """Cumulative true and false positives at the end of each group of tied
+    scores, walking from the highest score down; also P and N."""
     labels = labels.astype(bool)
     pos = int(labels.sum())
     neg = len(labels) - pos
@@ -241,18 +276,34 @@ def auc_and_roc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list[tup
         raise EvalError(f"need both positives and negatives (P={pos}, N={neg})")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    y = labels[order]
-    ends = np.flatnonzero(np.diff(s)) if len(s) > 1 else np.array([], dtype=int)
-    ends = np.append(ends, len(s) - 1)
-    cum_tp = np.cumsum(y)
-    cum_fp = np.cumsum(~y)
-    points = [(0.0, 0.0)]
-    for e in ends:
-        points.append((cum_fp[e] / neg, cum_tp[e] / pos))
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y1 + y0) / 2.0
-    return auc, points
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), len(s) - 1)
+    tp = np.cumsum(labels[order])[ends]
+    return tp, ends + 1 - tp, pos, neg
+
+
+def _mann_whitney(tp: np.ndarray, fp: np.ndarray, pos: int, neg: int) -> float:
+    """U / (P*N) from integer counts.
+
+    The positives of a tied group beat every negative of the lower groups
+    and tie, at 1/2, with the negatives of their own group, so 2U is an
+    integer and the one rounding is the final division.
+    """
+    d_tp = np.diff(tp, prepend=0)
+    d_fp = np.diff(fp, prepend=0)
+    twice_u = int(d_tp @ (2 * (neg - fp) + d_fp))
+    return twice_u / (2 * pos * neg)
+
+
+def auc_and_roc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list[tuple[float, float]]]:
+    """Exact Mann-Whitney AUC (ties count 1/2) and the grouped-threshold ROC.
+
+    Candidates sharing a score move together, so a tied group is one
+    diagonal segment of the ROC curve; the trapezoid area under the points
+    equals the AUC up to float rounding.
+    """
+    tp, fp, pos, neg = _tie_groups(scores, labels)
+    points = [(0.0, 0.0), *zip((fp / neg).tolist(), (tp / pos).tolist())]
+    return _mann_whitney(tp, fp, pos, neg), points
 
 
 def roc_auc(
@@ -267,9 +318,9 @@ def roc_auc(
     if uni is None:
         uni = candidate_universe(split, universe, n_neg, seed)
     vec = universe_scores(uni, scores)
-    labels = np.concatenate([uni.oldold_pos, uni.oldnew_pos])
+    labels = uni.labels
     auc, points = auc_and_roc(vec, labels)
-    n_oo = len(uni.oldold)
+    n_oo = uni.n_oldold
     seg_aucs: dict[LinkClass, float | None] = {}
     seg_counts: dict[LinkClass, dict[str, int]] = {}
     for seg, sl in ((OLD_OLD, slice(0, n_oo)), (OLD_NEW, slice(n_oo, None))):
@@ -390,6 +441,7 @@ class EnsembleResult:
     table: ScoreTable
     weights: np.ndarray
     internal_auc: float | None
+    universe: Universe  # the split's full universe, for scoring the table
 
 
 def ensemble(
@@ -408,7 +460,8 @@ def ensemble(
     With ``optimize`` the weights maximize AUC on an internal re-split of
     the training edges, which requires ``scorers``: one callback per table
     to rebuild it on the internal training graph. The held-out test set is
-    never touched.
+    never touched. The result carries the universe it built, so the caller
+    can score the combined table without building it again.
     """
     if len(tables) < 2:
         raise EvalError("ensemble needs at least two score tables")
@@ -431,15 +484,14 @@ def ensemble(
     combined = Z @ w
     baselines = np.array([t.baseline for t in tables])
     base_combined = float(((baselines - mu) / sd) @ w)
-    out = ScoreTable(directed=split.train.directed, baseline=base_combined)
-    n_oo = len(uni.oldold)
-    for idx, c in enumerate(uni.oldold):
-        if combined[idx] != base_combined:
-            out.oldold[c] = float(combined[idx])
-    for idx, c in enumerate(uni.oldnew):
-        if combined[n_oo + idx] != base_combined:
-            out.oldnew[c] = float(combined[n_oo + idx])
-    return EnsembleResult(table=out, weights=w, internal_auc=internal_auc)
+    changed = np.flatnonzero(combined != base_combined)
+    n = int(np.searchsorted(changed, uni.n_oldold))
+    l, u, v = (a.tolist() for a in decode_keys(uni.keys[changed], uni.width))
+    vals = combined[changed].tolist()
+    out = ScoreTable(directed=split.train.directed, baseline=base_combined,
+                     oldold=dict(zip(zip(u[:n], v[:n], l[:n]), vals[:n])),
+                     oldnew=dict(zip(zip(u[n:], l[n:]), vals[n:])))
+    return EnsembleResult(table=out, weights=w, internal_auc=internal_auc, universe=uni)
 
 
 def _optimize_on_internal_split(split, scorers, seed, internal_fraction, restarts):
@@ -453,7 +505,7 @@ def _optimize_on_internal_split(split, scorers, seed, internal_fraction, restart
     inner_train = _graph_from_edges(split.train, set(split.train.edges) - valid)
     inner = Split(train=inner_train, test_edges=frozenset(valid), mode="internal")
     inner_uni = candidate_universe(inner, "full")
-    labels = np.concatenate([inner_uni.oldold_pos, inner_uni.oldnew_pos])
+    labels = inner_uni.labels
     if labels.sum() == 0 or labels.sum() == len(labels):
         raise EvalError("internal split produced no usable positives/negatives")
     cols = []
@@ -508,21 +560,6 @@ def _hill_climb_weights(Z: np.ndarray, labels: np.ndarray, seed: int, restarts: 
 
 
 def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC with average ranks for ties."""
-    labels = labels.astype(bool)
-    pos = int(labels.sum())
-    neg = len(labels) - pos
-    if pos == 0 or neg == 0:
-        raise EvalError("need both positives and negatives")
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    ranks = np.empty(len(s), dtype=float)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        ranks[i:j + 1] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    rank_sum = ranks[labels[order]].sum()
-    return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
+    """The AUC of ``auc_and_roc`` without the ROC points: the exact
+    Mann-Whitney U / (P*N) over tied-score groups, ties counting 1/2."""
+    return _mann_whitney(*_tie_groups(scores, labels))

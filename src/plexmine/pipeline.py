@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, fields
 
 from .evaluate import EvalReport, kfold_split, roc_auc
-from .graph import MultiplexGraph, flatten_monoplex
+from .graph import MultiplexGraph
 from .miner import MiningConfig, PatternSet, mine
 from .pattern import Strategy
 from .predict import ScoreTable, apply_rules
@@ -155,7 +155,3 @@ def cross_validate(
         report.timings["score"] = score_s
         reports.append(report)
     return CrossValResult.from_reports(reports)
-
-
-def flattened_view(g: MultiplexGraph, keep_layers=None) -> MultiplexGraph:
-    return flatten_monoplex(g, keep_layers)

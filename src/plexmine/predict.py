@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .graph import MultiplexGraph
+from .io import ParseError
 from .matcher import match_array
 from .miner import PatternSet
 from .rules import AssociationRule, RuleSet
@@ -192,26 +193,39 @@ def score_dump(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_score_dump(text: str, g: MultiplexGraph) -> ScoreTable:
-    """Parse a score dump back into a table, mapping names through ``g``."""
+def load_score_dump(path: str, g: MultiplexGraph) -> ScoreTable:
+    """Read a score dump file into a table, mapping names through ``g``.
+
+    Raises ``ParseError(path, line)`` for a wrong field count, a node or
+    layer name ``g`` does not have, or a non-numeric score.
+    """
     node_ids = {name: nid for nid, name in g.node_names.items()}
     layer_ids = {name: lid for lid, name in g.layer_names.items()}
     table = ScoreTable(directed=g.directed)
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"score dump line {lineno}: expected 4 fields")
-        u = node_ids[parts[0]]
-        l = layer_ids[parts[2]]
-        score = float(parts[3])
-        if parts[1] == "NEW":
-            table.oldnew[(u, l)] = score
-        else:
-            v = node_ids[parts[1]]
-            if not g.directed and u > v:
-                u, v = v, u
-            table.oldold[(u, v, l)] = score
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
+            u_name, v_name, l_name, score_text = parts
+            try:
+                u = node_ids[u_name]
+                v = None if v_name == "NEW" else node_ids[v_name]
+                l = layer_ids[l_name]
+            except KeyError as exc:
+                raise ParseError(path, lineno,
+                                 f"unknown node or layer name {exc.args[0]!r}") from None
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise ParseError(path, lineno, f"non-numeric score {score_text!r}") from None
+            if v is None:
+                table.oldnew[(u, l)] = score
+            else:
+                if not g.directed and u > v:
+                    u, v = v, u
+                table.oldold[(u, v, l)] = score
     return table

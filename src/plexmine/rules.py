@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .io import ParseError
 from .miner import MinedPattern, PatternSet
 from .pattern import (
     CanonicalCode,
@@ -118,28 +119,23 @@ class RuleSet:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def from_tsv(cls, text: str, min_confidence: float = 0.0) -> "RuleSet":
+    def from_tsv(cls, path: str, min_confidence: float = 0.0) -> "RuleSet":
+        """Read a rule dump file written from ``to_tsv``.
+
+        Raises ``ParseError(path, line)`` for a wrong field count, a code or
+        delta that does not parse, a non-integer support, or supports that
+        break ``0 < support_c <= support_a``.
+        """
         rs = cls(min_confidence)
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise ValueError(f"rule dump line {lineno}: expected 6 fields")
-            a_code = CanonicalCode.from_string(parts[0])
-            c_code = CanonicalCode.from_string(parts[1])
-            delta_key = delta_key_from_string(parts[2])
-            rs.add(
-                AssociationRule(
-                    antecedent=pattern_from_code(a_code),
-                    antecedent_code=a_code,
-                    consequent_code=c_code,
-                    delta_key=delta_key,
-                    support_a=int(parts[3]),
-                    support_c=int(parts[4]),
-                )
-            )
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    rs.add(_rule_from_fields(line.split("\t")))
+                except (ValueError, IndexError) as exc:
+                    raise ParseError(path, lineno, str(exc)) from None
         return rs
 
     def same_rules(self, other: "RuleSet") -> bool:
@@ -155,6 +151,27 @@ class RuleSet:
             ):
                 return False
         return True
+
+
+def _rule_from_fields(parts: list[str]) -> AssociationRule:
+    if len(parts) != 6:
+        raise ValueError(f"expected 6 fields, got {len(parts)}")
+    try:
+        support_a, support_c = int(parts[3]), int(parts[4])
+    except ValueError:
+        raise ValueError(f"non-integer support {parts[3]!r}/{parts[4]!r}") from None
+    if not 0 < support_c <= support_a:
+        raise ValueError(f"supports {support_a}/{support_c} break "
+                         "0 < support_c <= support_a")
+    a_code = CanonicalCode.from_string(parts[0])
+    return AssociationRule(
+        antecedent=pattern_from_code(a_code),
+        antecedent_code=a_code,
+        consequent_code=CanonicalCode.from_string(parts[1]),
+        delta_key=delta_key_from_string(parts[2]),
+        support_a=support_a,
+        support_c=support_c,
+    )
 
 
 def _key_sort(key: RuleKey):

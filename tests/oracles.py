@@ -209,6 +209,59 @@ def brute_auc(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
+# -- candidate universe -----------------------------------------------------------
+
+
+def brute_universe(split, universe: str = "full", n_neg=None, seed: int = 0):
+    """The candidate universe as tuple lists, enumerated triple by triple.
+
+    Returns ``(oldold, oldnew, oldold_pos, oldnew_pos)``: (u, v, l) and
+    (u, l) candidates in (layer, u, v) order and their positive flags. The
+    sampled universe tags negatives by segment and samples the tagged list.
+    """
+    g = split.train
+    nodes = sorted(g.nodes)
+    layers = sorted(g.layers)
+    oo_pos_set = {
+        e for e in split.test_edges if e[0] in g.nodes and e[1] in g.nodes
+    }
+    new_nodes = split.new_nodes
+    on_pos_set = set()
+    for u, v, l in split.test_edges:
+        if u in g.nodes and v in new_nodes:
+            on_pos_set.add((u, l))
+        if v in g.nodes and u in new_nodes:
+            on_pos_set.add((v, l))
+    oldold = []
+    for l in layers:
+        for i, u in enumerate(nodes):
+            vs = nodes if g.directed else nodes[i + 1:]
+            for v in vs:
+                if u == v:
+                    continue
+                if (u, v, l) in g.edges:
+                    continue
+                oldold.append((u, v, l))
+    oldnew = [(u, l) for l in layers for u in nodes]
+    oo_pos = [c in oo_pos_set for c in oldold]
+    on_pos = [c in on_pos_set for c in oldnew]
+    if universe == "full":
+        return oldold, oldnew, oo_pos, on_pos
+    rng = random.Random(seed)
+    neg_idx = [("oo", i) for i in range(len(oldold)) if not oo_pos[i]]
+    neg_idx += [("on", i) for i in range(len(oldnew)) if not on_pos[i]]
+    if n_neg < len(neg_idx):
+        neg_idx = rng.sample(neg_idx, n_neg)
+    keep_oo = {i for kind, i in neg_idx if kind == "oo"}
+    keep_oo |= {i for i in range(len(oldold)) if oo_pos[i]}
+    keep_on = {i for kind, i in neg_idx if kind == "on"}
+    keep_on |= {i for i in range(len(oldnew)) if on_pos[i]}
+    oo_keep = sorted(keep_oo)
+    on_keep = sorted(keep_on)
+    return ([oldold[i] for i in oo_keep], [oldnew[i] for i in on_keep],
+            [oo_pos[i] for i in oo_keep], [on_pos[i] for i in on_keep])
+
+
 # -- frustration ----------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from plexmine import evaluate
 from plexmine.cli import main
 
 
@@ -154,6 +155,64 @@ def test_evaluate_ensemble_kfold(small_graph):
     assert "mean\tauc=" in out
 
 
+@pytest.mark.parametrize("mode, per_fold", [("base", 1), ("opt", 2)])
+def test_evaluate_ensemble_reuses_fold_universe(small_graph, monkeypatch, mode, per_fold):
+    # ensemble builds the fold's universe (and, to tune weights, the
+    # internal split's); the fold is then scored on the one already built
+    calls = []
+    build = evaluate.candidate_universe
+    monkeypatch.setattr(evaluate, "candidate_universe",
+                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    code, out, err = run_cli(
+        "evaluate", small_graph + ".edges", "--kfold", "2", "--seed", "1",
+        "--support", "25%", "--size", "2",
+        "--ensemble", "rules,sharma", "--ensemble-mode", mode)
+    assert code == 0, err
+    assert out.count("fold") == 2
+    assert len(calls) == 2 * per_fold
+
+
+@pytest.mark.parametrize("bad_line", [
+    pytest.param("nosuchnode\tNEW\tL0\t0.5", id="unknown-node"),
+    pytest.param("{u}\tNEW\tL9\t0.5", id="unknown-layer"),
+    pytest.param("{u}\tNEW\tL0", id="field-count"),
+    pytest.param("{u}\tNEW\tL0\tabc", id="non-numeric-score"),
+])
+def test_evaluate_bad_score_dump_is_parse_error(temporal_graph, tmp_path, bad_line):
+    u = open(temporal_graph).readline().split("\t")[0]
+    dump = tmp_path / "scores.tsv"
+    dump.write_text(f"{u}\tNEW\tL0\t1.0\n" + bad_line.format(u=u) + "\n")
+    code, _, err = run_cli("evaluate", temporal_graph, "--temporal", "10", "3",
+                           "--method", "sharma", "--scores-tsv", str(dump))
+    assert code == 1
+    assert f"{dump}:2:" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param(5, None, id="field-count"),  # the confidence column dropped
+    pytest.param(3, "many", id="non-integer-support"),
+    pytest.param(3, "0", id="support_a-zero"),
+    pytest.param(4, "99999", id="support_c-above-support_a"),
+])
+@pytest.mark.parametrize("command", ["predict", "frustration"])
+def test_bad_rule_dump_is_parse_error(small_graph, tmp_path, field, value, command):
+    rules = tmp_path / "rules.tsv"
+    run_cli("mine", small_graph + ".edges", "--support", "25%", "--size", "3",
+            "--rules-out", str(rules), "--patterns-out", str(tmp_path / "p.tsv"))
+    good = rules.read_text().splitlines()[0]
+    parts = good.split("\t")
+    if value is None:
+        del parts[field]
+    else:
+        parts[field] = value
+    rules.write_text(good + "\n" + "\t".join(parts) + "\n")
+    args = (["predict", small_graph + ".edges"] if command == "predict"
+            else ["frustration", "--signs", "L0:+,L1:-"])
+    code, _, err = run_cli(*args, "--rules", str(rules))
+    assert code == 1
+    assert f"{rules}:2:" in err
+
+
 def test_evaluate_external_scores_join_ensemble(temporal_graph, tmp_path):
     # build an external dump by predicting on the training window
     rules = str(tmp_path / "r.tsv")
@@ -185,13 +244,6 @@ def test_evaluate_external_scores_join_ensemble(temporal_graph, tmp_path):
     # and are rejected under k-fold
     code, _, err = run_cli(
         "evaluate", str(static), "--kfold", "3", "--scores-tsv", scores)
-    assert code == 2
-
-
-def test_threads_validated(small_graph, tmp_path):
-    code, _, _ = run_cli("mine", small_graph + ".edges", "--threads", "0",
-                         "--patterns-out", str(tmp_path / "p"),
-                         "--rules-out", str(tmp_path / "r"))
     assert code == 2
 
 

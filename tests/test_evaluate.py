@@ -11,6 +11,7 @@ from plexmine.evaluate import (
     auc_and_roc,
     candidate_universe,
     classic_score,
+    decode_keys,
     ensemble,
     kfold_split,
     rank_auc,
@@ -22,7 +23,7 @@ from plexmine.evaluate import (
 from plexmine.graph import MultiplexGraph, TemporalMultiplexGraph, flatten_monoplex
 from plexmine.predict import LinkClass, ScoreTable
 
-from oracles import brute_auc, random_multiplex
+from oracles import brute_auc, brute_universe, random_multiplex
 
 
 def _line_graph(n=10, layers=1):
@@ -130,8 +131,8 @@ def test_auc_matches_pairwise_oracle():
         if labels.all() or not labels.any():
             continue
         auc, _ = auc_and_roc(scores, labels)
-        assert auc == pytest.approx(brute_auc(scores, labels), abs=1e-12)
-        assert rank_auc(scores, labels) == pytest.approx(auc, abs=1e-12)
+        assert auc == brute_auc(scores, labels)
+        assert rank_auc(scores, labels) == auc
 
 
 def test_auc_invariant_under_increasing_transform():
@@ -176,14 +177,53 @@ def _toy_split():
     return Split(train=train, test_edges=test, mode="toy")
 
 
+def _decoded(uni):
+    """(u, v, l) old-old and (u, l) old-new candidates, with their labels."""
+    l, u, v = (a.tolist() for a in decode_keys(uni.keys, uni.width))
+    n = uni.n_oldold
+    assert v[n:] == [uni.width] * (uni.n_candidates - n)  # NEW
+    labels = uni.labels.tolist()
+    return (list(zip(u[:n], v[:n], l[:n])), list(zip(u[n:], l[n:])),
+            labels[:n], labels[n:])
+
+
 def test_universe_membership_and_positives():
     split = _toy_split()
-    uni = candidate_universe(split)
-    assert set(uni.oldold) == {(0, 2, 0)}  # only non-edge between train nodes
-    assert uni.oldold_pos.tolist() == [True]
-    assert set(uni.oldnew) == {(0, 0), (1, 0), (2, 0)}
-    on_pos = dict(zip(uni.oldnew, uni.oldnew_pos.tolist()))
-    assert on_pos == {(0, 0): False, (1, 0): False, (2, 0): True}
+    oldold, oldnew, oo_pos, on_pos = _decoded(candidate_universe(split))
+    assert set(oldold) == {(0, 2, 0)}  # only non-edge between train nodes
+    assert oo_pos == [True]
+    assert set(oldnew) == {(0, 0), (1, 0), (2, 0)}
+    assert dict(zip(oldnew, on_pos)) == {(0, 0): False, (1, 0): False, (2, 0): True}
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_universe_and_scores_match_enumeration_oracle(directed):
+    rng = random.Random(31 if directed else 30)
+    for _ in range(60):
+        g = random_multiplex(rng, max_nodes=9, directed=directed)
+        k = rng.randint(2, min(4, g.n_edges))
+        split = kfold_split(g, k, seed=rng.randrange(100))[rng.randrange(k)]
+        n_layers = len(g.layers)
+        # entries outside the universe: reversed pairs, training edges,
+        # nodes outside the training graph, layers past the last one
+        table = ScoreTable(directed=directed, baseline=rng.choice((0.0, -0.5)))
+        for _ in range(rng.randint(0, 30)):
+            u, v = rng.sample(range(g.n_nodes + 2), 2)
+            table.oldold[(u, v, rng.randrange(n_layers + 1))] = rng.random()
+        for e in rng.sample(sorted(split.train.edges), min(3, split.train.n_edges)):
+            table.oldold[e] = rng.random()
+        for _ in range(rng.randint(0, 8)):
+            table.oldnew[(rng.randrange(g.n_nodes + 2), rng.randrange(n_layers + 1))] = rng.random()
+        full = brute_universe(split)
+        n_neg = rng.randint(1, len(full[0]) + len(full[1]) + 2)
+        for mode, want in (("full", full),
+                           ("sampled", brute_universe(split, "sampled", n_neg, seed=7))):
+            uni = candidate_universe(split, mode, n_neg, seed=7)
+            assert _decoded(uni) == want
+            oldold, oldnew = want[0], want[1]
+            scores = [table.oldold.get(c, table.baseline) for c in oldold]
+            scores += [table.oldnew.get(c, table.baseline) for c in oldnew]
+            assert universe_scores(uni, table).tolist() == scores
 
 
 def test_unscored_candidates_get_baseline_zero():
@@ -323,8 +363,8 @@ def test_combined_auc_between_segments_on_constructed_instance():
     train = MultiplexGraph([0, 1, 2], [(0, 1, 0)], directed=False, layers=[0])
     split = Split(train=train, test_edges=frozenset({(0, 2, 0), (1, 9, 0)}),
                   mode="constructed")
-    uni = candidate_universe(split)
-    assert len(uni.oldold) == 2 and len(uni.oldnew) == 3
+    oldold, oldnew, _, _ = _decoded(candidate_universe(split))
+    assert len(oldold) == 2 and len(oldnew) == 3
     table = ScoreTable(directed=False)
     table.oldold[(0, 2, 0)] = 10.0   # the old-old positive, ranked top
     table.oldold[(1, 2, 0)] = 5.0

@@ -185,7 +185,7 @@ def test_top_k_ordering_and_clamp():
         top_k(t, 0)
 
 
-def test_score_dump_roundtrip():
+def test_score_dump_roundtrip(tmp_path):
     g = MultiplexGraph([0, 1, 2], [(0, 1, 0)], directed=False,
                        layers=[0, 1], node_names={0: "u", 1: "v", 2: "w"},
                        layer_names={0: "a", 1: "b"})
@@ -194,7 +194,9 @@ def test_score_dump_roundtrip():
     t.oldnew = {(1, 0): 0.25}
     text = score_dump(t, g.node_names, g.layer_names)
     assert text.splitlines()[0] == "u\tw\tb\t1.500000"
-    back = load_score_dump(text, g)
+    path = tmp_path / "scores.tsv"
+    path.write_text(text)
+    back = load_score_dump(str(path), g)
     assert back.oldold == {(0, 2, 1): 1.5}
     assert back.oldnew == {(1, 0): 0.25}
 

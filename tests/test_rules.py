@@ -86,13 +86,15 @@ def test_posthoc_no_containment_pairs_empty():
     assert len(derive_rules_posthoc(ps, 0.5)) == 0
 
 
-def test_dump_roundtrip_and_sorted():
+def test_dump_roundtrip_and_sorted(tmp_path):
     rng = random.Random(8)
     g = random_multiplex(rng, max_nodes=8)
     _, emb, _ = _mine_both(g, 1, 3, 0.5)
     text = emb.to_tsv()
     assert text.splitlines() == sorted(text.splitlines())
-    loaded = RuleSet.from_tsv(text)
+    path = tmp_path / "rules.tsv"
+    path.write_text(text)
+    loaded = RuleSet.from_tsv(str(path))
     assert loaded.same_rules(emb)
     assert loaded.to_tsv() == text
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 
 from . import __version__, CODE_SCHEME_VERSION
 from .datagen import SynthConfig, generate
@@ -27,7 +28,7 @@ from .evaluate import (
 )
 from .graph import GraphError, flatten_monoplex
 from .io import ParseError, load_multiplex, load_temporal, save_multiplex
-from .miner import MiningError, MiningInvariantError
+from .miner import MiningConfig, MiningError, MiningInvariantError
 from .pattern import PatternError, Strategy
 from .pipeline import (
     CrossValResult,
@@ -117,7 +118,22 @@ def cmd_mine(args) -> int:
     _out(args.patterns_out, run.patterns.dump())
     _out(args.rules_out, run.rules.to_tsv())
     _emit_timings(args, run.timings)
+    _warn_if_empty(g, args.support, run)
     return 0
+
+
+def _warn_if_empty(g, support, run) -> None:
+    """One warning line on stderr when mining yields nothing to use."""
+    sigma = MiningConfig(support=support).resolve_support(g)
+    largest = max(Counter(g.attrs.values()).values(), default=0)
+    if sigma > largest:
+        msg = (f"support {sigma} exceeds every label class (largest {largest} "
+               "nodes), so no pattern can be frequent")
+    elif len(run.patterns) == 0 or len(run.rules) == 0:
+        msg = f"support {sigma} gave {len(run.patterns)} patterns and {len(run.rules)} rules"
+    else:
+        return
+    sys.stderr.write(f"warning: {msg}\n")
 
 
 def cmd_predict(args) -> int:

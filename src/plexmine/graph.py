@@ -205,70 +205,92 @@ class GraphIndex:
     """Array adjacency built once per graph for the vectorized matcher.
 
     For directed graphs ``out_[l]`` / ``in_[l]`` are CSR-style neighbor
-    arrays per layer; undirected graphs expose a single symmetric table in
-    ``out_`` (and ``in_`` aliases it). ``edge_keys[l]`` holds sorted u*W+v
-    keys for O(log E) membership tests; undirected keys are stored in both
-    orientations.
+    arrays per layer, neighbors ascending; undirected graphs expose a
+    single symmetric table in ``out_`` (and ``in_`` aliases it).
+
+    Membership lives in one pair index for all layers: ``pair_keys`` holds
+    the sorted ``u*W+v`` keys (``W`` = ``width``) of every ordered node pair
+    joined by an edge in either direction, then a sentinel, and
+    ``pair_bits`` holds one layer-by-direction bitmask per key,
+    ``n_words = ceil(2*|L|/64)`` uint64 words wide. For the layer at
+    position ``p`` of ``layers``, bit ``2p`` of pair ``(u, v)`` says u->v is
+    an edge and bit ``2p+1`` says v->u is. Undirected edges set both bits on
+    both orientations. Node ids passed to the probes must lie in
+    ``[0, width)``.
     """
 
     def __init__(self, g: MultiplexGraph):
         self.g = g
         self.width = (max(g.nodes) + 1) if g.nodes else 1
+        W = self.width
         self.node_arr = np.array(sorted(g.nodes), dtype=np.int64)
         labels = sorted({g.attrs[n] for n in g.nodes}) if g.nodes else []
         self.labels_list = labels
         self.label_ids = {lab: i for i, lab in enumerate(labels)}
-        self.node_label = np.full(self.width, -1, dtype=np.int64)
-        for n in g.nodes:
-            self.node_label[n] = self.label_ids[g.attrs[n]]
-        self.nodes_by_label = {
-            lab: np.array(sorted(n for n in g.nodes if g.attrs[n] == lab), dtype=np.int64)
-            for lab in labels
-        }
+        self.node_label = np.full(W, -1, dtype=np.int64)
+        self.node_label[self.node_arr] = [self.label_ids[g.attrs[int(n)]] for n in self.node_arr]
+        node_lab = self.node_label[self.node_arr]
+        self.nodes_by_label = {lab: self.node_arr[node_lab == i] for i, lab in enumerate(labels)}
+
+        self.layers = sorted(g.layers)
+        self.layer_pos = {l: p for p, l in enumerate(self.layers)}
+        edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 3)
+        u, v = edges[:, 0], edges[:, 1]
+        lp = np.searchsorted(np.array(self.layers, dtype=np.int64), edges[:, 2])
+
+        # CSR tables: one sort by (layer, source, target), sliced per layer
         self.out_: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.in_: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.edge_keys: dict[int, np.ndarray] = {}
-        for l in g.layers:
-            fwd: dict[int, list[int]] = {}
-            rev: dict[int, list[int]] = {}
-            keys = []
-            for u, v, el in g.edges:
-                if el != l:
-                    continue
-                fwd.setdefault(u, []).append(v)
-                keys.append(u * self.width + v)
-                if g.directed:
-                    rev.setdefault(v, []).append(u)
-                else:
-                    fwd.setdefault(v, []).append(u)
-                    keys.append(v * self.width + u)
-            self.out_[l] = self._csr(fwd)
-            self.in_[l] = self._csr(rev) if g.directed else self.out_[l]
-            self.edge_keys[l] = np.array(sorted(keys), dtype=np.int64)
+        if g.directed:
+            self._fill_csr(self.out_, lp, u, v)
+            self._fill_csr(self.in_, lp, v, u)
+        else:
+            self._fill_csr(self.out_, np.concatenate([lp, lp]),
+                           np.concatenate([u, v]), np.concatenate([v, u]))
+            self.in_ = self.out_
 
-    def _csr(self, adj: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
-        indptr = np.zeros(self.width + 1, dtype=np.int64)
-        for u, vs in adj.items():
-            indptr[u + 1] = len(vs)
-        np.cumsum(indptr, out=indptr)
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        for u, vs in adj.items():
-            indices[indptr[u]:indptr[u + 1]] = sorted(vs)
-        return indptr, indices
+        # pair index: (key, bit) per edge and orientation, OR-ed per key
+        fwd, rev = 2 * lp, 2 * lp + 1
+        if g.directed:
+            keys = np.concatenate([u * W + v, v * W + u])
+            bits = np.concatenate([fwd, rev])
+        else:
+            keys = np.concatenate([u * W + v, u * W + v, v * W + u, v * W + u])
+            bits = np.concatenate([fwd, rev, fwd, rev])
+        self.n_words = max(1, -(-2 * len(self.layers) // 64))
+        keys, inv = np.unique(keys, return_inverse=True)
+        # a trailing sentinel key with a zero mask catches every miss
+        self.pair_keys = np.append(keys, np.iinfo(np.int64).max)
+        self.pair_bits = np.zeros((len(self.pair_keys), self.n_words), dtype=np.uint64)
+        np.bitwise_or.at(self.pair_bits, (inv, bits >> 6),
+                         np.uint64(1) << (bits & 63).astype(np.uint64))
+
+    def _fill_csr(self, table: dict, lp: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+        order = np.lexsort((dst, src, lp))
+        lp, src, dst = lp[order], src[order], dst[order]
+        bounds = np.searchsorted(lp, np.arange(len(self.layers) + 1))
+        for p, l in enumerate(self.layers):
+            lo, hi = bounds[p], bounds[p + 1]
+            indptr = np.zeros(self.width + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src[lo:hi], minlength=self.width), out=indptr[1:])
+            table[l] = indptr, dst[lo:hi].copy()
+
+    def pair_masks(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Bitmask rows (len(us), n_words) of the pairs (us, vs); zero rows
+        for pairs with no edge. Bit layout as in the class docstring."""
+        probe = us * self.width + vs
+        pos = np.searchsorted(self.pair_keys, probe)
+        pos[self.pair_keys[pos] != probe] = len(self.pair_keys) - 1
+        return self.pair_bits.take(pos, axis=0)
 
     def has_pairs(self, us: np.ndarray, vs: np.ndarray, layer: int) -> np.ndarray:
         """Vectorized membership: does the graph contain edge u->v in layer?
 
-        For undirected graphs orientation is irrelevant (keys are stored
+        For undirected graphs orientation is irrelevant (pairs are stored
         both ways).
         """
-        keys = self.edge_keys[layer]
-        probe = us * self.width + vs
-        pos = np.searchsorted(keys, probe)
-        pos[pos >= len(keys)] = len(keys) - 1 if len(keys) else 0
-        if len(keys) == 0:
-            return np.zeros(len(probe), dtype=bool)
-        return keys[pos] == probe
+        bit = 2 * self.layer_pos[layer]
+        return self.pair_masks(us, vs)[:, bit >> 6] & (1 << (bit & 63)) != 0
 
     def neighbors_flat(
         self, anchors: np.ndarray, layer: int, incoming: bool

@@ -122,7 +122,23 @@ def mis_support(embs: list[Embedding], k: int) -> int:
     return min(len(s) for s in image_table(embs, k))
 
 
-def mis_support_array(E: np.ndarray) -> int:
+def mis_support_array(E: np.ndarray, sigma: int, marks: np.ndarray) -> int:
+    """Minimum image support of an (N, k) embedding array.
+
+    Exact whenever the support is at least ``sigma``. Columns are counted
+    newest first, and the first column with fewer than ``sigma`` distinct
+    images ends the count: its count is returned, which is below ``sigma``
+    and at least the true support. ``marks`` is a scratch boolean array,
+    all False, longer than the largest node id; it is left all False.
+    """
     if E.shape[0] == 0:
         return 0
-    return min(int(len(np.unique(E[:, c]))) for c in range(E.shape[1]))
+    support = E.shape[0]
+    for c in reversed(range(E.shape[1])):
+        col = E[:, c]
+        marks[col] = True
+        support = min(support, int(np.count_nonzero(marks)))
+        marks[col] = False
+        if support < sigma:
+            break
+    return support

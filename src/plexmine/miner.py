@@ -164,10 +164,11 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
         ps.add(rec)
         queue.append(rec)
 
+    marks = np.zeros(idx.width, dtype=bool)  # scratch for support counting
     while queue:
         parent = queue.popleft()
-        for delta, child_pattern, child_embs in _extensions(parent, g, cfg, sigma):
-            supp_c = mis_support_array(child_embs)
+        for delta, child_embs in _extensions(parent, g, cfg, sigma):
+            supp_c = mis_support_array(child_embs, sigma, marks)
             if supp_c > parent.support:
                 raise MiningInvariantError(
                     f"anti-monotonicity violated: child support {supp_c} > "
@@ -175,10 +176,10 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
                 )
             if supp_c < sigma:
                 continue
+            child_pattern = apply_delta(parent.pattern, delta)
             code_c = canonical_code(child_pattern, cfg.strategy)
             rec_c = ps.get(code_c)
             if rec_c is None:
-                child_embs = _sorted_rows(child_embs)
                 stored = child_embs
                 if cfg.max_embeddings is not None and len(stored) > cfg.max_embeddings:
                     stored = stored[: cfg.max_embeddings]
@@ -203,16 +204,15 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
     return ps
 
 
-def _sorted_rows(E: np.ndarray) -> np.ndarray:
-    if E.shape[0] == 0:
-        return E
-    return E[np.lexsort(tuple(E[:, c] for c in reversed(range(E.shape[1]))))]
-
-
 def _extensions(
     parent: MinedPattern, g: MultiplexGraph, cfg: MiningConfig, sigma: int = 1
-) -> Iterator[tuple[Delta, Pattern, np.ndarray]]:
+) -> Iterator[tuple[Delta, np.ndarray]]:
     """All single-edge extension candidates with nonempty embedding sets.
+
+    Yields (delta, child embeddings); the child pattern is left to the
+    caller. Child rows keep the parent's lexicographic row order: a cycle
+    closure filters the parent's rows, and a fresh node appends each row's
+    neighbors in ascending order.
 
     Fresh-node candidates whose new-node image count provably falls below
     ``sigma`` are pruned before the expansion join is materialized; the
@@ -228,27 +228,30 @@ def _extensions(
     existing = {(e.i, e.j, e.layer, e.dirbit) for e in p.edges}
     directions = (True, False) if g.directed else (True,)
 
-    # cycle closures (including parallel edges between the same pair)
+    # cycle closures (including parallel edges between the same pair): one
+    # pair-index probe per node pair serves every layer and direction
     for i in range(k):
         for j in range(i + 1, k):
-            for layer in sorted(g.layers):
+            masks = idx.pair_masks(E[:, i], E[:, j])
+            present = [int(w) for w in np.bitwise_or.reduce(masks, axis=0)]
+            for pos, layer in enumerate(idx.layers):
                 for forward in directions:
                     dirbit = forward if g.directed else False
                     if (i, j, layer, dirbit) in existing:
                         continue
-                    us, vs = (E[:, i], E[:, j]) if forward else (E[:, j], E[:, i])
-                    mask = idx.has_pairs(us, vs, layer)
-                    if not mask.any():
+                    bit = 2 * pos + (0 if forward else 1)
+                    word, flag = bit >> 6, 1 << (bit & 63)
+                    if not present[word] & flag:
                         continue
                     d = Delta(i, j, layer, forward=forward if g.directed else True)
-                    yield d, apply_delta(p, d), E[mask]
+                    yield d, E.compress(masks[:, word] & flag != 0, axis=0)
 
     # fresh-node attachments
     if k >= cfg.max_nodes:
         return
     for i in range(k):
         anchors_unique = np.unique(E[:, i])
-        for layer in sorted(g.layers):
+        for layer in idx.layers:
             for incoming in ((False, True) if g.directed else (False,)):
                 _, cand_nbrs = idx.neighbors_flat(anchors_unique, layer, incoming)
                 if cand_nbrs.size == 0:
@@ -282,4 +285,4 @@ def _extensions(
                         forward=forward if g.directed else True,
                         new_label=label,
                     )
-                    yield d, apply_delta(p, d), child_embs
+                    yield d, child_embs

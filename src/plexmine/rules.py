@@ -31,6 +31,7 @@ from .pattern import (
 )
 
 CONFIDENCE_EPS = 1e-12
+CONFIDENCE_TOLERANCE = 5e-7 + CONFIDENCE_EPS  # half a unit of the dump's 6th decimal
 DEFAULT_MIN_CONFIDENCE = 0.5
 
 RuleKey = tuple[CanonicalCode, tuple]
@@ -123,8 +124,11 @@ class RuleSet:
         """Read a rule dump file written from ``to_tsv``.
 
         Raises ``ParseError(path, line)`` for a wrong field count, a code or
-        delta that does not parse, a non-integer support, or supports that
-        break ``0 < support_c <= support_a``.
+        delta that does not parse, a non-integer support, supports that
+        break ``0 < support_c <= support_a``, a confidence column other than
+        ``support_c/support_a`` to six decimals, delta node indices outside
+        the antecedent, or a consequent code that is not the canonical code
+        of the antecedent extended by the delta.
         """
         rs = cls(min_confidence)
         with open(path, "r", encoding="utf-8") as fh:
@@ -163,12 +167,22 @@ def _rule_from_fields(parts: list[str]) -> AssociationRule:
     if not 0 < support_c <= support_a:
         raise ValueError(f"supports {support_a}/{support_c} break "
                          "0 < support_c <= support_a")
+    if not abs(float(parts[5]) - support_c / support_a) <= CONFIDENCE_TOLERANCE:
+        raise ValueError(f"confidence {parts[5]} is not {support_c}/{support_a}")
     a_code = CanonicalCode.from_string(parts[0])
+    antecedent = pattern_from_code(a_code)
+    delta_key = delta_key_from_string(parts[2])
+    delta = delta_from_key(delta_key, a_code.directed)
+    if not 0 <= delta.i < antecedent.k or (delta.j is not None and delta.j >= antecedent.k):
+        raise ValueError(f"delta {parts[2]} does not fit a {antecedent.k}-node antecedent")
+    c_code = CanonicalCode.from_string(parts[1])
+    if canonical_code(apply_delta(antecedent, delta), a_code.strategy) != c_code:
+        raise ValueError(f"consequent {parts[1]} is not antecedent + {parts[2]}")
     return AssociationRule(
-        antecedent=pattern_from_code(a_code),
+        antecedent=antecedent,
         antecedent_code=a_code,
-        consequent_code=CanonicalCode.from_string(parts[1]),
-        delta_key=delta_key_from_string(parts[2]),
+        consequent_code=c_code,
+        delta_key=delta_key,
         support_a=support_a,
         support_c=support_c,
     )

@@ -5,7 +5,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from plexmine import evaluate
-from plexmine.cli import main
+from plexmine.cli import _support_arg, main
+from plexmine.io import load_multiplex
+from plexmine.pipeline import run_mining
+from plexmine.rules import DEFAULT_MIN_CONFIDENCE
 
 
 def run_cli(*argv):
@@ -67,6 +70,25 @@ def test_mine_both_modes_reports_equality(small_graph, tmp_path):
         "--rules-out", str(tmp_path / "r.tsv"))
     assert code == 0
     assert "mode-equivalence\tequal" in err
+
+
+@pytest.mark.parametrize("support, size, warning", [
+    pytest.param("90%", "3", "exceeds every label class", id="sigma-above-labels"),
+    pytest.param("20%", "1", "patterns and 0 rules", id="no-rules"),
+    pytest.param("20%", "3", None, id="rules-found"),
+])
+def test_mine_warns_when_nothing_comes_out(small_graph, support, size, warning):
+    args = ("mine", small_graph + ".edges", "--attrs", small_graph + ".attrs",
+            "--support", support, "--size", size)
+    code, out, err = run_cli(*args)
+    assert code == 0
+    g = load_multiplex(small_graph + ".edges", small_graph + ".attrs")
+    run = run_mining(g, _support_arg(support), int(size), DEFAULT_MIN_CONFIDENCE)
+    assert out == run.patterns.dump() + run.rules.to_tsv()
+    if warning is None:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.startswith("warning: ") and warning in err
 
 
 def test_predict_roundtrip(small_graph, tmp_path):
@@ -193,6 +215,11 @@ def test_evaluate_bad_score_dump_is_parse_error(temporal_graph, tmp_path, bad_li
     pytest.param(3, "many", id="non-integer-support"),
     pytest.param(3, "0", id="support_a-zero"),
     pytest.param(4, "99999", id="support_c-above-support_a"),
+    pytest.param(2, "C:0-5:0:0", id="delta-outside-antecedent"),
+    pytest.param(2, "N:7:0:0:_", id="node-delta-outside-antecedent"),
+    pytest.param(1, "Bu|zz|", id="consequent-not-antecedent-plus-delta"),
+    pytest.param(5, "0.000001", id="confidence-not-support-ratio"),
+    pytest.param(5, "nan", id="confidence-nan"),
 ])
 @pytest.mark.parametrize("command", ["predict", "frustration"])
 def test_bad_rule_dump_is_parse_error(small_graph, tmp_path, field, value, command):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from plexmine.graph import GraphError, MultiplexGraph, flatten_monoplex
@@ -62,23 +63,45 @@ def test_flatten_matches_distinct_pair_enumeration():
 
 def test_index_adjacency_matches_edges():
     rng = random.Random(9)
-    for _ in range(10):
+    for _ in range(20):
         g = random_multiplex(rng)
         idx = g.index()
         for l in g.layers:
-            indptr, indices = idx.out_[l]
-            listed = set()
-            for u in g.nodes:
-                for v in indices[indptr[u]:indptr[u + 1]]:
-                    listed.add((u, int(v)))
-            expected = set()
-            for a, b, el in g.edges:
-                if el != l:
-                    continue
-                expected.add((a, b))
-                if not g.directed:
-                    expected.add((b, a))
-            assert listed == expected
+            for table, flip in ((idx.out_, False), (idx.in_, g.directed)):
+                indptr, indices = table[l]
+                listed = set()
+                for u in g.nodes:
+                    row = indices[indptr[u]:indptr[u + 1]]
+                    assert list(row) == sorted(row)  # the miner's row order needs this
+                    listed.update((u, int(v)) for v in row)
+                expected = set()
+                for a, b, el in g.edges:
+                    if el != l:
+                        continue
+                    expected.add((b, a) if flip else (a, b))
+                    if not g.directed:
+                        expected.add((b, a))
+                assert listed == expected
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_pair_index_matches_edge_set(directed):
+    # non-contiguous node and layer ids; 40 layers need 80 direction bits
+    rng = random.Random(41 + directed)
+    layer_sets = [[0], [3, 7, 100], [-2, 5], list(range(0, 80, 2))]
+    for trial in range(40):
+        layers = layer_sets[trial % len(layer_sets)]
+        nodes = rng.sample(range(30), rng.randint(2, 12))
+        edges = {(rng.choice(nodes), rng.choice(nodes), rng.choice(layers))
+                 for _ in range(rng.randint(0, 60))}
+        g = MultiplexGraph(nodes, edges, directed=directed, layers=layers)
+        idx = g.index()
+        assert idx.n_words == -(-2 * len(layers) // 64)
+        us = np.repeat(np.arange(idx.width), idx.width)
+        vs = np.tile(np.arange(idx.width), idx.width)
+        for l in layers:
+            want = [g.has_edge(int(u), int(v), l) for u, v in zip(us, vs)]
+            assert idx.has_pairs(us, vs, l).tolist() == want
 
 
 def test_subgraph_of_edges_restricts_nodes():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from plexmine.graph import MultiplexGraph
@@ -91,4 +92,24 @@ def test_matches_bruteforce_on_random_instances():
 
 def test_mis_array_agrees_with_list_form(image_table_graph, chain_pattern):
     E = match_array(chain_pattern, image_table_graph)
-    assert mis_support_array(E) == 3
+    assert mis_support_array(E, 1, np.zeros(10, dtype=bool)) == 3
+
+
+def test_sigma_bounded_support_matches_set_oracle():
+    # exact at or above sigma, below sigma otherwise, marks left clean
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        width = int(rng.integers(1, 30))
+        n = int(rng.choice([0, 1, int(rng.integers(2, 60))]))
+        k = int(rng.integers(1, 5))
+        E = rng.integers(0, width, size=(n, k)).astype(np.int64)
+        E[: min(n, 1), 0] = width - 1  # the largest id the marks must hold
+        true = mis_support([tuple(row) for row in E.tolist()], k)
+        marks = np.zeros(width, dtype=bool)
+        for sigma in range(0, width + 3):
+            got = mis_support_array(E, sigma, marks)
+            if true >= sigma:
+                assert got == true
+            else:
+                assert got < sigma
+            assert not marks.any()

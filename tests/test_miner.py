@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from plexmine.graph import MultiplexGraph
+from plexmine.matcher import match_array
 from plexmine.miner import MiningConfig, MiningError, PatternSet, mine
 from plexmine.pattern import Strategy
 
@@ -129,3 +131,36 @@ def test_pattern_dump_stable(image_table_graph):
     b = mine(image_table_graph, MiningConfig(2, 3)).dump()
     assert a == b
     assert a.splitlines() == sorted(a.splitlines())
+
+
+def test_mining_many_layers_matches_oracle():
+    # 40 layers: direction bits of later layers live in the second word
+    layers = list(range(0, 80, 2))
+    rng = random.Random(404)
+    for trial in range(6):
+        directed = trial % 2 == 1
+        n = rng.randint(4, 6)
+        hot = [layers[0], layers[31], layers[33], layers[39]]  # bits 0-1, 62-63, 66-67, 78-79
+        edges = set()
+        for _ in range(rng.randint(5, 9)):
+            u, v = rng.sample(range(n), 2)
+            edges.add((u, v, rng.choice(hot + [rng.choice(layers)])))
+        g = MultiplexGraph(range(n), edges, attrs={u: rng.choice("ab") for u in range(n)},
+                           directed=directed, layers=layers)
+        ps = mine(g, MiningConfig(1, 3))
+        assert _mined_by_brute_key(ps) == brute_mine(g, 1, 3)
+
+
+def test_embeddings_keep_lexicographic_row_order():
+    rng = random.Random(123)
+    for _ in range(25):
+        g = random_multiplex(rng, max_nodes=8)
+        sigma = rng.choice((1, 2))
+        for cap in (None, 3):
+            for rec in mine(g, MiningConfig(sigma, 3, max_embeddings=cap)):
+                E = rec.embeddings
+                assert np.array_equal(np.lexsort(E.T[::-1]), np.arange(len(E)))
+                full = match_array(rec.pattern, g)
+                assert rec.n_embeddings == len(full)
+                assert np.array_equal(E, full[:len(E)])
+                assert rec.complete or len(E) == cap

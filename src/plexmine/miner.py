@@ -157,7 +157,7 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
             pattern=p,
             code=canonical_code(p, cfg.strategy),
             support=len(members),
-            embeddings=members.reshape(-1, 1),
+            embeddings=_stored(members.reshape(-1, 1), cfg.max_embeddings),
             n_embeddings=len(members),
             orderings=canonical_orderings(p, cfg.strategy),
         )
@@ -180,14 +180,11 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
             code_c = canonical_code(child_pattern, cfg.strategy)
             rec_c = ps.get(code_c)
             if rec_c is None:
-                stored = child_embs
-                if cfg.max_embeddings is not None and len(stored) > cfg.max_embeddings:
-                    stored = stored[: cfg.max_embeddings]
                 rec_c = MinedPattern(
                     pattern=child_pattern,
                     code=code_c,
                     support=supp_c,
-                    embeddings=stored,
+                    embeddings=_stored(child_embs, cfg.max_embeddings),
                     n_embeddings=len(child_embs),
                     orderings=canonical_orderings(child_pattern, cfg.strategy),
                     parent_code=parent.code,
@@ -202,6 +199,14 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
             if rule_sink is not None:
                 rule_sink.offer(parent, rec_c, delta)
     return ps
+
+
+def _stored(E: np.ndarray, cap: int | None) -> np.ndarray:
+    """The embedding rows a record keeps: all, or a copy of the first ``cap``
+    (a copy, so the full array is not kept alive behind a view)."""
+    if cap is None or len(E) <= cap:
+        return E
+    return E[:cap].copy()
 
 
 def _extensions(

@@ -7,11 +7,21 @@ introduces a fresh node. Firings that land on an existing training triple
 contribute nothing. Automorphic embeddings (same node image set) that
 instantiate the same prediction are collapsed first, so symmetric
 antecedents do not inflate scores by their automorphism count.
+
+Accumulation works on arrays. Rules are visited in sorted order, which
+groups them by antecedent, and each antecedent's embeddings are fetched
+once and given per-row node-set ids. Each rule encodes its firings as
+int64 target keys, counts the distinct node sets per key, and appends
+(key, confidence x count) to the list of its (segment, layer). At the end
+one ``np.unique`` and one weighted ``np.bincount`` per list sum the
+contributions in sorted-rule order, exactly as adding them one by one to
+0.0 would, and the sums become the ``ScoreTable`` dicts.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -66,15 +76,28 @@ def apply_rules(
 ) -> ScoreTable:
     """Accumulate confidence-weighted rule firings into a score table.
 
-    Mined embeddings are reused via ``pattern_set`` when available;
-    otherwise antecedents are re-matched on the graph. Rules referencing
-    layers or labels absent from the graph are skipped with a warning.
-    Accumulation is commutative, so rule processing order is irrelevant.
+    Antecedent embeddings are reused from ``pattern_set`` when it holds the
+    antecedent and re-matched on the graph otherwise, once per antecedent.
+    A rule adds, to each key it fires, its confidence times the number of
+    distinct node sets firing that key (times 1 with
+    ``dedupe_rule_firings``). Keys are ``tail*W + head`` for old-old and
+    the anchor for old-new, ``W`` being ``g_train.index().width``, so they
+    stay in the range of ``GraphIndex.pair_keys``. Every score is the sum of
+    its rules' contributions in ``sorted_rules()`` order, starting from 0.0,
+    whatever order the rules were added in. Rules referencing layers or
+    labels absent from the graph are skipped with a warning. With
+    ``track_provenance`` the table maps each scored ``("oldold", key)`` or
+    ``("oldnew", key)`` to the ids (positions in ``sorted_rules()``) of the
+    rules that fired it, ascending.
     """
     table = ScoreTable(directed=g_train.directed,
                        provenance={} if track_provenance else None)
     labels_present = g_train.labels_present()
     idx = g_train.index()
+    W = idx.width
+    # (introduces new node, layer) -> [(keys, weights, rule id)] in rule order
+    parts: dict[tuple[bool, int], list[tuple[np.ndarray, np.ndarray, int]]] = {}
+    antecedent = None
     for rule_id, rule in enumerate(rules.sorted_rules()):
         ant = rule.antecedent
         delta = rule.delta
@@ -88,19 +111,12 @@ def apply_rules(
                 rule_id,
             )
             continue
-        E = _antecedent_embeddings(rule, g_train, pattern_set)
-        if E.shape[0] == 0:
-            continue
+        if rule.antecedent_code != antecedent:
+            antecedent = rule.antecedent_code
+            E = _antecedent_embeddings(rule, g_train, pattern_set)
+            node_sets = _node_set_ids(E)
         if delta.introduces_new_node:
-            anchors = E[:, delta.i]
-            firings = np.column_stack([np.sort(E, axis=1), anchors])
-            firings = np.unique(firings, axis=0)  # collapse automorphic twins
-            keys, counts = np.unique(firings[:, -1], return_counts=True)
-            for u, cnt in zip(keys, counts):
-                key = (int(u), delta.layer)
-                amount = rule.confidence * (1 if dedupe_rule_firings else int(cnt))
-                table.oldnew[key] = table.oldnew.get(key, 0.0) + amount
-                _note(table, ("oldnew", key), rule_id)
+            sets, targets = node_sets, E[:, delta.i]
         else:
             a, b = E[:, delta.i], E[:, delta.j]
             if g_train.directed:
@@ -108,18 +124,34 @@ def apply_rules(
             else:
                 tail, head = np.minimum(a, b), np.maximum(a, b)
             fresh = ~idx.has_pairs(tail, head, delta.layer)
-            if not fresh.any():
-                continue
-            firings = np.column_stack(
-                [np.sort(E[fresh], axis=1), tail[fresh], head[fresh]]
-            )
-            firings = np.unique(firings, axis=0)
-            pairs, counts = np.unique(firings[:, -2:], axis=0, return_counts=True)
-            for (t, h), cnt in zip(pairs, counts):
-                key = (int(t), int(h), delta.layer)
-                amount = rule.confidence * (1 if dedupe_rule_firings else int(cnt))
-                table.oldold[key] = table.oldold.get(key, 0.0) + amount
-                _note(table, ("oldold", key), rule_id)
+            sets, targets = node_sets[fresh], tail[fresh] * W + head[fresh]
+        if not len(targets):
+            continue
+        keys, counts = _distinct_sets_per_target(sets, targets)
+        if dedupe_rule_firings:
+            counts = np.ones_like(counts)
+        weights = rule.confidence * counts
+        parts.setdefault((delta.introduces_new_node, delta.layer), []).append(
+            (keys, weights, rule_id))
+
+    for (new_node, layer), chunks in sorted(parts.items()):
+        keys, inverse = np.unique(np.concatenate([c[0] for c in chunks]),
+                                  return_inverse=True)
+        scores = np.bincount(inverse, weights=np.concatenate([c[1] for c in chunks]),
+                             minlength=len(keys))
+        if new_node:
+            segment, entries = "oldnew", [(u, layer) for u in keys.tolist()]
+        else:
+            tails, heads = np.divmod(keys, W)
+            segment = "oldold"
+            entries = [(t, h, layer) for t, h in zip(tails.tolist(), heads.tolist())]
+        getattr(table, segment).update(zip(entries, scores.tolist()))
+        if table.provenance is not None:
+            rule_ids = np.concatenate([np.full(len(c[0]), c[2]) for c in chunks])
+            firing = np.split(rule_ids[np.argsort(inverse, kind="stable")],
+                              np.cumsum(np.bincount(inverse))[:-1])
+            table.provenance.update(
+                ((segment, e), ids.tolist()) for e, ids in zip(entries, firing))
     return table
 
 
@@ -133,9 +165,26 @@ def _antecedent_embeddings(
     return match_array(rule.antecedent, g)
 
 
-def _note(table: ScoreTable, key: tuple, rule_id: int) -> None:
-    if table.provenance is not None:
-        table.provenance.setdefault(key, []).append(rule_id)
+def _node_set_ids(E: np.ndarray) -> np.ndarray:
+    """One id per embedding row, equal for rows with the same node set."""
+    rows = np.sort(E, axis=1)
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first)
+    return ids
+
+
+def _distinct_sets_per_target(sets: np.ndarray, targets: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct targets, ascending, and how many distinct node sets fire each."""
+    order = np.lexsort((sets, targets))
+    sets, targets = sets[order], targets[order]
+    first = np.ones(len(targets), dtype=bool)
+    first[1:] = (targets[1:] != targets[:-1]) | (sets[1:] != sets[:-1])
+    return np.unique(targets[first], return_counts=True)
 
 
 def classify_link(u: int, v: int, train_nodes: frozenset[int] | set[int],
@@ -197,7 +246,7 @@ def load_score_dump(path: str, g: MultiplexGraph) -> ScoreTable:
     """Read a score dump file into a table, mapping names through ``g``.
 
     Raises ``ParseError(path, line)`` for a wrong field count, a node or
-    layer name ``g`` does not have, or a non-numeric score.
+    layer name ``g`` does not have, or a score that is not a finite number.
     """
     node_ids = {name: nid for nid, name in g.node_names.items()}
     layer_ids = {name: lid for lid, name in g.layer_names.items()}
@@ -222,6 +271,8 @@ def load_score_dump(path: str, g: MultiplexGraph) -> ScoreTable:
                 score = float(score_text)
             except ValueError:
                 raise ParseError(path, lineno, f"non-numeric score {score_text!r}") from None
+            if not math.isfinite(score):
+                raise ParseError(path, lineno, f"non-finite score {score_text!r}")
             if v is None:
                 table.oldnew[(u, l)] = score
             else:

@@ -1,8 +1,10 @@
 import io
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plexmine import evaluate
 from plexmine.cli import _support_arg, main
@@ -199,6 +201,8 @@ def test_evaluate_ensemble_reuses_fold_universe(small_graph, monkeypatch, mode, 
     pytest.param("{u}\tNEW\tL9\t0.5", id="unknown-layer"),
     pytest.param("{u}\tNEW\tL0", id="field-count"),
     pytest.param("{u}\tNEW\tL0\tabc", id="non-numeric-score"),
+    pytest.param("{u}\tNEW\tL0\tnan", id="nan-score"),
+    pytest.param("{u}\tNEW\tL0\t-1e999", id="infinite-score"),
 ])
 def test_evaluate_bad_score_dump_is_parse_error(temporal_graph, tmp_path, bad_line):
     u = open(temporal_graph).readline().split("\t")[0]
@@ -294,3 +298,99 @@ def test_exit_code_invalid_params(small_graph, tmp_path):
 def test_exit_code_missing_file(tmp_path):
     code, _, _ = run_cli("mine", str(tmp_path / "nope.edges"))
     assert code == 1
+
+
+# -- exit-code fuzzing of dump files ----------------------------------------------
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+FUZZ_TEXT = st.one_of(
+    st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e999", "0x10", "-1", "NEW",
+                     "C:", "N:", "C:0-", "Bu|", "Bu|zz|0-1:0:0:a", "é"]),
+    st.text(alphabet="0123456789-:|_.abNC \t", max_size=10),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A graph with a valid rule dump, and a temporal graph with a valid
+    score dump, written once for every fuzz example."""
+    d = tmp_path_factory.mktemp("fuzz")
+    prefix = str(d / "g")
+    run_cli("generate", "--nodes", "30", "--layers", "2", "--avg-degree", "4",
+            "--labels", "2", "--seed", "3", "--out-prefix", prefix)
+    rules = d / "rules.tsv"
+    run_cli("mine", prefix + ".edges", "--attrs", prefix + ".attrs", "--support", "25%",
+            "--size", "3", "--rules-out", str(rules), "--patterns-out", str(d / "p.tsv"))
+    rng = random.Random(2)
+    lines = []
+    for t in range(1, 14):
+        for _ in range(4):
+            u, v = rng.sample(range(14 if t > 10 else 12), 2)
+            lines.append(f"{u}\t{v}\tL{t % 2}\t{t}")
+    temporal = d / "temporal.edges"
+    temporal.write_text("\n".join(lines) + "\n")
+    static = d / "static.edges"
+    static.write_text("".join("\t".join(x.split("\t")[:3]) + "\n" for x in lines[:40]))
+    static_rules = d / "static_rules.tsv"
+    run_cli("mine", str(static), "--support", "3", "--size", "2",
+            "--rules-out", str(static_rules), "--patterns-out", str(d / "sp.tsv"))
+    scores = d / "scores.tsv"
+    run_cli("predict", str(static), "--rules", str(static_rules), "--out", str(scores))
+    return {"dir": d, "graph": prefix, "rules": rules.read_text().splitlines(),
+            "temporal": str(temporal), "scores": scores.read_text().splitlines()}
+
+
+def _mutated(lines: list[str], data) -> str:
+    """A few edits of a dump: drop a field, swap two fields (codes among
+    them), put text in a field, or point a delta outside its antecedent."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        n = data.draw(st.integers(0, len(lines) - 1))
+        parts = lines[n].split("\t")
+        f = data.draw(st.integers(0, len(parts) - 1))
+        kind = data.draw(st.sampled_from(["drop", "swap", "text", "delta"]))
+        if kind == "drop":
+            del parts[f]
+        elif kind == "swap":
+            g = data.draw(st.integers(0, len(parts) - 1))
+            parts[f], parts[g] = parts[g], parts[f]
+        elif kind == "text":
+            parts[f] = data.draw(FUZZ_TEXT) + data.draw(st.sampled_from(["", parts[f]]))
+        else:
+            index = st.integers(-3, 12).map(str)
+            head = parts[f].split(":")
+            if head[0] == "C" and len(head) > 1:
+                head[1] = f"{data.draw(index)}-{data.draw(index)}"
+            elif head[0] == "N" and len(head) > 1:
+                head[1] = data.draw(index)
+            parts[f] = ":".join(head)
+        lines[n] = "\t".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _assert_exit_contract(code: int, err: str) -> None:
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["predict", "frustration"])
+@FUZZ
+@given(data=st.data())
+def test_mutated_rule_dump_keeps_exit_contract(fuzz_inputs, command, data):
+    path = fuzz_inputs["dir"] / f"mutated_{command}.tsv"
+    path.write_text(_mutated(fuzz_inputs["rules"], data))
+    edges = fuzz_inputs["graph"] + ".edges"
+    args = (["predict", edges] if command == "predict"
+            else ["frustration", "--edges", edges, "--signs", "L0:+,L1:-"])
+    code, _, err = run_cli(*args, "--rules", str(path))
+    _assert_exit_contract(code, err)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_score_dump_keeps_exit_contract(fuzz_inputs, data):
+    path = fuzz_inputs["dir"] / "mutated_scores.tsv"
+    path.write_text(_mutated(fuzz_inputs["scores"], data))
+    code, _, err = run_cli("evaluate", fuzz_inputs["temporal"], "--temporal", "10", "3",
+                           "--method", "sharma", "--scores-tsv", str(path))
+    _assert_exit_contract(code, err)

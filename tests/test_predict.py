@@ -1,8 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+from plexmine import predict
+
 from plexmine.graph import MultiplexGraph
+from plexmine.matcher import match_array
 from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import (
     Delta,
@@ -126,28 +130,106 @@ def test_rule_order_independence():
         assert a.oldold[key] == pytest.approx(b.oldold[key], rel=1e-9)
 
 
+def _relayer(g: MultiplexGraph, layer_ids) -> MultiplexGraph:
+    """``g`` with layer ``l`` renamed to ``layer_ids[l]``."""
+    return MultiplexGraph(g.nodes, {(u, v, layer_ids[l]) for u, v, l in g.edges},
+                          attrs=g.attrs, directed=g.directed,
+                          layers=[layer_ids[l] for l in g.layers])
+
+
+def _without_layer(g: MultiplexGraph, layer: int) -> MultiplexGraph:
+    return MultiplexGraph(g.nodes, {e for e in g.edges if e[2] != layer},
+                          attrs=g.attrs, directed=g.directed, layers=g.layers - {layer})
+
+
+def _assert_exact(table: ScoreTable, oracle) -> None:
+    oo, on = oracle
+    assert table.oldold == oo  # same keys, and every score float-equal
+    assert table.oldnew == on
+
+
 def test_scorer_matches_bruteforce_sample():
     rng = random.Random(55)
-    checked = 0
-    for _ in range(25):
-        g = random_multiplex(rng, max_nodes=7)
+    checked = skipped_rules = incomplete = 0
+    kinds = set()
+    for case in range(60):
+        layer_ids = ((0, 1, 2), (3, 7, 100), (-2, 5))[case % 3]
+        g = _relayer(random_multiplex(rng, max_nodes=7, max_layers=len(layer_ids),
+                                      directed=case % 2 == 0), layer_ids)
+        cap = (None, 2)[case // 3 % 2]
         sink = RuleBuilder(0.0)
-        ps = mine(g, MiningConfig(1, 3), rule_sink=sink)
+        ps = mine(g, MiningConfig(1, 3, max_embeddings=cap), rule_sink=sink)
         rules = sink.result()
         if not len(rules):
             continue
+        kinds |= {(g.directed, r.introduces_new_node) for r in rules}
+        incomplete += sum(not rec.complete for rec in ps)
+        # the rules applied to g without one of its layers: rules that need
+        # it are skipped, the rest are re-matched on the smaller graph
+        g_less = _without_layer(g, rng.choice(sorted(g.layers)))
+        skipped_rules += sum(r.delta.layer not in g_less.layers
+                             or not r.antecedent.layers <= g_less.layers for r in rules)
         for dedupe in (False, True):
-            table = apply_rules(g, rules, pattern_set=ps,
-                                dedupe_rule_firings=dedupe)
-            oo, on = brute_apply_rules(g, rules, dedupe_rule_firings=dedupe)
-            assert set(table.oldold) == set(oo)
-            assert set(table.oldnew) == set(on)
-            for k, v in oo.items():
-                assert table.oldold[k] == pytest.approx(v, rel=1e-9)
-            for k, v in on.items():
-                assert table.oldnew[k] == pytest.approx(v, rel=1e-9)
+            oracle = brute_apply_rules(g, rules, dedupe_rule_firings=dedupe)
+            for pattern_set in (ps, None):
+                _assert_exact(apply_rules(g, rules, pattern_set=pattern_set,
+                                          dedupe_rule_firings=dedupe), oracle)
+            _assert_exact(apply_rules(g_less, rules, dedupe_rule_firings=dedupe),
+                          brute_apply_rules(g_less, rules, dedupe_rule_firings=dedupe))
         checked += 1
-    assert checked >= 10
+    assert checked >= 40 and skipped_rules > 0 and incomplete > 0
+    assert kinds == {(d, n) for d in (False, True) for n in (False, True)}
+
+
+def _many_rules_one_target():
+    """Many rules, with confidences 1/3, 1/7 and 2/9, firing on the same keys.
+
+    Nodes 0-1-2 form a path in every layer but 1. Each unordered pair of
+    non-empty layer sets {S, T} on the edges 0-1 and 1-2 is an antecedent;
+    closing 0-2 in layer 1 is an old-old rule firing only on (0, 2, 1). Each
+    non-empty layer set on one edge is a 2-node antecedent, matching 0-1
+    and 1-2; attaching a fresh node in layer 1 to either end is an old-new
+    rule firing on (0, 1) and (2, 1) once and on (1, 1) twice.
+    """
+    layers = (0, 2, 3, 4)
+    g = MultiplexGraph([0, 1, 2], [(u, u + 1, l) for u in (0, 1) for l in layers],
+                       directed=False, layers=[0, 1, 2, 3, 4])
+    sets = [s for r in range(1, 5) for s in itertools.combinations(layers, r)]
+    supports = [(3, 1), (7, 1), (9, 2)]
+    rules = []
+    for s, t in itertools.combinations_with_replacement(sets, 2):
+        edges = [PatternEdge(0, 1, l, False) for l in s] + [
+            PatternEdge(1, 2, l, False) for l in t]
+        path = Pattern(False, ("_",) * 3, tuple(edges))
+        rules.append(_rule(path, Delta(0, 2, 1, True), *supports[len(rules) % 3]))
+    for s in sets:
+        pair = Pattern(False, ("_",) * 2, tuple(PatternEdge(0, 1, l, False) for l in s))
+        rules.append(_rule(pair, Delta(0, None, 1, True, "_"), *supports[len(rules) % 3]))
+    rs = _ruleset(*rules)
+    assert len(rs) == len(rules) == 135
+    return g, rs
+
+
+def test_sums_follow_sorted_rule_order():
+    g, rules = _many_rules_one_target()
+    ordered = rules.sorted_rules()
+    oldold = [r.confidence for r in ordered if not r.introduces_new_node]
+    oldnew = [r.confidence for r in ordered if r.introduces_new_node]
+    want_oo = want_on = want_hub = 0.0
+    for c in oldold:
+        want_oo += c
+    for c in oldnew:
+        want_on += c
+        want_hub += 2 * c
+    # the data is order-sensitive: summing in ascending order gives other floats
+    assert sum(sorted(oldold)) != want_oo and sum(sorted(oldnew)) != want_on
+    for dedupe in (False, True):
+        table = apply_rules(g, rules, dedupe_rule_firings=dedupe)
+        assert [(k, v.hex()) for k, v in table.oldold.items()] == [((0, 2, 1), want_oo.hex())]
+        hub = want_on if dedupe else want_hub
+        assert sorted((k, v.hex()) for k, v in table.oldnew.items()) == [
+            ((0, 1), want_on.hex()), ((1, 1), hub.hex()), ((2, 1), want_on.hex())]
+        _assert_exact(table, brute_apply_rules(g, rules, dedupe_rule_firings=dedupe))
 
 
 def test_skips_rules_with_unknown_layer(caplog):
@@ -199,6 +281,33 @@ def test_score_dump_roundtrip(tmp_path):
     back = load_score_dump(str(path), g)
     assert back.oldold == {(0, 2, 1): 1.5}
     assert back.oldnew == {(1, 0): 0.25}
+
+
+def test_provenance_lists_every_firing_rule_in_sorted_order():
+    g, rules = _many_rules_one_target()
+    ordered = rules.sorted_rules()
+    oo_ids = [i for i, r in enumerate(ordered) if not r.introduces_new_node]
+    on_ids = [i for i, r in enumerate(ordered) if r.introduces_new_node]
+    table = apply_rules(g, rules, track_provenance=True)
+    assert table.provenance == {("oldold", (0, 2, 1)): oo_ids,
+                                ("oldnew", (0, 1)): on_ids,
+                                ("oldnew", (1, 1)): on_ids,
+                                ("oldnew", (2, 1)): on_ids}
+
+
+def test_rematches_each_antecedent_once(monkeypatch):
+    rng = random.Random(8)
+    g = random_multiplex(rng, max_nodes=8, directed=False)
+    sink = RuleBuilder(0.0)
+    mine(g, MiningConfig(1, 3), rule_sink=sink)
+    rules = sink.result()
+    antecedents = {r.antecedent_code for r in rules}
+    assert len(rules) > len(antecedents)  # some antecedent has several rules
+    calls = []
+    monkeypatch.setattr(predict, "match_array",
+                        lambda p, g: calls.append(p) or match_array(p, g))
+    apply_rules(g, rules)
+    assert len(calls) == len(antecedents)
 
 
 def test_provenance_tracks_rule_ids():

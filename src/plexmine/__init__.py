@@ -13,7 +13,7 @@ from .pattern import CanonicalCode, Delta, Pattern, PatternEdge, Strategy, canon
 from .matcher import enumerate_embeddings, mis_support
 from .miner import MinedPattern, MiningConfig, PatternSet, mine
 from .rules import AssociationRule, RuleBuilder, RuleSet, derive_rules_posthoc
-from .predict import LinkClass, ScoreTable, apply_rules, classify_link, top_k
+from .predict import LinkClass, ScoreTable, apply_rules, top_k
 from .signed import SignMap, classify_rule, frustration, frustration_report
 from .evaluate import (
     EvalReport,
@@ -58,7 +58,6 @@ __all__ = [
     "ScoreTable",
     "LinkClass",
     "apply_rules",
-    "classify_link",
     "top_k",
     "SignMap",
     "frustration",

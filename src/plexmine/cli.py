@@ -4,6 +4,11 @@ Every subcommand is deterministic given its inputs, flags, and seed; data
 outputs go to stdout or --out files, and --timings tables go to stderr
 (or --timings-out) so the streams never interleave.
 
+`evaluate` runs one path for every split, the single --temporal split or
+each --kfold fold: ``pipeline.evaluate_split`` scores the training graph
+with each method, adds the --scores-tsv dumps, and combines the tables in
+an ensemble whenever there are two or more of them.
+
 Exit codes: 1 input parse error, 2 invalid parameters, 3 internal
 assertion failure.
 """
@@ -17,25 +22,12 @@ from collections import Counter
 
 from . import __version__, CODE_SCHEME_VERSION
 from .datagen import SynthConfig, generate
-from .evaluate import (
-    EvalError,
-    classic_score,
-    ensemble,
-    kfold_split,
-    roc_auc,
-    sharma_score,
-    temporal_split,
-)
+from .evaluate import EvalError, classic_score, kfold_split, sharma_score, temporal_split
 from .graph import GraphError, flatten_monoplex
 from .io import ParseError, load_multiplex, load_temporal, save_multiplex
 from .miner import MiningConfig, MiningError, MiningInvariantError
 from .pattern import PatternError, Strategy
-from .pipeline import (
-    CrossValResult,
-    cross_validate,
-    make_rule_scorer,
-    run_mining,
-)
+from .pipeline import CrossValResult, evaluate_split, make_rule_scorer, run_mining
 from .predict import apply_rules, load_score_dump, score_dump
 from .rules import DEFAULT_MIN_CONFIDENCE, RuleSet
 from .signed import SignMap, SignedError, frustration_report
@@ -188,62 +180,33 @@ def cmd_evaluate(args) -> int:
     methods = args.ensemble.split(",") if args.ensemble else [args.method]
     if args.temporal:
         tg = load_temporal(args.edges, args.attrs, args.directed)
-        t, delta = args.temporal
-        split = temporal_split(tg, t, delta)
         g = tg.base
+        splits = [temporal_split(tg, *args.temporal)]
+        if args.monoplex:
+            raise EvalError("--monoplex is only supported with --kfold")
     else:
         g = _load(args)
-        split = None
-    if args.monoplex:
-        if split is not None:
-            raise EvalError("--monoplex is only supported with --kfold")
-        keep = None
-        if args.keep_layers:
-            keep = [g.layer_id(n) for n in args.keep_layers.split(",")]
-        g = flatten_monoplex(g, keep)
-    if args.scores_tsv and split is None:
-        raise EvalError("external score dumps need a fixed --temporal split; "
-                        "k-fold rescoring cannot reuse them")
-
+        if args.monoplex:
+            keep = None
+            if args.keep_layers:
+                keep = [g.layer_id(n) for n in args.keep_layers.split(",")]
+            g = flatten_monoplex(g, keep)
+        if args.scores_tsv:
+            raise EvalError("external score dumps need a fixed --temporal split; "
+                            "k-fold rescoring cannot reuse them")
     scorers = [_method_scorer(m, args) for m in methods]
-
-    if split is not None:
-        tables = [s(split.train) for s in scorers]
-        tables += [load_score_dump(path, g) for path in args.scores_tsv or []]
-        uni = None
-        if len(tables) > 1:
-            if args.ensemble_mode == "opt" and args.scores_tsv:
-                raise EvalError("external tables cannot be re-scored on the "
-                                "internal split; use --ensemble-mode base")
-            res = ensemble(
-                tables, split, optimize=args.ensemble_mode == "opt",
-                seed=args.seed, scorers=scorers if not args.scores_tsv else None,
-            )
-            table = res.table
-            # score on the universe ensemble built, unless sampling another
-            uni = res.universe if universe == "full" else None
-        else:
-            table = tables[0]
-        report = roc_auc(table, split, universe=universe, n_neg=n_neg,
-                         seed=args.seed, uni=uni)
-        _out(args.out, report.to_tsv())
-        return 0
-
-    if args.ensemble:
-        reports = []
-        for fold in kfold_split(g, args.kfold, args.seed):
-            tables = [s(fold.train) for s in scorers]
-            res = ensemble(tables, fold, optimize=args.ensemble_mode == "opt",
-                           seed=args.seed, scorers=scorers)
-            reports.append(roc_auc(res.table, fold, universe=universe,
-                                   n_neg=n_neg, seed=args.seed,
-                                   uni=res.universe if universe == "full" else None))
+    tables = [load_score_dump(path, g) for path in args.scores_tsv or []]
+    if not args.temporal:
+        splits = kfold_split(g, args.kfold, args.seed)
+    reports = [
+        evaluate_split(split, scorers, tables, optimize=args.ensemble_mode == "opt",
+                       seed=args.seed, universe=universe, n_neg=n_neg)
+        for split in splits
+    ]
+    if args.temporal:
+        _out(args.out, reports[0].to_tsv())
+    else:
         _print_cv(CrossValResult.from_reports(reports), args.out)
-        return 0
-
-    result = cross_validate(g, scorers[0], k=args.kfold, seed=args.seed,
-                            universe=universe, n_neg=n_neg)
-    _print_cv(result, args.out)
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,26 +49,9 @@ class Split:
             raise EvalError(f"{len(overlap)} test edges overlap the training set")
 
     @property
-    def train_nodes(self) -> frozenset[int]:
-        return self.train.nodes
-
-    @property
     def new_nodes(self) -> frozenset[int]:
         ends = {n for u, v, _ in self.test_edges for n in (u, v)}
         return frozenset(ends - self.train.nodes)
-
-
-def _graph_from_edges(g: MultiplexGraph, edges: set[tuple[int, int, int]]) -> MultiplexGraph:
-    nodes = {n for u, v, _ in edges for n in (u, v)}
-    return MultiplexGraph(
-        nodes,
-        edges,
-        attrs={n: g.attrs[n] for n in nodes},
-        directed=g.directed,
-        layers=g.layers,
-        layer_names=g.layer_names,
-        node_names={n: g.node_names[n] for n in nodes},
-    )
 
 
 def kfold_split(g: MultiplexGraph, k: int, seed: int = 0) -> list[Split]:
@@ -90,7 +73,7 @@ def kfold_split(g: MultiplexGraph, k: int, seed: int = 0) -> list[Split]:
         size = base + (1 if fold < extra else 0)
         test = set(edges[start:start + size])
         start += size
-        train = _graph_from_edges(g, set(g.edges) - test)
+        train = g.subgraph_of_edges(set(g.edges) - test)
         splits.append(Split(train=train, test_edges=frozenset(test),
                             mode=f"kfold(k={k},fold={fold},seed={seed})"))
     return splits
@@ -245,7 +228,6 @@ class EvalReport:
     roc_points: list[tuple[float, float]]
     segment_aucs: dict[LinkClass, float | None]
     segment_counts: dict[LinkClass, dict[str, int]]
-    timings: dict[str, float] = field(default_factory=dict)
 
     def to_tsv(self) -> str:
         lines = [f"auc\t{self.auc:.6f}"]
@@ -258,8 +240,6 @@ class EvalReport:
                 f"positives={c.get('positives', 0)}\t"
                 f"scored={c.get('scored', 0)}"
             )
-        for phase, secs in self.timings.items():
-            lines.append(f"time_{phase}\t{secs:.6f}")
         lines.append("# roc: fpr\ttpr")
         for x, y in self.roc_points:
             lines.append(f"{x:.6f}\t{y:.6f}")
@@ -433,6 +413,7 @@ def classic_score(train_mono: MultiplexGraph, method: str) -> ScoreTable:
 # -- ensemble -----------------------------------------------------------------
 
 ENSEMBLE_RESTARTS = 50
+ENSEMBLE_INTERNAL_FRACTION = 0.1  # share of training edges held out to tune weights
 Scorer = Callable[[MultiplexGraph], ScoreTable]
 
 
@@ -450,7 +431,6 @@ def ensemble(
     optimize: bool = False,
     seed: int = 0,
     scorers: Sequence[Scorer] | None = None,
-    internal_fraction: float = 0.1,
     restarts: int = ENSEMBLE_RESTARTS,
 ) -> EnsembleResult:
     """Combine z-normalized score tables with (optionally tuned) weights.
@@ -466,21 +446,15 @@ def ensemble(
     if len(tables) < 2:
         raise EvalError("ensemble needs at least two score tables")
     uni = candidate_universe(split, "full")
-    X = np.column_stack([universe_scores(uni, t) for t in tables])
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
+    Z, mu, sd = _standardized(uni, tables)
     m = len(tables)
     internal_auc = None
     if optimize:
         if scorers is None or len(scorers) != m:
             raise EvalError("optimize=True needs one scorer callback per table")
-        w, internal_auc = _optimize_on_internal_split(
-            split, scorers, seed, internal_fraction, restarts
-        )
+        w, internal_auc = _optimize_on_internal_split(split, scorers, seed, restarts)
     else:
         w = np.ones(m) / math.sqrt(m)
-    Z = (X - mu) / sd
     combined = Z @ w
     baselines = np.array([t.baseline for t in tables])
     base_combined = float(((baselines - mu) / sd) @ w)
@@ -494,28 +468,31 @@ def ensemble(
     return EnsembleResult(table=out, weights=w, internal_auc=internal_auc, universe=uni)
 
 
-def _optimize_on_internal_split(split, scorers, seed, internal_fraction, restarts):
+def _standardized(uni: Universe, tables: Sequence[ScoreTable]):
+    """One column per table of its scores over ``uni``, standardized, with
+    the column means and standard deviations (a zero deviation reads 1)."""
+    X = np.column_stack([universe_scores(uni, t) for t in tables])
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    sd = np.where(sd == 0.0, 1.0, sd)
+    return (X - mu) / sd, mu, sd
+
+
+def _optimize_on_internal_split(split, scorers, seed, restarts):
     edges = sorted(split.train.edges)
     rng = random.Random(seed)
     rng.shuffle(edges)
-    n_valid = max(1, int(len(edges) * internal_fraction))
+    n_valid = max(1, int(len(edges) * ENSEMBLE_INTERNAL_FRACTION))
     if n_valid >= len(edges):
         raise EvalError("training set too small for an internal split")
     valid = set(edges[:n_valid])
-    inner_train = _graph_from_edges(split.train, set(split.train.edges) - valid)
+    inner_train = split.train.subgraph_of_edges(set(split.train.edges) - valid)
     inner = Split(train=inner_train, test_edges=frozenset(valid), mode="internal")
     inner_uni = candidate_universe(inner, "full")
     labels = inner_uni.labels
     if labels.sum() == 0 or labels.sum() == len(labels):
         raise EvalError("internal split produced no usable positives/negatives")
-    cols = []
-    for scorer in scorers:
-        t = scorer(inner_train)
-        cols.append(universe_scores(inner_uni, t))
-    Xi = np.column_stack(cols)
-    mu = Xi.mean(axis=0)
-    sd = np.where(Xi.std(axis=0) == 0.0, 1.0, Xi.std(axis=0))
-    Zi = (Xi - mu) / sd
+    Zi, _, _ = _standardized(inner_uni, [scorer(inner_train) for scorer in scorers])
     return _hill_climb_weights(Zi, labels, seed, restarts)
 
 

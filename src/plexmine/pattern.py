@@ -161,10 +161,12 @@ class CanonicalCode:
     root_label: str
     tuples: tuple[CodeTuple, ...]
 
-    def sort_key(self):
-        return (self.root_label, self.tuples)
-
     def to_string(self) -> str:
+        """The dump form; computed once per code object."""
+        return self._string
+
+    @functools.cached_property
+    def _string(self) -> str:
         s = "B" if self.strategy == Strategy.BFS else "D"
         s += "d" if self.directed else "u"
         parts = [
@@ -175,6 +177,8 @@ class CanonicalCode:
     @classmethod
     def from_string(cls, s: str) -> "CanonicalCode":
         head, root, body = s.split("|")
+        if head not in ("Bu", "Bd", "Du", "Dd"):
+            raise PatternError(f"code head {head!r} is not Bu, Bd, Du or Dd")
         strategy = Strategy.BFS if head[0] == "B" else Strategy.DFS
         directed = head[1] == "d"
         tuples = []

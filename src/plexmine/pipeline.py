@@ -1,11 +1,12 @@
-"""End-to-end orchestration: mining, scoring, cross-validation, timings."""
+"""End-to-end orchestration: mining, scoring, per-split evaluation, timings."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
+from typing import Sequence
 
-from .evaluate import EvalReport, kfold_split, roc_auc
+from .evaluate import EvalError, EvalReport, Scorer, Split, ensemble, kfold_split, roc_auc
 from .graph import MultiplexGraph
 from .miner import MiningConfig, PatternSet, mine
 from .pattern import Strategy
@@ -49,17 +50,11 @@ def run_mining(
     min_confidence: float,
     strategy: Strategy = Strategy.BFS,
     rule_mode: str = "embedded",
-    max_embeddings: int | None = None,
 ) -> MiningRun:
     """Mine patterns and build the rule set in the requested mode."""
     if rule_mode not in ("embedded", "posthoc"):
         raise ValueError(f"unknown rule mode {rule_mode!r}")
-    cfg = MiningConfig(
-        support=support,
-        max_nodes=max_nodes,
-        strategy=strategy,
-        max_embeddings=max_embeddings,
-    )
+    cfg = MiningConfig(support=support, max_nodes=max_nodes, strategy=strategy)
     timings = PhaseTimings()
     t0 = time.perf_counter()
     g.index()  # build adjacency up front so it lands in preprocess time
@@ -81,44 +76,48 @@ def run_mining(
     return MiningRun(patterns=patterns, rules=rules, timings=timings)
 
 
-def score_with_rules(
-    g_train: MultiplexGraph,
-    support: float | int,
-    max_nodes: int,
-    min_confidence: float,
-    strategy: Strategy = Strategy.BFS,
-    rule_mode: str = "embedded",
-    dedupe_rule_firings: bool = False,
-    max_embeddings: int | None = None,
-) -> tuple[ScoreTable, MiningRun]:
-    run = run_mining(
-        g_train, support, max_nodes, min_confidence, strategy, rule_mode,
-        max_embeddings,
-    )
-    t0 = time.perf_counter()
-    table = apply_rules(
-        g_train,
-        run.rules,
-        pattern_set=run.patterns,
-        dedupe_rule_firings=dedupe_rule_firings,
-    )
-    run.timings.apply_s = time.perf_counter() - t0
-    return table, run
-
-
 def make_rule_scorer(
     support: float | int,
     max_nodes: int,
     min_confidence: float,
     strategy: Strategy = Strategy.BFS,
-):
-    """Scorer callback (graph -> ScoreTable) for ensembles and CV."""
+) -> Scorer:
+    """Scorer callback (graph -> ScoreTable): mine embedded rules, apply them."""
 
     def scorer(g: MultiplexGraph) -> ScoreTable:
-        table, _ = score_with_rules(g, support, max_nodes, min_confidence, strategy)
-        return table
+        run = run_mining(g, support, max_nodes, min_confidence, strategy)
+        return apply_rules(g, run.rules, pattern_set=run.patterns)
 
     return scorer
+
+
+def evaluate_split(
+    split: Split,
+    scorers: Sequence[Scorer],
+    tables: Sequence[ScoreTable] = (),
+    optimize: bool = False,
+    seed: int = 0,
+    universe: str = "full",
+    n_neg: int | None = None,
+) -> EvalReport:
+    """Score ``split.train`` with each scorer and evaluate on the split.
+
+    ``tables`` (score dumps made elsewhere) join the scored tables. Two or
+    more tables are combined by ``ensemble``, whose weights are tuned on an
+    internal re-split with ``optimize``; that needs every table to come
+    from a scorer. The combined table is evaluated on the universe the
+    ensemble built unless ``universe`` asks for a sampled one.
+    """
+    scored = [s(split.train) for s in scorers]
+    tables = scored + list(tables)
+    if len(tables) == 1:
+        return roc_auc(tables[0], split, universe=universe, n_neg=n_neg, seed=seed)
+    if optimize and len(scored) < len(tables):
+        raise EvalError("external tables cannot be re-scored on the "
+                        "internal split; use --ensemble-mode base")
+    res = ensemble(tables, split, optimize=optimize, seed=seed, scorers=scorers)
+    return roc_auc(res.table, split, universe=universe, n_neg=n_neg, seed=seed,
+                   uni=res.universe if universe == "full" else None)
 
 
 @dataclass
@@ -139,19 +138,14 @@ class CrossValResult:
 
 def cross_validate(
     g: MultiplexGraph,
-    scorer,
+    scorer: Scorer,
     k: int = 10,
     seed: int = 0,
     universe: str = "full",
     n_neg: int | None = None,
 ) -> CrossValResult:
     """k-fold CV: rescore each training fold and evaluate on its test fold."""
-    reports = []
-    for split in kfold_split(g, k, seed):
-        t0 = time.perf_counter()
-        table = scorer(split.train)
-        score_s = time.perf_counter() - t0
-        report = roc_auc(table, split, universe=universe, n_neg=n_neg, seed=seed)
-        report.timings["score"] = score_s
-        reports.append(report)
-    return CrossValResult.from_reports(reports)
+    return CrossValResult.from_reports([
+        evaluate_split(split, [scorer], seed=seed, universe=universe, n_neg=n_neg)
+        for split in kfold_split(g, k, seed)
+    ])

@@ -39,7 +39,6 @@ logger = logging.getLogger(__name__)
 class LinkClass(str, Enum):
     OLD_OLD = "oldold"
     OLD_NEW = "oldnew"
-    NEW_NEW = "newnew"
 
 
 @dataclass
@@ -57,14 +56,6 @@ class ScoreTable:
     oldnew: dict[tuple[int, int], float] = field(default_factory=dict)
     baseline: float = 0.0
     provenance: dict[tuple, list[int]] | None = None
-
-    def oldold_score(self, u: int, v: int, l: int) -> float:
-        if not self.directed and u > v:
-            u, v = v, u
-        return self.oldold.get((u, v, l), self.baseline)
-
-    def oldnew_score(self, u: int, l: int) -> float:
-        return self.oldnew.get((u, l), self.baseline)
 
 
 def apply_rules(
@@ -187,35 +178,13 @@ def _distinct_sets_per_target(sets: np.ndarray, targets: np.ndarray
     return np.unique(targets[first], return_counts=True)
 
 
-def classify_link(u: int, v: int, train_nodes: frozenset[int] | set[int],
-                  test_nodes: frozenset[int] | set[int]) -> LinkClass:
-    """Old/new link category from the split's node sets."""
-    cats = []
-    for n in (u, v):
-        if n in train_nodes:
-            cats.append("old")
-        elif n in test_nodes:
-            cats.append("new")
-        else:
-            raise ValueError(f"node {n} is in neither node set")
-    if cats == ["old", "old"]:
-        return LinkClass.OLD_OLD
-    if cats == ["new", "new"]:
-        return LinkClass.NEW_NEW
-    return LinkClass.OLD_NEW
-
-
-def top_k(table: ScoreTable, k: int, segment: str = "both") -> list[tuple[tuple, float]]:
-    """Highest-scoring entries, ties broken lexicographically by key."""
+def top_k(table: ScoreTable, k: int) -> list[tuple[tuple, float]]:
+    """Highest-scoring entries of both segments, ties broken lexicographically
+    by key; an old-new entry's key is (u, None, l)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    entries: list[tuple[tuple, float]] = []
-    if segment in ("both", "oldold"):
-        entries += [((u, v, l), s) for (u, v, l), s in table.oldold.items()]
-    if segment in ("both", "oldnew"):
-        entries += [((u, None, l), s) for (u, l), s in table.oldnew.items()]
-    if segment not in ("both", "oldold", "oldnew"):
-        raise ValueError(f"unknown segment {segment!r}")
+    entries = [((u, v, l), s) for (u, v, l), s in table.oldold.items()]
+    entries += [((u, None, l), s) for (u, l), s in table.oldnew.items()]
     entries.sort(key=lambda kv: (-kv[1], _entry_order(kv[0])))
     return entries[:k]
 
@@ -233,7 +202,7 @@ def score_dump(
     """TSV dump `u  v-or-NEW  layer  score`, sorted by score descending."""
     nn = node_names or {}
     ln = layer_names or {}
-    rows = top_k(table, k=max(1, len(table.oldold) + len(table.oldnew)), segment="both") \
+    rows = top_k(table, k=max(1, len(table.oldold) + len(table.oldnew))) \
         if (table.oldold or table.oldnew) else []
     lines = []
     for (u, v, l), s in rows:

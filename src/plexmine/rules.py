@@ -36,14 +36,15 @@ DEFAULT_MIN_CONFIDENCE = 0.5
 
 RuleKey = tuple[CanonicalCode, tuple]
 
-_pattern_cache: dict[CanonicalCode, Pattern] = {}
+CODE_FORM = "a canonical code <B|D><u|d>|<root label>|<src>-<dst>:<layer>:<dirbit>:<label>;..."
+DELTA_FORM = "C:<i>-<j>:<layer>:<dirbit> or N:<i>:<layer>:<dirbit>:<label>"
 
 
-def _pattern_of(code: CanonicalCode) -> Pattern:
-    p = _pattern_cache.get(code)
+def _pattern_of(code: CanonicalCode, patterns: dict[CanonicalCode, Pattern]) -> Pattern:
+    """``pattern_from_code(code)``, built once per ``patterns`` dict."""
+    p = patterns.get(code)
     if p is None:
-        p = pattern_from_code(code)
-        _pattern_cache[code] = p
+        p = patterns[code] = pattern_from_code(code)
     return p
 
 
@@ -89,8 +90,7 @@ class AssociationRule:
 
 
 class RuleSet:
-    def __init__(self, min_confidence: float = DEFAULT_MIN_CONFIDENCE):
-        self.min_confidence = min_confidence
+    def __init__(self):
         self.rules: dict[RuleKey, AssociationRule] = {}
 
     def __len__(self) -> int:
@@ -107,7 +107,8 @@ class RuleSet:
         if prev is not None:
             if (prev.support_a, prev.support_c) != (rule.support_a, rule.support_c):
                 raise ValueError(
-                    f"conflicting supports for rule {rule.key()}: "
+                    f"conflicting supports for rule {rule.antecedent_code.to_string()} "
+                    f"{delta_key_to_string(rule.delta_key)}: "
                     f"{(prev.support_a, prev.support_c)} vs "
                     f"{(rule.support_a, rule.support_c)}"
                 )
@@ -120,7 +121,7 @@ class RuleSet:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def from_tsv(cls, path: str, min_confidence: float = 0.0) -> "RuleSet":
+    def from_tsv(cls, path: str) -> "RuleSet":
         """Read a rule dump file written from ``to_tsv``.
 
         Raises ``ParseError(path, line)`` for a wrong field count, a code or
@@ -128,9 +129,10 @@ class RuleSet:
         break ``0 < support_c <= support_a``, a confidence column other than
         ``support_c/support_a`` to six decimals, delta node indices outside
         the antecedent, or a consequent code that is not the canonical code
-        of the antecedent extended by the delta.
+        of the antecedent extended by the delta. The message names the
+        field and the form it expects.
         """
-        rs = cls(min_confidence)
+        rs = cls()
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -157,27 +159,47 @@ class RuleSet:
         return True
 
 
+def _field(name: str, text: str, parse, form: str):
+    """``parse(text)``, or a ValueError naming the field and its form."""
+    try:
+        return parse(text)
+    except (ValueError, IndexError):
+        raise ValueError(f"{name} {text!r} does not parse: expected {form}") from None
+
+
+def _code_and_pattern(text: str) -> tuple[CanonicalCode, Pattern]:
+    code = CanonicalCode.from_string(text)
+    pattern = pattern_from_code(code)
+    if not pattern.is_connected():
+        raise ValueError("disconnected pattern")
+    return code, pattern
+
+
+def _key_and_delta(text: str, directed: bool) -> tuple[tuple, Delta]:
+    key = delta_key_from_string(text)
+    return key, delta_from_key(key, directed)
+
+
 def _rule_from_fields(parts: list[str]) -> AssociationRule:
     if len(parts) != 6:
         raise ValueError(f"expected 6 fields, got {len(parts)}")
-    try:
-        support_a, support_c = int(parts[3]), int(parts[4])
-    except ValueError:
-        raise ValueError(f"non-integer support {parts[3]!r}/{parts[4]!r}") from None
+    a_text, c_text, d_text, sa_text, sc_text, conf_text = parts
+    support_a, support_c = (_field("supports", t, int, "an integer") for t in (sa_text, sc_text))
     if not 0 < support_c <= support_a:
         raise ValueError(f"supports {support_a}/{support_c} break "
                          "0 < support_c <= support_a")
-    if not abs(float(parts[5]) - support_c / support_a) <= CONFIDENCE_TOLERANCE:
-        raise ValueError(f"confidence {parts[5]} is not {support_c}/{support_a}")
-    a_code = CanonicalCode.from_string(parts[0])
-    antecedent = pattern_from_code(a_code)
-    delta_key = delta_key_from_string(parts[2])
-    delta = delta_from_key(delta_key, a_code.directed)
+    confidence = _field("confidence", conf_text, float, "a decimal number")
+    if not abs(confidence - support_c / support_a) <= CONFIDENCE_TOLERANCE:
+        raise ValueError(f"confidence {conf_text} is not {support_c}/{support_a} "
+                         "to six decimals")
+    a_code, antecedent = _field("antecedent code", a_text, _code_and_pattern, CODE_FORM)
+    delta_key, delta = _field("delta", d_text,
+                              lambda t: _key_and_delta(t, a_code.directed), DELTA_FORM)
     if not 0 <= delta.i < antecedent.k or (delta.j is not None and delta.j >= antecedent.k):
-        raise ValueError(f"delta {parts[2]} does not fit a {antecedent.k}-node antecedent")
-    c_code = CanonicalCode.from_string(parts[1])
+        raise ValueError(f"delta {d_text} does not fit a {antecedent.k}-node antecedent")
+    c_code = _field("consequent code", c_text, CanonicalCode.from_string, CODE_FORM)
     if canonical_code(apply_delta(antecedent, delta), a_code.strategy) != c_code:
-        raise ValueError(f"consequent {parts[1]} is not antecedent + {parts[2]}")
+        raise ValueError(f"consequent code {c_text} is not antecedent + delta {d_text}")
     return AssociationRule(
         antecedent=antecedent,
         antecedent_code=a_code,
@@ -205,7 +227,8 @@ class RuleBuilder:
                  strategy: Strategy = Strategy.BFS):
         self.min_confidence = min_confidence
         self.strategy = strategy
-        self._rules = RuleSet(min_confidence)
+        self._rules = RuleSet()
+        self._antecedents: dict[CanonicalCode, Pattern] = {}
 
     def offer(self, parent: MinedPattern, child: MinedPattern, delta: Delta) -> AssociationRule | None:
         conf = child.support / parent.support
@@ -216,7 +239,7 @@ class RuleBuilder:
         if existing is not None:
             return existing
         rule = AssociationRule(
-            antecedent=_pattern_of(parent.code),
+            antecedent=_pattern_of(parent.code, self._antecedents),
             antecedent_code=parent.code,
             consequent_code=child.code,
             delta_key=delta_key,
@@ -244,7 +267,8 @@ def derive_rules_posthoc(
     legacy cost profile this mode exists to measure; output is identical
     to the embedded sink on the same mining run.
     """
-    rs = RuleSet(min_confidence)
+    rs = RuleSet()
+    antecedents: dict[CanonicalCode, Pattern] = {}
     records = list(patterns)
     # antecedent candidates per consequent: one per deletable edge
     deletions: list[list[tuple]] = []
@@ -271,7 +295,7 @@ def derive_rules_posthoc(
                     continue
                 rs.add(
                     AssociationRule(
-                        antecedent=_pattern_of(code_a),
+                        antecedent=_pattern_of(code_a, antecedents),
                         antecedent_code=code_a,
                         consequent_code=child.code,
                         delta_key=canonical_delta_key(ant, delta, strategy),

@@ -26,7 +26,6 @@ from plexmine.predict import LinkClass, apply_rules
 from plexmine.rules import RuleBuilder
 from plexmine.signed import SignMap, frustrated_count, frustration
 from plexmine import pattern as pattern_mod
-from plexmine import rules as rules_mod
 
 from oracles import (
     brute_apply_rules,
@@ -46,7 +45,6 @@ def _ok(n: int, msg: str) -> None:
 
 def _clear_caches() -> None:
     pattern_mod._canonical_search.cache_clear()
-    rules_mod._pattern_cache.clear()
 
 
 def _dataset(name: str, directed: bool):

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from plexmine import evaluate
 from plexmine.cli import _support_arg, main
-from plexmine.io import load_multiplex
-from plexmine.pipeline import run_mining
+from plexmine.evaluate import kfold_split, sharma_score, temporal_split
+from plexmine.io import load_multiplex, load_temporal
+from plexmine.pipeline import cross_validate, evaluate_split, make_rule_scorer, run_mining
+from plexmine.predict import load_score_dump, score_dump
 from plexmine.rules import DEFAULT_MIN_CONFIDENCE
 
 
@@ -214,19 +216,26 @@ def test_evaluate_bad_score_dump_is_parse_error(temporal_graph, tmp_path, bad_li
     assert f"{dump}:2:" in err
 
 
-@pytest.mark.parametrize("field, value", [
-    pytest.param(5, None, id="field-count"),  # the confidence column dropped
-    pytest.param(3, "many", id="non-integer-support"),
-    pytest.param(3, "0", id="support_a-zero"),
-    pytest.param(4, "99999", id="support_c-above-support_a"),
-    pytest.param(2, "C:0-5:0:0", id="delta-outside-antecedent"),
-    pytest.param(2, "N:7:0:0:_", id="node-delta-outside-antecedent"),
-    pytest.param(1, "Bu|zz|", id="consequent-not-antecedent-plus-delta"),
-    pytest.param(5, "0.000001", id="confidence-not-support-ratio"),
-    pytest.param(5, "nan", id="confidence-nan"),
+@pytest.mark.parametrize("field, value, name", [
+    pytest.param(5, None, "expected 6 fields", id="field-count"),  # the confidence column dropped
+    pytest.param(3, "many", "supports", id="non-integer-support"),
+    pytest.param(3, "0", "supports", id="support_a-zero"),
+    pytest.param(4, "99999", "supports", id="support_c-above-support_a"),
+    pytest.param(0, "Bu", "antecedent code", id="antecedent-code-form"),
+    pytest.param(0, "Xq|_|", "antecedent code", id="antecedent-code-head"),
+    pytest.param(0, "Bu|a|0-1:0:0:a;3-2:0:0:a;2-3:1:0:a", "antecedent code",
+                 id="antecedent-disconnected"),
+    pytest.param(1, "Bu|a|x", "consequent code", id="consequent-code-form"),
+    pytest.param(2, "C:0", "delta", id="delta-form"),
+    pytest.param(2, "C:0-5:0:0", "delta", id="delta-outside-antecedent"),
+    pytest.param(2, "N:7:0:0:_", "delta", id="node-delta-outside-antecedent"),
+    pytest.param(1, "Bu|zz|", "consequent code", id="consequent-not-antecedent-plus-delta"),
+    pytest.param(5, "abc", "confidence", id="confidence-form"),
+    pytest.param(5, "0.000001", "confidence", id="confidence-not-support-ratio"),
+    pytest.param(5, "nan", "confidence", id="confidence-nan"),
 ])
 @pytest.mark.parametrize("command", ["predict", "frustration"])
-def test_bad_rule_dump_is_parse_error(small_graph, tmp_path, field, value, command):
+def test_bad_rule_dump_is_parse_error(small_graph, tmp_path, field, value, name, command):
     rules = tmp_path / "rules.tsv"
     run_cli("mine", small_graph + ".edges", "--support", "25%", "--size", "3",
             "--rules-out", str(rules), "--patterns-out", str(tmp_path / "p.tsv"))
@@ -241,7 +250,7 @@ def test_bad_rule_dump_is_parse_error(small_graph, tmp_path, field, value, comma
             else ["frustration", "--signs", "L0:+,L1:-"])
     code, _, err = run_cli(*args, "--rules", str(rules))
     assert code == 1
-    assert f"{rules}:2:" in err
+    assert err.startswith(f"error: {rules}:2: {name}"), err
 
 
 def test_evaluate_external_scores_join_ensemble(temporal_graph, tmp_path):
@@ -276,6 +285,71 @@ def test_evaluate_external_scores_join_ensemble(temporal_graph, tmp_path):
     code, _, err = run_cli(
         "evaluate", str(static), "--kfold", "3", "--scores-tsv", scores)
     assert code == 2
+
+
+# -- one evaluation path: the CLI prints what evaluate_split returns ----------------
+
+
+def _cv_text(reports) -> str:
+    lines = [
+        f"fold{i}\tauc={rep.auc:.6f}\t" + "\t".join(
+            f"{seg.value}={'' if a is None else f'{a:.6f}'}" for seg, a in rep.segment_aucs.items())
+        for i, rep in enumerate(reports)
+    ]
+    lines.append(f"mean\tauc={sum(r.auc for r in reports) / len(reports):.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def _rules_25():
+    return make_rule_scorer(0.25, 3, DEFAULT_MIN_CONFIDENCE)
+
+
+@pytest.mark.parametrize("flags, reports", [
+    pytest.param(("--method", "rules"),
+                 lambda g: cross_validate(g, _rules_25(), k=3, seed=1).fold_reports,
+                 id="rules"),
+    pytest.param(("--method", "sharma", "--universe", "sampled:500"),
+                 lambda g: cross_validate(g, sharma_score, 3, 1, "sampled", 500).fold_reports,
+                 id="sharma-sampled"),
+    pytest.param(("--ensemble", "rules,sharma", "--ensemble-mode", "base"),
+                 lambda g: [evaluate_split(s, [_rules_25(), sharma_score], seed=1)
+                            for s in kfold_split(g, 3, 1)],
+                 id="ensemble-base"),
+    pytest.param(("--ensemble", "rules,sharma", "--ensemble-mode", "opt"),
+                 lambda g: [evaluate_split(s, [_rules_25(), sharma_score], optimize=True, seed=1)
+                            for s in kfold_split(g, 3, 1)],
+                 id="ensemble-opt"),
+])
+def test_evaluate_kfold_prints_evaluate_split_per_fold(small_graph, flags, reports):
+    code, out, err = run_cli("evaluate", small_graph + ".edges", "--kfold", "3", "--seed", "1",
+                             "--support", "25%", "--size", "3", *flags)
+    assert code == 0, err
+    assert out == _cv_text(reports(load_multiplex(small_graph + ".edges")))
+
+
+@pytest.mark.parametrize("with_dump", [False, True])
+def test_evaluate_temporal_prints_evaluate_split(temporal_graph, tmp_path, with_dump):
+    tg = load_temporal(temporal_graph)
+    split = temporal_split(tg, 10, 3)
+    tables, flags = [], []
+    if with_dump:  # a second table: the dump joins the rules in an ensemble
+        dump = tmp_path / "sharma.tsv"
+        dump.write_text(score_dump(sharma_score(split.train), tg.base.node_names,
+                                   tg.base.layer_names))
+        tables, flags = [load_score_dump(str(dump), tg.base)], ["--scores-tsv", str(dump)]
+    code, out, err = run_cli("evaluate", temporal_graph, "--temporal", "10", "3",
+                             "--support", "3", "--size", "2", *flags)
+    assert code == 0, err
+    scorer = make_rule_scorer(3, 2, DEFAULT_MIN_CONFIDENCE)
+    assert out == evaluate_split(split, [scorer], tables).to_tsv()
+
+
+def test_evaluate_kfold_ensemble_of_one_method_is_that_method(small_graph):
+    # one table makes no ensemble, under --kfold as under --temporal
+    args = ("evaluate", small_graph + ".edges", "--kfold", "3", "--seed", "1")
+    code, out, err = run_cli(*args, "--ensemble", "sharma")
+    assert code == 0, err
+    assert (code, out) == run_cli(*args, "--method", "sharma")[:2]
 
 
 def test_exit_code_parse_error(tmp_path):
@@ -373,6 +447,11 @@ def _assert_exit_contract(code: int, err: str) -> None:
     assert "Traceback" not in err
 
 
+# how every rule-dump parse error begins, after `path:line: `
+RULE_DUMP_ERRORS = ("expected 6 fields", "supports", "confidence", "antecedent code",
+                    "delta", "consequent code", "conflicting supports")
+
+
 @pytest.mark.parametrize("command", ["predict", "frustration"])
 @FUZZ
 @given(data=st.data())
@@ -384,6 +463,9 @@ def test_mutated_rule_dump_keeps_exit_contract(fuzz_inputs, command, data):
             else ["frustration", "--edges", edges, "--signs", "L0:+,L1:-"])
     code, _, err = run_cli(*args, "--rules", str(path))
     _assert_exit_contract(code, err)
+    if code == 1:  # a field name, not a Python exception text, opens the message
+        assert err.startswith(f"error: {path}:"), err
+        assert err.split(": ", 2)[2].startswith(RULE_DUMP_ERRORS), err
 
 
 @FUZZ

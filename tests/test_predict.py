@@ -17,10 +17,8 @@ from plexmine.pattern import (
     pattern_from_code,
 )
 from plexmine.predict import (
-    LinkClass,
     ScoreTable,
     apply_rules,
-    classify_link,
     load_score_dump,
     score_dump,
     top_k,
@@ -47,7 +45,7 @@ def _rule(antecedent: Pattern, delta: Delta, support_a: int, support_c: int) -> 
 
 
 def _ruleset(*rules) -> RuleSet:
-    rs = RuleSet(0.0)
+    rs = RuleSet()
     for r in rules:
         rs.add(r)
     return rs
@@ -55,7 +53,7 @@ def _ruleset(*rules) -> RuleSet:
 
 def test_empty_rule_set_empty_table():
     g = MultiplexGraph([0, 1], [(0, 1, 0)])
-    table = apply_rules(g, RuleSet(0.5))
+    table = apply_rules(g, RuleSet())
     assert not table.oldold and not table.oldnew
 
 
@@ -241,16 +239,6 @@ def test_skips_rules_with_unknown_layer(caplog):
         table = apply_rules(g, _ruleset(rule))
     assert not table.oldold
     assert any("skipping rule" in r.message for r in caplog.records)
-
-
-def test_classify_link():
-    train = {0, 1}
-    test = {2, 3}
-    assert classify_link(0, 1, train, test) == LinkClass.OLD_OLD
-    assert classify_link(0, 2, train, test) == LinkClass.OLD_NEW
-    assert classify_link(2, 3, train, test) == LinkClass.NEW_NEW
-    with pytest.raises(ValueError):
-        classify_link(0, 9, train, test)
 
 
 def test_top_k_ordering_and_clamp():

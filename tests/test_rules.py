@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 from plexmine.graph import MultiplexGraph
 from plexmine.miner import MiningConfig, mine
-from plexmine.pattern import Strategy
+from plexmine.pattern import CanonicalCode, Strategy, delta_key_to_string
 from plexmine.rules import RuleBuilder, RuleSet, derive_rules_posthoc
 
 from oracles import random_multiplex
@@ -108,3 +109,35 @@ def test_confidence_boundary_inclusive():
     _, emb, post = _mine_both(g, 8, 2, 0.8)
     assert any(abs(r.confidence - 0.8) < 1e-12 for r in emb)
     assert emb.same_rules(post)
+
+
+def _fresh_string(code: CanonicalCode) -> str:
+    """The code's string, computed on an equal copy that has not memoised it."""
+    return dataclasses.replace(code).to_string()
+
+
+def test_code_string_memo_keeps_dumps_and_rule_order():
+    # labels that need percent-encoding in the dump
+    names = {"a": "a b", "b": "x|y%", "c": "\u00e9"}
+    for seed in range(6):
+        rng = random.Random(seed)
+        g0 = random_multiplex(rng, max_nodes=8)
+        g = MultiplexGraph(g0.nodes, g0.edges, attrs={u: names[a] for u, a in g0.attrs.items()},
+                           directed=g0.directed, layers=g0.layers)
+        for strategy in (Strategy.BFS, Strategy.DFS):
+            ps, emb, post = _mine_both(g, 1, 3, 0.3, strategy)
+            want = sorted(emb.rules, key=lambda k: (_fresh_string(k[0]),
+                                                    delta_key_to_string(k[1])))
+            for rs in (emb, post, emb):  # the second pass over emb reads the memo
+                assert [r.key() for r in rs.sorted_rules()] == want
+            assert emb.to_tsv().splitlines() == sorted(
+                "\t".join([_fresh_string(r.antecedent_code), _fresh_string(r.consequent_code),
+                           delta_key_to_string(r.delta_key), str(r.support_a),
+                           str(r.support_c), f"{r.confidence:.6f}"])
+                for r in emb)
+            assert ps.dump().splitlines() == sorted(
+                f"{_fresh_string(rec.code)}\t{rec.support}\t{rec.n_embeddings}" for rec in ps)
+            for rec in ps:
+                text = rec.code.to_string()
+                assert rec.code.to_string() is text
+                assert CanonicalCode.from_string(text) == rec.code

@@ -168,7 +168,7 @@ def test_classification_is_total():
 def test_report_all_positive_rules():
     wedge = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
-    rs = RuleSet(0.0)
+    rs = RuleSet()
     rs.add(_mk_rule(wedge, Delta(0, 2, 0, True)))
     rs.add(_mk_rule(wedge, Delta(0, None, 0, True, "_")))
     report = frustration_report(rs, PLUS_MINUS)
@@ -180,7 +180,7 @@ def test_report_planted_class_shares():
     wedge = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
     tri = _triangle((0, 0, 1))
-    rs = RuleSet(0.0)
+    rs = RuleSet()
     rs.add(_mk_rule(wedge, Delta(0, 2, 1, True)))        # increasing
     rs.add(_mk_rule(wedge, Delta(0, 2, 0, True)))        # zero consequent
     rs.add(_mk_rule(tri, Delta(0, None, 0, True, "_")))  # decreasing
@@ -197,7 +197,7 @@ def test_report_planted_class_shares():
 def test_ccdf_starts_at_one_nonincreasing():
     wedge = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
-    rs = RuleSet(0.0)
+    rs = RuleSet()
     rs.add(_mk_rule(wedge, Delta(0, 2, 0, True)))
     rs.add(_mk_rule(wedge, Delta(0, None, 0, True, "_")))
     rs.add(_mk_rule(wedge, Delta(1, None, 0, True, "_")))

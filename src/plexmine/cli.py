@@ -155,11 +155,12 @@ def _method_scorer(name: str, args):
     raise EvalError(f"unknown method {name!r}")
 
 
-def _universe_args(args) -> tuple[str, int | None]:
+def _n_neg_arg(args) -> int | None:
+    """``--universe`` as negatives to sample: None for the full universe."""
     if args.universe == "full":
-        return "full", None
+        return None
     if args.universe.startswith("sampled:"):
-        return "sampled", int(args.universe.split(":", 1)[1])
+        return int(args.universe.split(":", 1)[1])
     raise EvalError(f"--universe must be full or sampled:N, got {args.universe!r}")
 
 
@@ -176,7 +177,7 @@ def _print_cv(result: CrossValResult, out_path: str | None) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    universe, n_neg = _universe_args(args)
+    n_neg = _n_neg_arg(args)
     methods = args.ensemble.split(",") if args.ensemble else [args.method]
     if args.temporal:
         tg = load_temporal(args.edges, args.attrs, args.directed)
@@ -200,7 +201,7 @@ def cmd_evaluate(args) -> int:
         splits = kfold_split(g, args.kfold, args.seed)
     reports = [
         evaluate_split(split, scorers, tables, optimize=args.ensemble_mode == "opt",
-                       seed=args.seed, universe=universe, n_neg=n_neg)
+                       seed=args.seed, n_neg=n_neg)
         for split in splits
     ]
     if args.temporal:

@@ -144,17 +144,13 @@ def decode_keys(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, n
     return l, u, v
 
 
-def candidate_universe(
-    split: Split, universe: str = "full", n_neg: int | None = None, seed: int = 0
-) -> Universe:
-    """Enumerate (and optionally negative-sample) the candidate set.
+def candidate_universe(split: Split, n_neg: int | None = None, seed: int = 0) -> Universe:
+    """Enumerate (and, given ``n_neg``, negative-sample) the candidate set.
 
     The sampled universe keeps every positive and ``n_neg`` negatives drawn
     by position among all negatives, old-old before old-new.
     """
-    if universe not in ("full", "sampled"):
-        raise EvalError(f"unknown universe mode {universe!r}")
-    if universe == "sampled" and (not n_neg or n_neg < 1):
+    if n_neg is not None and n_neg < 1:
         raise EvalError("sampled universe needs n_neg >= 1")
     g = split.train
     idx = g.index()
@@ -181,7 +177,7 @@ def candidate_universe(
     labels = np.concatenate([np.isin(oldold, oo_pos), np.isin(oldnew, on_pos)])
     uni = Universe(width, keys, labels, len(oldold))
     neg = np.flatnonzero(~labels)
-    if universe == "full" or n_neg >= len(neg):
+    if n_neg is None or n_neg >= len(neg):
         return uni
     picked = neg[random.Random(seed).sample(range(len(neg)), n_neg)]
     keep = np.sort(np.concatenate([np.flatnonzero(labels), picked]))
@@ -289,14 +285,13 @@ def auc_and_roc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list[tup
 def roc_auc(
     scores: ScoreTable,
     split: Split,
-    universe: str = "full",
     n_neg: int | None = None,
     seed: int = 0,
     uni: Universe | None = None,
 ) -> EvalReport:
     """Evaluate a score table against a split's candidate universe."""
     if uni is None:
-        uni = candidate_universe(split, universe, n_neg, seed)
+        uni = candidate_universe(split, n_neg, seed)
     vec = universe_scores(uni, scores)
     labels = uni.labels
     auc, points = auc_and_roc(vec, labels)
@@ -445,7 +440,7 @@ def ensemble(
     """
     if len(tables) < 2:
         raise EvalError("ensemble needs at least two score tables")
-    uni = candidate_universe(split, "full")
+    uni = candidate_universe(split)
     Z, mu, sd = _standardized(uni, tables)
     m = len(tables)
     internal_auc = None
@@ -488,7 +483,7 @@ def _optimize_on_internal_split(split, scorers, seed, restarts):
     valid = set(edges[:n_valid])
     inner_train = split.train.subgraph_of_edges(set(split.train.edges) - valid)
     inner = Split(train=inner_train, test_edges=frozenset(valid), mode="internal")
-    inner_uni = candidate_universe(inner, "full")
+    inner_uni = candidate_universe(inner)
     labels = inner_uni.labels
     if labels.sum() == 0 or labels.sum() == len(labels):
         raise EvalError("internal split produced no usable positives/negatives")

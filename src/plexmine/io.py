@@ -48,30 +48,40 @@ def _dense_ids(names: set[str]) -> dict[str, int]:
     return {name: i for i, name in enumerate(ordered)}
 
 
-def load_multiplex(
-    edge_path: str, attr_path: str | None = None, directed: bool = False
-) -> MultiplexGraph:
-    """Load a multiplex graph; drops loops and collapses duplicate triples."""
+def _read_edges(path: str, n_fields: int) -> tuple[list[list], dict[str, int], dict[str, int]]:
+    """An edge file's rows (a fourth field is an integer time), node ids and layer ids."""
     raw = []
-    node_names: set[str] = set()
-    layer_names: set[str] = set()
-    for lineno, (u, v, l) in _rows(edge_path, 3):
-        raw.append((u, v, l))
-        node_names.update((u, v))
-        layer_names.add(l)
-    nid = _dense_ids(node_names)
-    lid = {name: i for i, name in enumerate(sorted(layer_names))}
-    edges = {(nid[u], nid[v], lid[l]) for u, v, l in raw if u != v}
-    attrs = _load_attrs(attr_path, nid) if attr_path else {}
+    for lineno, parts in _rows(path, n_fields):
+        if n_fields == 4:
+            try:
+                parts[3] = int(parts[3])
+            except ValueError:
+                raise ParseError(path, lineno, f"non-integer timestamp {parts[3]!r}") from None
+        raw.append(parts)
+    nid = _dense_ids({n for parts in raw for n in parts[:2]})
+    lid = {name: i for i, name in enumerate(sorted({parts[2] for parts in raw}))}
+    return raw, nid, lid
+
+
+def _graph(edges, nid, lid, attr_path: str | None, directed: bool) -> MultiplexGraph:
     return MultiplexGraph(
         nodes=range(len(nid)),
         edges=edges,
-        attrs=attrs,
+        attrs=_load_attrs(attr_path, nid) if attr_path else {},
         directed=directed,
         layers=range(len(lid)),
         layer_names={i: name for name, i in lid.items()},
         node_names={i: name for name, i in nid.items()},
     )
+
+
+def load_multiplex(
+    edge_path: str, attr_path: str | None = None, directed: bool = False
+) -> MultiplexGraph:
+    """Load a multiplex graph; drops loops and collapses duplicate triples."""
+    raw, nid, lid = _read_edges(edge_path, 3)
+    edges = {(nid[u], nid[v], lid[l]) for u, v, l in raw if u != v}
+    return _graph(edges, nid, lid, attr_path, directed)
 
 
 def _load_attrs(path: str, nid: dict[str, int]) -> dict[int, str]:
@@ -87,19 +97,7 @@ def load_temporal(
     edge_path: str, attr_path: str | None = None, directed: bool = False
 ) -> TemporalMultiplexGraph:
     """Load a temporal edge file. Duplicate triples keep the earliest time."""
-    raw: list[tuple[str, str, str, int]] = []
-    node_names: set[str] = set()
-    layer_names: set[str] = set()
-    for lineno, (u, v, l, t) in _rows(edge_path, 4):
-        try:
-            ti = int(t)
-        except ValueError:
-            raise ParseError(edge_path, lineno, f"non-integer timestamp {t!r}") from None
-        raw.append((u, v, l, ti))
-        node_names.update((u, v))
-        layer_names.add(l)
-    nid = _dense_ids(node_names)
-    lid = {name: i for i, name in enumerate(sorted(layer_names))}
+    raw, nid, lid = _read_edges(edge_path, 4)
     times: dict[tuple[int, int, int], int] = {}
     for u, v, l, t in raw:
         if u == v:
@@ -109,16 +107,7 @@ def load_temporal(
             a, b = b, a
         key = (a, b, lid[l])
         times[key] = min(times.get(key, t), t)
-    attrs = _load_attrs(attr_path, nid) if attr_path else {}
-    base = MultiplexGraph(
-        nodes=range(len(nid)),
-        edges=times.keys(),
-        attrs=attrs,
-        directed=directed,
-        layers=range(len(lid)),
-        layer_names={i: name for name, i in lid.items()},
-        node_names={i: name for name, i in nid.items()},
-    )
+    base = _graph(times.keys(), nid, lid, attr_path, directed)
     node_times = {}
     for (u, v, _), t in times.items():
         for n in (u, v):

@@ -100,19 +100,17 @@ class MinedPattern:
 
 
 class PatternSet:
-    """Mining output: insertion-ordered records keyed by canonical code."""
+    """Mining output: insertion-ordered records by canonical code, and the run's search memo."""
 
-    def __init__(self):
+    def __init__(self, memo: dict):
         self.records: dict[CanonicalCode, MinedPattern] = {}
+        self.memo = memo
 
     def add(self, rec: MinedPattern) -> None:
         self.records[rec.code] = rec
 
     def get(self, code: CanonicalCode) -> MinedPattern | None:
         return self.records.get(code)
-
-    def __contains__(self, code: CanonicalCode) -> bool:
-        return code in self.records
 
     def __iter__(self):
         return iter(self.records.values())
@@ -133,19 +131,20 @@ class RuleSink(Protocol):
     def offer(self, parent: MinedPattern, child: MinedPattern, delta: Delta) -> None: ...
 
 
-def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None) -> PatternSet:
+def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None,
+         memo: dict | None = None) -> PatternSet:
     """Enumerate every frequent connected pattern up to the size cap.
 
     Each pattern is reported once (canonical-code deduplication) with its
     exact support and embeddings. When a rule sink is given, every
     frequent single-edge (parent, child) extension is offered to it during
     the search, including extensions whose child was first reached from a
-    different parent.
+    different parent. ``memo`` (fresh by default) is kept by the result.
     """
     cfg.validate()
     sigma = cfg.resolve_support(g)
     idx = g.index()
-    ps = PatternSet()
+    ps = PatternSet({} if memo is None else memo)
     queue: deque[MinedPattern] = deque()
 
     for label in sorted(set(g.attrs.values())):
@@ -155,11 +154,11 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
         p = single_node(label, g.directed)
         rec = MinedPattern(
             pattern=p,
-            code=canonical_code(p, cfg.strategy),
+            code=canonical_code(p, cfg.strategy, ps.memo),
             support=len(members),
             embeddings=_stored(members.reshape(-1, 1), cfg.max_embeddings),
             n_embeddings=len(members),
-            orderings=canonical_orderings(p, cfg.strategy),
+            orderings=canonical_orderings(p, cfg.strategy, ps.memo),
         )
         ps.add(rec)
         queue.append(rec)
@@ -177,7 +176,7 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
             if supp_c < sigma:
                 continue
             child_pattern = apply_delta(parent.pattern, delta)
-            code_c = canonical_code(child_pattern, cfg.strategy)
+            code_c = canonical_code(child_pattern, cfg.strategy, ps.memo)
             rec_c = ps.get(code_c)
             if rec_c is None:
                 rec_c = MinedPattern(
@@ -186,7 +185,7 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
                     support=supp_c,
                     embeddings=_stored(child_embs, cfg.max_embeddings),
                     n_embeddings=len(child_embs),
-                    orderings=canonical_orderings(child_pattern, cfg.strategy),
+                    orderings=canonical_orderings(child_pattern, cfg.strategy, ps.memo),
                     parent_code=parent.code,
                 )
                 ps.add(rec_c)

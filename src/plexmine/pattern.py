@@ -198,7 +198,6 @@ def _uq(s: str) -> str:
     return urllib.parse.unquote(s)
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def _canonical_search(p: Pattern, strategy: Strategy):
     """Minimal code tuples plus every discovery ordering achieving them.
 
@@ -306,14 +305,26 @@ def _canonical_search(p: Pattern, strategy: Strategy):
     return tuple(best), tuple(dict.fromkeys(best_orders))
 
 
-def canonical_code(p: Pattern, strategy: Strategy = Strategy.BFS) -> CanonicalCode:
-    tuples, _ = _canonical_search(p, strategy)
+def _search(p: Pattern, strategy: Strategy, memo: dict | None):
+    """``_canonical_search(p, strategy)``, once per run's ``memo`` {(p, strategy): result}."""
+    if memo is None:
+        return _canonical_search(p, strategy)
+    found = memo.get((p, strategy))
+    if found is None:
+        found = memo[(p, strategy)] = _canonical_search(p, strategy)
+    return found
+
+
+def canonical_code(p: Pattern, strategy: Strategy = Strategy.BFS,
+                   memo: dict | None = None) -> CanonicalCode:
+    tuples, _ = _search(p, strategy, memo)
     return CanonicalCode(strategy, p.directed, min(p.node_labels), tuples)
 
 
-def canonical_orderings(p: Pattern, strategy: Strategy = Strategy.BFS) -> tuple[tuple[int, ...], ...]:
+def canonical_orderings(p: Pattern, strategy: Strategy = Strategy.BFS,
+                        memo: dict | None = None) -> tuple[tuple[int, ...], ...]:
     """All discovery orderings whose exploration attains the minimal code."""
-    _, orders = _canonical_search(p, strategy)
+    _, orders = _search(p, strategy, memo)
     return orders
 
 
@@ -336,15 +347,15 @@ CYCLE_KIND = 0
 NODE_KIND = 1
 
 
-def canonical_delta_key(p: Pattern, d: Delta, strategy: Strategy = Strategy.BFS) -> tuple:
+def canonical_delta_key(p: Pattern, d: Delta, orderings: tuple[tuple[int, ...], ...]) -> tuple:
     """Position-independent identity of a delta on pattern ``p``.
 
     The delta's endpoints are reprojected through every canonical ordering
-    of ``p`` and the smallest image is kept, so automorphic placements of
-    the same extension collapse to one key.
+    of ``p`` (``orderings``) and the smallest image is kept, so automorphic
+    placements of the same extension collapse to one key.
     """
     best = None
-    for order in canonical_orderings(p, strategy):
+    for order in orderings:
         pos = {node: ci for ci, node in enumerate(order)}
         if d.j is None:
             dirbit = 1 if (p.directed and d.forward) else 0

@@ -16,16 +16,15 @@ from .rules import RuleBuilder, RuleSet, derive_rules_posthoc
 
 @dataclass
 class PhaseTimings:
-    """Wall-clock seconds per pipeline phase.
+    """Wall-clock seconds per mining phase.
 
     ``mining_s`` includes embedded rule generation; ``rule_posthoc_s`` is
-    only filled by the legacy mode; ``apply_s`` is rule application.
+    only filled by the legacy mode.
     """
 
     preprocess_s: float = 0.0
     mining_s: float = 0.0
     rule_posthoc_s: float = 0.0
-    apply_s: float = 0.0
 
     def to_tsv(self) -> str:
         lines = [f"{f.name}\t{getattr(self, f.name):.6f}" for f in fields(self)]
@@ -33,7 +32,7 @@ class PhaseTimings:
 
     @property
     def total_s(self) -> float:
-        return self.preprocess_s + self.mining_s + self.rule_posthoc_s + self.apply_s
+        return self.preprocess_s + self.mining_s + self.rule_posthoc_s
 
 
 @dataclass
@@ -51,7 +50,7 @@ def run_mining(
     strategy: Strategy = Strategy.BFS,
     rule_mode: str = "embedded",
 ) -> MiningRun:
-    """Mine patterns and build the rule set in the requested mode."""
+    """Mine patterns and build the rule set in the requested mode, as one run that starts cold."""
     if rule_mode not in ("embedded", "posthoc"):
         raise ValueError(f"unknown rule mode {rule_mode!r}")
     cfg = MiningConfig(support=support, max_nodes=max_nodes, strategy=strategy)
@@ -61,7 +60,7 @@ def run_mining(
     timings.preprocess_s = time.perf_counter() - t0
 
     if rule_mode == "embedded":
-        sink = RuleBuilder(min_confidence, strategy)
+        sink = RuleBuilder(min_confidence)
         t0 = time.perf_counter()
         patterns = mine(g, cfg, rule_sink=sink)
         timings.mining_s = time.perf_counter() - t0
@@ -82,11 +81,15 @@ def make_rule_scorer(
     min_confidence: float,
     strategy: Strategy = Strategy.BFS,
 ) -> Scorer:
-    """Scorer callback (graph -> ScoreTable): mine embedded rules, apply them."""
+    """Scorer callback (graph -> ScoreTable): mine embedded rules, apply them.
+    The graphs one scorer scores (folds, an ensemble's internal split) are
+    one run and share its memo of canonical searches."""
+    memo = {}
 
     def scorer(g: MultiplexGraph) -> ScoreTable:
-        run = run_mining(g, support, max_nodes, min_confidence, strategy)
-        return apply_rules(g, run.rules, pattern_set=run.patterns)
+        sink = RuleBuilder(min_confidence)
+        patterns = mine(g, MiningConfig(support, max_nodes, strategy), rule_sink=sink, memo=memo)
+        return apply_rules(g, sink.result(), pattern_set=patterns)
 
     return scorer
 
@@ -97,7 +100,6 @@ def evaluate_split(
     tables: Sequence[ScoreTable] = (),
     optimize: bool = False,
     seed: int = 0,
-    universe: str = "full",
     n_neg: int | None = None,
 ) -> EvalReport:
     """Score ``split.train`` with each scorer and evaluate on the split.
@@ -106,18 +108,18 @@ def evaluate_split(
     more tables are combined by ``ensemble``, whose weights are tuned on an
     internal re-split with ``optimize``; that needs every table to come
     from a scorer. The combined table is evaluated on the universe the
-    ensemble built unless ``universe`` asks for a sampled one.
+    ensemble built unless ``n_neg`` asks for a sampled one.
     """
     scored = [s(split.train) for s in scorers]
     tables = scored + list(tables)
     if len(tables) == 1:
-        return roc_auc(tables[0], split, universe=universe, n_neg=n_neg, seed=seed)
+        return roc_auc(tables[0], split, n_neg=n_neg, seed=seed)
     if optimize and len(scored) < len(tables):
         raise EvalError("external tables cannot be re-scored on the "
                         "internal split; use --ensemble-mode base")
     res = ensemble(tables, split, optimize=optimize, seed=seed, scorers=scorers)
-    return roc_auc(res.table, split, universe=universe, n_neg=n_neg, seed=seed,
-                   uni=res.universe if universe == "full" else None)
+    return roc_auc(res.table, split, n_neg=n_neg, seed=seed,
+                   uni=res.universe if n_neg is None else None)
 
 
 @dataclass
@@ -141,11 +143,10 @@ def cross_validate(
     scorer: Scorer,
     k: int = 10,
     seed: int = 0,
-    universe: str = "full",
     n_neg: int | None = None,
 ) -> CrossValResult:
     """k-fold CV: rescore each training fold and evaluate on its test fold."""
     return CrossValResult.from_reports([
-        evaluate_split(split, [scorer], seed=seed, universe=universe, n_neg=n_neg)
+        evaluate_split(split, [scorer], seed=seed, n_neg=n_neg)
         for split in kfold_split(g, k, seed)
     ])

@@ -11,6 +11,7 @@ containment between patterns of adjacent size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .io import ParseError
@@ -24,6 +25,7 @@ from .pattern import (
     apply_delta,
     canonical_code,
     canonical_delta_key,
+    canonical_orderings,
     delta_from_key,
     delta_key_from_string,
     delta_key_to_string,
@@ -76,12 +78,17 @@ class AssociationRule:
     def key(self) -> RuleKey:
         return (self.antecedent_code, self.delta_key)
 
+    @functools.cached_property
+    def delta_string(self) -> str:
+        """The delta's dump form; computed once per rule."""
+        return delta_key_to_string(self.delta_key)
+
     def to_line(self) -> str:
         return "\t".join(
             [
                 self.antecedent_code.to_string(),
                 self.consequent_code.to_string(),
-                delta_key_to_string(self.delta_key),
+                self.delta_string,
                 str(self.support_a),
                 str(self.support_c),
                 f"{self.confidence:.6f}",
@@ -100,7 +107,8 @@ class RuleSet:
         return iter(self.sorted_rules())
 
     def sorted_rules(self) -> list[AssociationRule]:
-        return [self.rules[k] for k in sorted(self.rules, key=_key_sort)]
+        return sorted(self.rules.values(),
+                      key=lambda r: (r.antecedent_code.to_string(), r.delta_string))
 
     def add(self, rule: AssociationRule) -> AssociationRule:
         prev = self.rules.get(rule.key())
@@ -108,7 +116,7 @@ class RuleSet:
             if (prev.support_a, prev.support_c) != (rule.support_a, rule.support_c):
                 raise ValueError(
                     f"conflicting supports for rule {rule.antecedent_code.to_string()} "
-                    f"{delta_key_to_string(rule.delta_key)}: "
+                    f"{rule.delta_string}: "
                     f"{(prev.support_a, prev.support_c)} vs "
                     f"{(rule.support_a, rule.support_c)}"
                 )
@@ -133,13 +141,14 @@ class RuleSet:
         field and the form it expects.
         """
         rs = cls()
+        memo = {}  # this load's canonical searches
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    rs.add(_rule_from_fields(line.split("\t")))
+                    rs.add(_rule_from_fields(line.split("\t"), memo))
                 except (ValueError, IndexError) as exc:
                     raise ParseError(path, lineno, str(exc)) from None
         return rs
@@ -180,7 +189,7 @@ def _key_and_delta(text: str, directed: bool) -> tuple[tuple, Delta]:
     return key, delta_from_key(key, directed)
 
 
-def _rule_from_fields(parts: list[str]) -> AssociationRule:
+def _rule_from_fields(parts: list[str], memo: dict) -> AssociationRule:
     if len(parts) != 6:
         raise ValueError(f"expected 6 fields, got {len(parts)}")
     a_text, c_text, d_text, sa_text, sc_text, conf_text = parts
@@ -198,7 +207,7 @@ def _rule_from_fields(parts: list[str]) -> AssociationRule:
     if not 0 <= delta.i < antecedent.k or (delta.j is not None and delta.j >= antecedent.k):
         raise ValueError(f"delta {d_text} does not fit a {antecedent.k}-node antecedent")
     c_code = _field("consequent code", c_text, CanonicalCode.from_string, CODE_FORM)
-    if canonical_code(apply_delta(antecedent, delta), a_code.strategy) != c_code:
+    if canonical_code(apply_delta(antecedent, delta), a_code.strategy, memo) != c_code:
         raise ValueError(f"consequent code {c_text} is not antecedent + delta {d_text}")
     return AssociationRule(
         antecedent=antecedent,
@@ -210,11 +219,6 @@ def _rule_from_fields(parts: list[str]) -> AssociationRule:
     )
 
 
-def _key_sort(key: RuleKey):
-    code, delta_key = key
-    return (code.to_string(), delta_key_to_string(delta_key))
-
-
 class RuleBuilder:
     """Embedded rule sink: feed it to ``mine`` and read ``result()``.
 
@@ -223,10 +227,8 @@ class RuleBuilder:
     so arrival order never changes the outcome.
     """
 
-    def __init__(self, min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-                 strategy: Strategy = Strategy.BFS):
+    def __init__(self, min_confidence: float = DEFAULT_MIN_CONFIDENCE):
         self.min_confidence = min_confidence
-        self.strategy = strategy
         self._rules = RuleSet()
         self._antecedents: dict[CanonicalCode, Pattern] = {}
 
@@ -234,7 +236,7 @@ class RuleBuilder:
         conf = child.support / parent.support
         if conf + CONFIDENCE_EPS < self.min_confidence:
             return None
-        delta_key = canonical_delta_key(parent.pattern, delta, self.strategy)
+        delta_key = canonical_delta_key(parent.pattern, delta, parent.orderings)
         existing = self._rules.rules.get((parent.code, delta_key))
         if existing is not None:
             return existing
@@ -265,7 +267,7 @@ def derive_rules_posthoc(
     (dropping the freed node when the deleted edge was its only one).
     The pair scan is quadratic in the pattern count, which is exactly the
     legacy cost profile this mode exists to measure; output is identical
-    to the embedded sink on the same mining run.
+    to the embedded sink on the same mining run, whose searches it reuses.
     """
     rs = RuleSet()
     antecedents: dict[CanonicalCode, Pattern] = {}
@@ -279,7 +281,7 @@ def derive_rules_posthoc(
             for ant, delta in _single_edge_antecedents(pb, eidx):
                 if not ant.is_connected():
                     continue
-                cands.append((canonical_code(ant, strategy), ant, delta))
+                cands.append((canonical_code(ant, strategy, patterns.memo), ant, delta))
         deletions.append(cands)
     for a_rec in records:
         ka, ma = a_rec.pattern.k, len(a_rec.pattern.edges)
@@ -298,7 +300,8 @@ def derive_rules_posthoc(
                         antecedent=_pattern_of(code_a, antecedents),
                         antecedent_code=code_a,
                         consequent_code=child.code,
-                        delta_key=canonical_delta_key(ant, delta, strategy),
+                        delta_key=canonical_delta_key(
+                            ant, delta, canonical_orderings(ant, strategy, patterns.memo)),
                         support_a=a_rec.support,
                         support_c=child.support,
                     )

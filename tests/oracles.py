@@ -212,12 +212,13 @@ def brute_auc(scores, labels) -> float:
 # -- candidate universe -----------------------------------------------------------
 
 
-def brute_universe(split, universe: str = "full", n_neg=None, seed: int = 0):
+def brute_universe(split, n_neg=None, seed: int = 0):
     """The candidate universe as tuple lists, enumerated triple by triple.
 
     Returns ``(oldold, oldnew, oldold_pos, oldnew_pos)``: (u, v, l) and
     (u, l) candidates in (layer, u, v) order and their positive flags. The
-    sampled universe tags negatives by segment and samples the tagged list.
+    full universe for ``n_neg=None``; the sampled one tags negatives by
+    segment and samples ``n_neg`` of the tagged list.
     """
     g = split.train
     nodes = sorted(g.nodes)
@@ -245,7 +246,7 @@ def brute_universe(split, universe: str = "full", n_neg=None, seed: int = 0):
     oldnew = [(u, l) for l in layers for u in nodes]
     oo_pos = [c in oo_pos_set for c in oldold]
     on_pos = [c in on_pos_set for c in oldnew]
-    if universe == "full":
+    if n_neg is None:
         return oldold, oldnew, oo_pos, on_pos
     rng = random.Random(seed)
     neg_idx = [("oo", i) for i in range(len(oldold)) if not oo_pos[i]]

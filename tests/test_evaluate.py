@@ -216,9 +216,8 @@ def test_universe_and_scores_match_enumeration_oracle(directed):
             table.oldnew[(rng.randrange(g.n_nodes + 2), rng.randrange(n_layers + 1))] = rng.random()
         full = brute_universe(split)
         n_neg = rng.randint(1, len(full[0]) + len(full[1]) + 2)
-        for mode, want in (("full", full),
-                           ("sampled", brute_universe(split, "sampled", n_neg, seed=7))):
-            uni = candidate_universe(split, mode, n_neg, seed=7)
+        for neg, want in ((None, full), (n_neg, brute_universe(split, n_neg, seed=7))):
+            uni = candidate_universe(split, neg, seed=7)
             assert _decoded(uni) == want
             oldold, oldnew = want[0], want[1]
             scores = [table.oldold.get(c, table.baseline) for c in oldold]
@@ -256,10 +255,17 @@ def test_sampled_universe_close_to_full():
             table.oldold[e] = 1.0 + rng.random()
     for u in sorted(split.train.nodes)[:20]:
         table.oldold[(u, (u + 7) % 60, 0)] = rng.random()
-    full = roc_auc(table, split, universe="full")
+    full = roc_auc(table, split)
     n_pos = candidate_universe(split).positives()
-    sampled = roc_auc(table, split, universe="sampled", n_neg=10 * n_pos, seed=5)
+    sampled = roc_auc(table, split, n_neg=10 * n_pos, seed=5)
     assert abs(full.auc - sampled.auc) < 0.02
+
+
+def test_sampled_universe_needs_a_negative():
+    split = _toy_split()
+    for n_neg in (0, -3):
+        with pytest.raises(EvalError, match="n_neg >= 1"):
+            candidate_universe(split, n_neg)
 
 
 # -- baselines -------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from plexmine.io import (
@@ -84,3 +86,24 @@ def test_temporal_bad_timestamp(tmp_path):
     path = _write(tmp_path, "g.tedges", "1\t2\ta\tlate\n")
     with pytest.raises(ParseError):
         load_temporal(path)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_temporal_base_equals_untimed_load(tmp_path, directed):
+    # loops (node e and layer L3 only in one), duplicates in both
+    # orientations, and repeated triples with other times
+    rows = ["b\ta\tL2\t4", "a\tb\tL2\t1", "a\ta\tL1\t0", "c\td\tL1\t3",
+            "c\td\tL1\t2", "d\tc\tL1\t8", "e\te\tL3\t5", "10\t2\tL1\t3"]
+    rng = random.Random(1)
+    for _ in range(40):
+        u, v = rng.choice("abcdfg"), rng.choice("abcdfg")
+        rows.append(f"{u}\t{v}\tL{rng.randrange(3)}\t{rng.randrange(9)}")
+    attrs = _write(tmp_path, "g.attrs", "a\tx\ne\ty\n10\tz\n")
+    timed = _write(tmp_path, "g.tedges", "\n".join(rows) + "\n")
+    untimed = _write(tmp_path, "g.edges",
+                     "".join(row.rsplit("\t", 1)[0] + "\n" for row in rows))
+    for attr_path in (None, attrs):
+        base = load_temporal(timed, attr_path, directed).base
+        g = load_multiplex(untimed, attr_path, directed)
+        assert base == g
+        assert (base.node_names, base.layer_names) == (g.node_names, g.layer_names)

@@ -111,20 +111,20 @@ def test_apply_delta_node_and_cycle():
 
 def test_delta_key_collapses_symmetric_placements():
     edge = Pattern(False, ("x", "x"), (PatternEdge(0, 1, 0, False),))
-    k0 = canonical_delta_key(edge, Delta(0, None, 1, True, "y"))
-    k1 = canonical_delta_key(edge, Delta(1, None, 1, True, "y"))
+    k0 = canonical_delta_key(edge, Delta(0, None, 1, True, "y"), canonical_orderings(edge))
+    k1 = canonical_delta_key(edge, Delta(1, None, 1, True, "y"), canonical_orderings(edge))
     assert k0 == k1
     # asymmetric labels keep placements apart
     edge2 = Pattern(False, ("x", "y"), (PatternEdge(0, 1, 0, False),))
-    a = canonical_delta_key(edge2, Delta(0, None, 1, True, "z"))
-    b = canonical_delta_key(edge2, Delta(1, None, 1, True, "z"))
+    a = canonical_delta_key(edge2, Delta(0, None, 1, True, "z"), canonical_orderings(edge2))
+    b = canonical_delta_key(edge2, Delta(1, None, 1, True, "z"), canonical_orderings(edge2))
     assert a != b
 
 
 def test_delta_key_string_roundtrip():
     edge = Pattern(True, ("x", "y"), (PatternEdge(0, 1, 0, True),))
     for d in (Delta(0, None, 1, False, "z"), Delta(0, 1, 1, False)):
-        key = canonical_delta_key(edge, d)
+        key = canonical_delta_key(edge, d, canonical_orderings(edge))
         assert delta_key_from_string(delta_key_to_string(key)) == key
         rebuilt = delta_from_key(key, True)
         assert rebuilt.layer == d.layer

@@ -14,6 +14,7 @@ from plexmine.pattern import (
     PatternEdge,
     canonical_code,
     canonical_delta_key,
+    canonical_orderings,
     pattern_from_code,
 )
 from plexmine.predict import (
@@ -30,7 +31,7 @@ from oracles import brute_apply_rules, random_multiplex
 
 def _rule(antecedent: Pattern, delta: Delta, support_a: int, support_c: int) -> AssociationRule:
     code = canonical_code(antecedent)
-    key = canonical_delta_key(antecedent, delta)
+    key = canonical_delta_key(antecedent, delta, canonical_orderings(antecedent))
     canon = pattern_from_code(code)
     from plexmine.pattern import apply_delta, delta_from_key
     cons = canonical_code(apply_delta(canon, delta_from_key(key, antecedent.directed)))

@@ -1,6 +1,8 @@
 import dataclasses
 import random
+from collections import Counter
 
+from plexmine import rules as rules_mod
 from plexmine.graph import MultiplexGraph
 from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import CanonicalCode, Strategy, delta_key_to_string
@@ -10,7 +12,7 @@ from oracles import random_multiplex
 
 
 def _mine_both(g, sigma, size, conf, strategy=Strategy.BFS):
-    sink = RuleBuilder(conf, strategy)
+    sink = RuleBuilder(conf)
     ps = mine(g, MiningConfig(sigma, size, strategy), rule_sink=sink)
     return ps, sink.result(), derive_rules_posthoc(ps, conf, strategy)
 
@@ -141,3 +143,31 @@ def test_code_string_memo_keeps_dumps_and_rule_order():
                 text = rec.code.to_string()
                 assert rec.code.to_string() is text
                 assert CanonicalCode.from_string(text) == rec.code
+
+
+def test_rule_order_ignores_insertion_order_and_encodes_each_delta_once(monkeypatch):
+    rng = random.Random(1)
+    g0 = random_multiplex(rng, max_nodes=8)
+    g = MultiplexGraph(g0.nodes, g0.edges, attrs={u: f"{a} %" for u, a in g0.attrs.items()},
+                       directed=g0.directed, layers=g0.layers)
+    _, emb, _ = _mine_both(g, 1, 3, 0.3)
+    assert any(r.introduces_new_node for r in emb) and len(emb) > 20
+    want = sorted(emb.rules, key=lambda k: (_fresh_string(k[0]), delta_key_to_string(k[1])))
+    encoded = Counter()
+
+    def counted(key):
+        encoded[key] += 1
+        return delta_key_to_string(key)
+
+    monkeypatch.setattr(rules_mod, "delta_key_to_string", counted)
+    for _ in range(3):
+        shuffled = [dataclasses.replace(r) for r in emb.rules.values()]  # nothing memoised
+        rng.shuffle(shuffled)
+        rs = RuleSet()
+        for r in shuffled:
+            rs.add(r)
+        encoded.clear()
+        for _ in range(2):
+            assert [r.key() for r in rs.sorted_rules()] == want
+        assert rs.to_tsv() == emb.to_tsv()
+        assert encoded == Counter(k for _, k in want)

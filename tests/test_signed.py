@@ -9,6 +9,7 @@ from plexmine.pattern import (
     PatternEdge,
     canonical_code,
     canonical_delta_key,
+    canonical_orderings,
     pattern_from_code,
 )
 from plexmine.rules import AssociationRule, RuleSet
@@ -98,7 +99,7 @@ def test_negation_and_swap_invariance():
 
 def _mk_rule(ant: Pattern, delta: Delta) -> AssociationRule:
     code = canonical_code(ant)
-    key = canonical_delta_key(ant, delta)
+    key = canonical_delta_key(ant, delta, canonical_orderings(ant))
     from plexmine.pattern import apply_delta, delta_from_key
     canon = pattern_from_code(code)
     cons = canonical_code(apply_delta(canon, delta_from_key(key, ant.directed)))

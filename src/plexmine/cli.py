@@ -160,7 +160,10 @@ def _n_neg_arg(args) -> int | None:
     if args.universe == "full":
         return None
     if args.universe.startswith("sampled:"):
-        return int(args.universe.split(":", 1)[1])
+        try:
+            return int(args.universe.split(":", 1)[1])
+        except ValueError:
+            pass
     raise EvalError(f"--universe must be full or sampled:N, got {args.universe!r}")
 
 

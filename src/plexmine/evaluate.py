@@ -242,32 +242,43 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _tie_groups(scores: np.ndarray, labels: np.ndarray):
+def _tie_groups(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray | None = None):
     """Cumulative true and false positives at the end of each group of tied
-    scores, walking from the highest score down; also P and N."""
-    labels = labels.astype(bool)
-    pos = int(labels.sum())
-    neg = len(labels) - pos
-    if pos == 0 or neg == 0:
-        raise EvalError(f"need both positives and negatives (P={pos}, N={neg})")
+    scores, walking from the highest score down; also P and N.
+
+    ``pos`` and ``neg`` count the positives and negatives each score stands
+    for; without ``neg``, ``pos`` is one boolean label per score.
+    """
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), len(s) - 1)
-    tp = np.cumsum(labels[order])[ends]
-    return tp, ends + 1 - tp, pos, neg
+    last = np.empty(len(s), dtype=bool)  # the last score of each tied group
+    np.not_equal(s[1:], s[:-1], out=last[:-1])
+    last[-1:] = True
+    ends = np.flatnonzero(last)
+    if neg is None:
+        tp = np.cumsum(np.asarray(pos, dtype=bool)[order])[ends]
+        fp = ends + 1 - tp
+    else:
+        tp = np.cumsum(pos[order])[ends]
+        fp = np.cumsum(neg[order])[ends]
+    n_pos, n_neg = (int(tp[-1]), int(fp[-1])) if len(ends) else (0, 0)
+    if n_pos == 0 or n_neg == 0:
+        raise EvalError(f"need both positives and negatives (P={n_pos}, N={n_neg})")
+    return tp, fp, n_pos, n_neg
 
 
 def _mann_whitney(tp: np.ndarray, fp: np.ndarray, pos: int, neg: int) -> float:
     """U / (P*N) from integer counts.
 
-    The positives of a tied group beat every negative of the lower groups
-    and tie, at 1/2, with the negatives of their own group, so 2U is an
-    integer and the one rounding is the final division.
+    The positives of a tied group g beat every negative of the lower groups
+    and tie, at 1/2, with the negatives of their own group, so
+    2U = sum_g (tp_g - tp_{g-1}) * (2N - fp_g - fp_{g-1}), with
+    tp_{-1} = fp_{-1} = 0, is an integer and the one rounding is the final
+    division.
     """
-    d_tp = np.diff(tp, prepend=0)
-    d_fp = np.diff(fp, prepend=0)
-    twice_u = int(d_tp @ (2 * (neg - fp) + d_fp))
-    return twice_u / (2 * pos * neg)
+    # 2(PN - U): pairs a negative wins count twice, tied pairs once
+    twice_lost = int(tp[0] * fp[0]) + int((tp[1:] - tp[:-1]) @ (fp[1:] + fp[:-1]))
+    return (2 * pos * neg - twice_lost) / (2 * pos * neg)
 
 
 def auc_and_roc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, list[tuple[float, float]]]:
@@ -492,12 +503,17 @@ def _optimize_on_internal_split(split, scorers, seed, restarts):
 
 
 def _hill_climb_weights(Z: np.ndarray, labels: np.ndarray, seed: int, restarts: int):
-    """Random-restart coordinate ascent on AUC; weights kept unit-norm."""
+    """Random-restart coordinate ascent on AUC; weights kept unit-norm.
+
+    Every AUC is taken over the distinct rows of ``Z``, each carrying the
+    positives and negatives it stands for.
+    """
     m = Z.shape[1]
     nprng = np.random.default_rng(seed)
+    rows, pos, neg = _distinct_rows(Z, labels)
 
     def auc_of(w: np.ndarray) -> float:
-        return rank_auc(Z @ w, labels)
+        return rank_auc(rows @ w, pos, neg)
 
     starts = [np.ones(m)]
     for _ in range(max(0, restarts - 1)):
@@ -531,7 +547,26 @@ def _hill_climb_weights(Z: np.ndarray, labels: np.ndarray, seed: int, restarts: 
     return best_w, best_auc
 
 
-def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+def _distinct_rows(Z: np.ndarray, labels: np.ndarray):
+    """The distinct rows of ``Z`` and how many positive and negative
+    candidates each stands for.
+
+    Identical rows score identically under any weight vector, so an AUC
+    over the rows with these counts equals the AUC over ``Z`` and its
+    labels, tie group by tie group. (A lone row may take another BLAS path
+    and round differently, but then every candidate ties either way.)
+    """
+    rows, inv, counts = np.unique(Z, axis=0, return_inverse=True, return_counts=True)
+    # the inverse's shape differs across numpy versions
+    pos = np.bincount(inv.ravel()[np.asarray(labels, dtype=bool)], minlength=len(rows))
+    return rows, pos, counts - pos
+
+
+def rank_auc(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray | None = None) -> float:
     """The AUC of ``auc_and_roc`` without the ROC points: the exact
-    Mann-Whitney U / (P*N) over tied-score groups, ties counting 1/2."""
-    return _mann_whitney(*_tie_groups(scores, labels))
+    Mann-Whitney U / (P*N) over tied-score groups, ties counting 1/2.
+
+    ``pos`` is one boolean label per score or, given ``neg``, the number of
+    positives each score stands for, ``neg`` that of negatives.
+    """
+    return _mann_whitney(*_tie_groups(scores, pos, neg))

@@ -1,20 +1,23 @@
 """Edge-list / attribute file parsing and canonical serialization.
 
-File formats (UTF-8, TAB-separated, ``#`` comments):
+File formats (UTF-8, TAB-separated, ``#`` comments; a line that is not
+UTF-8 is a parse error):
     edge file:          u <TAB> v <TAB> layer
     attribute file:     node <TAB> label
     temporal edge file: u <TAB> v <TAB> layer <TAB> t      (integer t)
 
 Node and layer identifiers in files are arbitrary strings; the loader
 remaps nodes to dense 0..n-1 ids (numeric sort when every id parses as an
-integer, lexicographic otherwise) and keeps the original names in a
-sidecar table. Layers are numbered by sorted name.
+integer, ties such as ``1`` and ``01`` broken by string order;
+lexicographic otherwise) and keeps the original names in a sidecar table.
+Layers are numbered by sorted name.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable
+import re
+from typing import Iterable, Iterator
 
 from .graph import MultiplexGraph, TemporalMultiplexGraph
 
@@ -28,21 +31,36 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def _rows(path: str, n_fields: int) -> Iterable[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8") as fh:
+# what the ``surrogateescape`` error handler decodes a byte that is not UTF-8 to
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Line number and stripped text of every line of ``path`` that is
+    neither blank nor a ``#`` comment.
+
+    Raises ``ParseError(path, line)`` at the first line that is not UTF-8.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != n_fields:
-                raise ParseError(path, lineno, f"expected {n_fields} fields, got {len(parts)}")
-            yield lineno, parts
+            if not line.isascii() and _UNDECODABLE.search(line):
+                raise ParseError(path, lineno, "not valid UTF-8")
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def _rows(path: str, n_fields: int) -> Iterable[tuple[int, list[str]]]:
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != n_fields:
+            raise ParseError(path, lineno, f"expected {n_fields} fields, got {len(parts)}")
+        yield lineno, parts
 
 
 def _dense_ids(names: set[str]) -> dict[str, int]:
     try:
-        ordered = sorted(names, key=lambda s: (0, int(s)))
+        ordered = sorted(names, key=lambda s: (int(s), s))
     except ValueError:
         ordered = sorted(names)
     return {name: i for i, name in enumerate(ordered)}
@@ -85,11 +103,14 @@ def load_multiplex(
 
 
 def _load_attrs(path: str, nid: dict[str, int]) -> dict[int, str]:
+    """Node labels; a node may be listed again only with the same label."""
     attrs: dict[int, str] = {}
     for lineno, (node, label) in _rows(path, 2):
         if node not in nid:
             raise ParseError(path, lineno, f"attribute references unknown node {node!r}")
-        attrs[nid[node]] = label
+        if attrs.setdefault(nid[node], label) != label:
+            raise ParseError(path, lineno, f"node {node!r} already has label "
+                                           f"{attrs[nid[node]]!r}, not {label!r}")
     return attrs
 
 

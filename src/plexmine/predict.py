@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .graph import MultiplexGraph
-from .io import ParseError
+from .io import ParseError, text_lines
 from .matcher import match_array
 from .miner import PatternSet
 from .rules import AssociationRule, RuleSet
@@ -214,38 +214,35 @@ def score_dump(
 def load_score_dump(path: str, g: MultiplexGraph) -> ScoreTable:
     """Read a score dump file into a table, mapping names through ``g``.
 
-    Raises ``ParseError(path, line)`` for a wrong field count, a node or
-    layer name ``g`` does not have, or a score that is not a finite number.
+    Raises ``ParseError(path, line)`` for a line that is not UTF-8, a wrong
+    field count, a node or layer name ``g`` does not have, or a score that
+    is not a finite number.
     """
     node_ids = {name: nid for nid, name in g.node_names.items()}
     layer_ids = {name: lid for lid, name in g.layer_names.items()}
     table = ScoreTable(directed=g.directed)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
-            u_name, v_name, l_name, score_text = parts
-            try:
-                u = node_ids[u_name]
-                v = None if v_name == "NEW" else node_ids[v_name]
-                l = layer_ids[l_name]
-            except KeyError as exc:
-                raise ParseError(path, lineno,
-                                 f"unknown node or layer name {exc.args[0]!r}") from None
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ParseError(path, lineno, f"non-numeric score {score_text!r}") from None
-            if not math.isfinite(score):
-                raise ParseError(path, lineno, f"non-finite score {score_text!r}")
-            if v is None:
-                table.oldnew[(u, l)] = score
-            else:
-                if not g.directed and u > v:
-                    u, v = v, u
-                table.oldold[(u, v, l)] = score
+    for lineno, line in text_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
+        u_name, v_name, l_name, score_text = parts
+        try:
+            u = node_ids[u_name]
+            v = None if v_name == "NEW" else node_ids[v_name]
+            l = layer_ids[l_name]
+        except KeyError as exc:
+            raise ParseError(path, lineno,
+                             f"unknown node or layer name {exc.args[0]!r}") from None
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(path, lineno, f"non-numeric score {score_text!r}") from None
+        if not math.isfinite(score):
+            raise ParseError(path, lineno, f"non-finite score {score_text!r}")
+        if v is None:
+            table.oldnew[(u, l)] = score
+        else:
+            if not g.directed and u > v:
+                u, v = v, u
+            table.oldold[(u, v, l)] = score
     return table

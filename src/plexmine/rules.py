@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .io import ParseError
+from .io import ParseError, text_lines
 from .miner import MinedPattern, PatternSet
 from .pattern import (
     CanonicalCode,
@@ -132,9 +132,10 @@ class RuleSet:
     def from_tsv(cls, path: str) -> "RuleSet":
         """Read a rule dump file written from ``to_tsv``.
 
-        Raises ``ParseError(path, line)`` for a wrong field count, a code or
-        delta that does not parse, a non-integer support, supports that
-        break ``0 < support_c <= support_a``, a confidence column other than
+        Raises ``ParseError(path, line)`` for a line that is not UTF-8, a
+        wrong field count, a code or delta that does not parse, a
+        non-integer support, supports that break
+        ``0 < support_c <= support_a``, a confidence column other than
         ``support_c/support_a`` to six decimals, delta node indices outside
         the antecedent, or a consequent code that is not the canonical code
         of the antecedent extended by the delta. The message names the
@@ -142,15 +143,11 @@ class RuleSet:
         """
         rs = cls()
         memo = {}  # this load's canonical searches
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    rs.add(_rule_from_fields(line.split("\t"), memo))
-                except (ValueError, IndexError) as exc:
-                    raise ParseError(path, lineno, str(exc)) from None
+        for lineno, line in text_lines(path):
+            try:
+                rs.add(_rule_from_fields(line.split("\t"), memo))
+            except (ValueError, IndexError) as exc:
+                raise ParseError(path, lineno, str(exc)) from None
         return rs
 
     def same_rules(self, other: "RuleSet") -> bool:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive pure Python: permutation-based
 matching, exhaustive edge-subset enumeration, pairwise AUC, full 2^k
 bipartition scans. None of it shares code paths with the production
-engine, so agreement is evidence, not tautology.
+engine, so agreement is evidence, not tautology. The one exception is
+``full_vector_hill_climb``, which scores with the engine's ``rank_auc``
+over every candidate; that AUC is itself checked against ``brute_auc``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
+from plexmine.evaluate import rank_auc
 from plexmine.graph import MultiplexGraph
 from plexmine.pattern import Pattern, PatternEdge
 
@@ -207,6 +212,47 @@ def brute_auc(scores, labels) -> float:
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def full_vector_hill_climb(Z: np.ndarray, labels: np.ndarray, seed: int, restarts: int):
+    """The ensemble weight climb with every AUC taken over all rows of
+    ``Z``: random-restart coordinate ascent, weights kept unit-norm."""
+    m = Z.shape[1]
+    nprng = np.random.default_rng(seed)
+
+    def auc_of(w: np.ndarray) -> float:
+        return rank_auc(Z @ w, labels)
+
+    starts = [np.ones(m)]
+    for _ in range(max(0, restarts - 1)):
+        v = nprng.normal(size=m)
+        while np.linalg.norm(v) == 0.0:
+            v = nprng.normal(size=m)
+        starts.append(v)
+    best_w, best_auc = None, -1.0
+    for w0 in starts:
+        w = w0 / np.linalg.norm(w0)
+        cur = auc_of(w)
+        step = 0.5
+        while step > 1e-3:
+            improved = False
+            for c in range(m):
+                for sign in (1.0, -1.0):
+                    w2 = w.copy()
+                    w2[c] += sign * step
+                    nrm = np.linalg.norm(w2)
+                    if nrm == 0.0:
+                        continue
+                    w2 /= nrm
+                    a2 = auc_of(w2)
+                    if a2 > cur + 1e-12:
+                        w, cur = w2, a2
+                        improved = True
+            if not improved:
+                step /= 2.0
+        if cur > best_auc:
+            best_w, best_auc = w, cur
+    return best_w, best_auc
 
 
 # -- candidate universe -----------------------------------------------------------

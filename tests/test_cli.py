@@ -376,6 +376,38 @@ def test_exit_code_missing_file(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("universe", ["sampled:x", "sampled:", "sampled:1.5", "bogus"])
+def test_bad_universe_names_the_form_it_expects(small_graph, universe):
+    code, _, err = run_cli("evaluate", small_graph + ".edges", "--kfold", "2",
+                           "--method", "sharma", "--universe", universe)
+    assert code == 2
+    assert err == f"error: --universe must be full or sampled:N, got {universe!r}\n"
+
+
+@pytest.mark.parametrize("target", ["edges", "attrs", "rules", "temporal", "scores"])
+def test_input_that_is_not_utf8_is_parse_error(small_graph, temporal_graph, tmp_path, target):
+    rules = tmp_path / "rules.tsv"
+    run_cli("mine", small_graph + ".edges", "--support", "25%", "--size", "2",
+            "--rules-out", str(rules), "--patterns-out", str(tmp_path / "p.tsv"))
+    u = open(temporal_graph).readline().split("\t")[0]
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(f"{u}\tNEW\tL0\t1.0\n{u}\tNEW\tL1\t0.5\n")
+    paths = {"edges": small_graph + ".edges", "attrs": small_graph + ".attrs",
+             "rules": str(rules), "temporal": temporal_graph, "scores": str(scores)}
+    with open(paths[target], "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    bad = tmp_path / f"bad.{target}"
+    bad.write_bytes(lines[0] + b"\xff\xfe" + b"".join(lines[1:]))
+    paths[target] = str(bad)
+    if target in ("edges", "attrs", "rules"):
+        args = ["predict", paths["edges"], "--attrs", paths["attrs"], "--rules", paths["rules"]]
+    else:
+        args = ["evaluate", paths["temporal"], "--temporal", "10", "3",
+                "--method", "sharma", "--scores-tsv", paths["scores"]]
+    code, _, err = run_cli(*args)
+    assert (code, err) == (1, f"error: {bad}:2: not valid UTF-8\n")
+
+
 # -- exit-code fuzzing of dump files ----------------------------------------------
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -478,3 +510,91 @@ def test_mutated_score_dump_keeps_exit_contract(fuzz_inputs, data):
     code, _, err = run_cli("evaluate", fuzz_inputs["temporal"], "--temporal", "10", "3",
                            "--method", "sharma", "--scores-tsv", str(path))
     _assert_exit_contract(code, err)
+
+
+# -- exit-code fuzzing of graph files ------------------------------------------------
+
+NOT_UTF8 = [b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\x80abc"]
+
+
+def _mutated_file(lines: list[str], data) -> bytes:
+    """A few edits of a whitespace-separated file: bytes that are not UTF-8,
+    a dropped or an extra field, a field replaced by text or by another
+    name, or a line repeated as is or with its last field changed (a
+    conflicting label)."""
+    out = [line.encode() for line in lines]
+    for _ in range(data.draw(st.integers(1, 3))):
+        n = data.draw(st.integers(0, len(lines) - 1))
+        parts = lines[n].split("\t")
+        f = data.draw(st.integers(0, len(parts) - 1))
+        kind = data.draw(st.sampled_from(["bytes", "drop", "extra", "text", "name",
+                                          "repeat", "conflict"]))
+        if kind == "bytes":
+            line = out[n]
+            at = data.draw(st.integers(0, len(line)))
+            out[n] = line[:at] + data.draw(st.sampled_from(NOT_UTF8)) + line[at:]
+            continue
+        if kind == "drop":
+            del parts[f]
+        elif kind == "extra":
+            parts.insert(f, data.draw(FUZZ_TEXT))
+        elif kind == "text":
+            parts[f] = data.draw(FUZZ_TEXT)
+        elif kind == "name":
+            parts[f] = data.draw(st.sampled_from(["1", "01", "99", "L0", "L1", "a", "é"]))
+        else:
+            at = data.draw(st.integers(0, len(lines)))
+            if kind == "conflict":
+                parts[-1] = data.draw(st.sampled_from(["x", "L1", "7", parts[-1] + "z"]))
+            out.insert(at, "\t".join(parts).encode())
+            continue
+        out[n] = "\t".join(parts).encode()
+    return b"\n".join(out) + b"\n"
+
+
+@pytest.fixture(scope="module")
+def graph_fuzz_inputs(fuzz_inputs):
+    """``fuzz_inputs`` plus an attribute file for its temporal graph."""
+    d = fuzz_inputs["dir"]
+    tattrs = d / "temporal.attrs"
+    tattrs.write_text("".join(f"{n}\t{'ab'[n % 2]}\n" for n in range(14)))
+    graph = fuzz_inputs["graph"]
+    return {"dir": d, "rules": str(d / "rules.tsv"),
+            "edges": graph + ".edges", "attrs": graph + ".attrs",
+            "temporal": fuzz_inputs["temporal"], "tattrs": str(tattrs)}
+
+
+def _graph_command(command: str, paths: dict) -> list[str]:
+    mining = ["--support", "25%", "--size", "2"]
+    if command == "mine":
+        return ["mine", paths["edges"], "--attrs", paths["attrs"], *mining,
+                "--patterns-out", str(paths["dir"] / "p.out"),
+                "--rules-out", str(paths["dir"] / "r.out")]
+    if command == "predict":
+        return ["predict", paths["edges"], "--attrs", paths["attrs"],
+                "--rules", paths["rules"], "--out", str(paths["dir"] / "s.out")]
+    if command == "evaluate-kfold":
+        return ["evaluate", paths["edges"], "--attrs", paths["attrs"], "--kfold", "3",
+                *mining]
+    return ["evaluate", paths["temporal"], "--attrs", paths["tattrs"],
+            "--temporal", "10", "3", "--support", "2", "--size", "2"]
+
+
+@pytest.mark.parametrize("command, target", [
+    ("mine", "edges"), ("mine", "attrs"), ("predict", "edges"), ("predict", "attrs"),
+    ("evaluate-kfold", "edges"), ("evaluate-kfold", "attrs"),
+    ("evaluate-temporal", "temporal"), ("evaluate-temporal", "tattrs"),
+])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_graph_file_keeps_exit_contract(graph_fuzz_inputs, command, target, data):
+    paths = dict(graph_fuzz_inputs)
+    with open(paths[target], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    mutated = paths["dir"] / f"mutated.{target}"
+    mutated.write_bytes(_mutated_file(lines, data))
+    paths[target] = str(mutated)
+    code, _, err = run_cli(*_graph_command(command, paths))
+    _assert_exit_contract(code, err)
+    if code == 1:  # the file and line at fault open the message
+        assert err.startswith(f"error: {mutated}:"), err

@@ -8,6 +8,9 @@ from plexmine.datagen import SynthConfig, generate
 from plexmine.evaluate import (
     EvalError,
     Split,
+    _distinct_rows,
+    _hill_climb_weights,
+    _tie_groups,
     auc_and_roc,
     candidate_universe,
     classic_score,
@@ -23,7 +26,7 @@ from plexmine.evaluate import (
 from plexmine.graph import MultiplexGraph, TemporalMultiplexGraph, flatten_monoplex
 from plexmine.predict import LinkClass, ScoreTable
 
-from oracles import brute_auc, brute_universe, random_multiplex
+from oracles import brute_auc, brute_universe, full_vector_hill_climb, random_multiplex
 
 
 def _line_graph(n=10, layers=1):
@@ -133,6 +136,8 @@ def test_auc_matches_pairwise_oracle():
         auc, _ = auc_and_roc(scores, labels)
         assert auc == brute_auc(scores, labels)
         assert rank_auc(scores, labels) == auc
+        rows, pos, neg = _distinct_rows(scores[:, None], labels)
+        assert rank_auc(rows[:, 0], pos, neg) == auc
 
 
 def test_auc_invariant_under_increasing_transform():
@@ -445,3 +450,58 @@ def test_ensemble_optimized_recovers_planted_signal():
     perfect_only = roc_auc(tables[0], split).auc
     combined = roc_auc(res.table, split).auc
     assert combined >= perfect_only - 0.02
+
+
+def _duplicated_scores(rng, m, n_distinct, n_extra, p_pos=0.05):
+    """Standardized score rows over ``n_distinct`` distinct rows, ``n_extra``
+    of them repeated with a heavy skew, and labels with both classes.
+
+    Column 0 is sparse and coarse (most candidates at the baseline 0, the
+    rest on a 0.5 grid), as rule scores are, so that distinct rows also tie
+    under some weight vectors.
+    """
+    base = rng.normal(size=(n_distinct, m))
+    base[:, 0] = np.where(rng.random(n_distinct) < 0.6, 0.0, np.round(base[:, 0] * 2) / 2)
+    ids = np.concatenate([np.arange(n_distinct),
+                          np.minimum(rng.zipf(1.3, size=n_extra) - 1, n_distinct - 1)])
+    X = base[rng.permutation(ids)]
+    sd = X.std(axis=0)
+    Z = (X - X.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
+    labels = rng.random(len(Z)) < p_pos
+    labels[:2] = (True, False)
+    return Z, labels
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_distinct_row_auc_equals_full_vector_auc(m):
+    # 7 sizes x 50 weight vectors per m: 1,050 vectors over the three m
+    rng = np.random.default_rng(m)
+    for n_distinct in (1, 2, 3, 10, 100, 1000, 12000):
+        Z, labels = _duplicated_scores(rng, m, n_distinct, 2 * n_distinct + 5)
+        rows, pos, neg = _distinct_rows(Z, labels)
+        assert len(rows) == n_distinct
+        assert (pos.sum(), neg.sum()) == (labels.sum(), (~labels).sum())
+        eye = np.eye(m)
+        weights = [np.ones(m) / np.sqrt(m), *eye, *-eye]
+        while len(weights) < 50:
+            w = rng.normal(size=m)
+            weights.append(w / np.linalg.norm(w))
+        for w in weights:
+            full = rank_auc(Z @ w, labels)
+            assert rank_auc(rows @ w, pos, neg) == full
+            for a, b in zip(_tie_groups(rows @ w, pos, neg), _tie_groups(Z @ w, labels)):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("m, n_distinct, n_extra, restarts", [
+    (2, 1, 40, 5), (2, 300, 1700, 50), (3, 500, 2500, 10), (4, 60, 900, 10),
+])
+def test_hill_climb_matches_full_vector_climb(m, n_distinct, n_extra, restarts):
+    rng = np.random.default_rng(n_distinct)
+    Z, labels = _duplicated_scores(rng, m, n_distinct, n_extra, p_pos=0.02)
+    # a planted signal in column 1, so that the climb moves
+    labels |= (Z[:, 1] > 1.5) & (rng.random(len(Z)) < 0.3)
+    w, auc = _hill_climb_weights(Z, labels, 7, restarts)
+    w_full, auc_full = full_vector_hill_climb(Z, labels, 7, restarts)
+    assert np.array_equal(w, w_full)
+    assert auc == auc_full

@@ -1,4 +1,9 @@
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +53,60 @@ def test_dense_remap_and_name_table(tmp_path):
     # numeric sort: 2 -> 0, 5 -> 1, 10 -> 2
     assert g.node_names[0] == "2" and g.node_names[2] == "10"
     assert sorted(g.layer_names.values()) == ["x", "y"]
+
+
+def test_equal_integer_names_load_alike_under_every_hash_seed(tmp_path):
+    # 1, 01 and 001 are one integer; string order breaks the tie, so no set
+    # iteration order (which PYTHONHASHSEED changes) reaches the node ids
+    edges = _write(tmp_path, "g.edges",
+                   "1\t5\tL0\n01\t5\tL0\n001\t7\tL1\n01\t7\tL1\n1\t001\tL1\n5\t7\tL0\n")
+    attrs = _write(tmp_path, "g.attrs", "1\ta\n01\tb\n001\ta\n5\tb\n7\ta\n")
+    script = (
+        "import sys\n"
+        "from plexmine.cli import main\n"
+        "from plexmine.io import load_multiplex\n"
+        "e, a, d = sys.argv[1:]\n"
+        "print(load_multiplex(e, a).node_names)\n"
+        "main(['mine', e, '--attrs', a, '--support', '1', '--size', '3',\n"
+        "      '--patterns-out', d + '/p.tsv', '--rules-out', d + '/r.tsv'])\n"
+        "print(open(d + '/p.tsv').read() + open(d + '/r.tsv').read())\n"
+        "main(['predict', e, '--attrs', a, '--rules', d + '/r.tsv'])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in range(6):
+        out_dir = tmp_path / f"seed{seed}"
+        out_dir.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script, edges, attrs, str(out_dir)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    (out,) = outputs
+    assert out.startswith("{0: '001', 1: '01', 2: '1', 3: '5', 4: '7'}\n")
+    assert "\n01\tNEW\t" in out and "\n001\tNEW\t" in out  # the score dump
+
+
+def test_attr_repeated_label_accepted_conflicting_label_rejected(tmp_path):
+    e = _write(tmp_path, "g.edges", "0\t1\ta\n")
+    g = load_multiplex(e, _write(tmp_path, "same.attrs", "0\tx\n1\ty\n0\tx\n"))
+    assert {g.node_names[n]: g.attrs[n] for n in g.nodes} == {"0": "x", "1": "y"}
+    conflict = _write(tmp_path, "conflict.attrs", "0\tx\n1\ty\n0\tz\n")
+    msg = f"{conflict}:3: node '0' already has label 'x', not 'z'"
+    with pytest.raises(ParseError, match=re.escape(msg)):
+        load_multiplex(e, conflict)
+
+
+def test_line_that_is_not_utf8_reports_lineno(tmp_path):
+    # a comment line is checked too: the file as a whole must be UTF-8
+    for text in (b"1\t2\ta\n\xff\t3\ta\n", b"1\t2\ta\n# caf\xe9\n"):
+        path = tmp_path / "g.edges"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: not valid UTF-8")):
+            load_multiplex(str(path))
+    path.write_bytes("1\t2\tcafé\n# 🙂\n".encode())
+    assert load_multiplex(str(path)).layer_names == {0: "café"}
 
 
 def test_missing_attrs_default(tmp_path):

@@ -40,11 +40,16 @@ EXIT_INTERNAL = 3
 def _support_arg(text: str) -> float | int:
     """Absolute integer, fraction in (0,1], or percentage like `40%`."""
     text = text.strip()
-    if text.endswith("%"):
-        return float(text[:-1]) / 100.0
-    if "." in text or "e" in text.lower():
-        return float(text)
-    return int(text)
+    try:
+        if text.endswith("%"):
+            return float(text[:-1]) / 100.0
+        if "." in text or "e" in text.lower():
+            return float(text)
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer count, a fraction such as 0.4 or a percentage "
+            f"such as 40%, got {text!r}") from None
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -87,6 +92,8 @@ def _load(args):
 
 
 def cmd_mine(args) -> int:
+    if args.timings_out and not args.timings:
+        raise ValueError("--timings-out needs --timings")
     g = _load(args)
     strategy = Strategy(args.strategy)
     if args.rule_mode == "both":
@@ -129,13 +136,15 @@ def _warn_if_empty(g, support, run) -> None:
 
 
 def cmd_predict(args) -> int:
+    if args.top is not None and args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     g = _load(args)
     rules = RuleSet.from_tsv(args.rules)
     t0 = time.perf_counter()
     table = apply_rules(g, rules, dedupe_rule_firings=args.dedupe_rule_firings)
     apply_s = time.perf_counter() - t0
     text = score_dump(table, g.node_names, g.layer_names)
-    if args.top:
+    if args.top is not None:
         lines = text.splitlines(keepends=True)[: args.top]
         text = "".join(lines)
     _out(args.out, text)
@@ -180,6 +189,8 @@ def _print_cv(result: CrossValResult, out_path: str | None) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    if args.keep_layers and not args.monoplex:
+        raise EvalError("--keep-layers needs --monoplex")
     n_neg = _n_neg_arg(args)
     methods = args.ensemble.split(",") if args.ensemble else [args.method]
     if args.temporal:
@@ -217,8 +228,7 @@ def cmd_evaluate(args) -> int:
 def cmd_frustration(args) -> int:
     rules = RuleSet.from_tsv(args.rules)
     if args.edges:
-        g = load_multiplex(args.edges, args.attrs, args.directed)
-        layer_names = g.layer_names
+        layer_names = load_multiplex(args.edges).layer_names
     else:
         layer_ids = {e.layer for r in rules for e in r.consequent.edges}
         layer_names = {lid: str(lid) for lid in layer_ids}
@@ -306,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signs", required=True,
                    help="`name:+,name:-,name:x` or `pardus-preset`")
     p.add_argument("--edges", help="edge file, used to resolve layer names")
-    p.add_argument("--attrs")
-    p.add_argument("--directed", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_frustration)
 

@@ -6,10 +6,9 @@ training node and layer. Old-old candidates are positive when the triple
 shows up in the test set; (u, NEW, l) is positive when any test edge in l
 joins u to a node outside the training node set.
 
-Each candidate is one int64 key ``(l * (W + 1) + u) * (W + 1) + v``, where
-W is the training graph's index width (largest node id + 1) and ``v == W``
-stands for NEW. A universe stores its old-old keys, then its old-new keys,
-each block ascending, so score tables are placed onto it by binary search.
+Candidates are the int64 keys of ``predict`` (``encode_keys``). A universe
+stores its old-old keys, then its old-new keys, each block ascending, so
+score tables are placed onto it by binary search.
 
 Unscored candidates get a method's baseline score. AUC is the exact
 Mann-Whitney statistic U / (P*N) computed from integer counts per group of
@@ -27,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph import MultiplexGraph, TemporalMultiplexGraph
-from .predict import LinkClass, ScoreTable
+from .predict import LinkClass, ScoreTable, encode_keys
 
 OLD_OLD = LinkClass.OLD_OLD
 OLD_NEW = LinkClass.OLD_NEW
@@ -41,7 +40,6 @@ class EvalError(ValueError):
 class Split:
     train: MultiplexGraph
     test_edges: frozenset[tuple[int, int, int]]
-    mode: str
 
     def __post_init__(self):
         overlap = self.test_edges & self.train.edges
@@ -74,8 +72,7 @@ def kfold_split(g: MultiplexGraph, k: int, seed: int = 0) -> list[Split]:
         test = set(edges[start:start + size])
         start += size
         train = g.subgraph_of_edges(set(g.edges) - test)
-        splits.append(Split(train=train, test_edges=frozenset(test),
-                            mode=f"kfold(k={k},fold={fold},seed={seed})"))
+        splits.append(Split(train=train, test_edges=frozenset(test)))
     return splits
 
 
@@ -102,8 +99,7 @@ def temporal_split(tg: TemporalMultiplexGraph, t: int, delta: int) -> Split:
         layer_names=g.layer_names,
         node_names={n: g.node_names[n] for n in nodes},
     )
-    return Split(train=train, test_edges=frozenset(test_edges),
-                 mode=f"temporal(t={t},delta={delta})")
+    return Split(train=train, test_edges=frozenset(test_edges))
 
 
 # -- candidate universe -------------------------------------------------------
@@ -129,19 +125,6 @@ class Universe:
 
     def positives(self) -> int:
         return int(self.labels.sum())
-
-
-def encode_keys(width: int, l, u, v) -> np.ndarray:
-    """Candidate keys of (layer, u, v); ``v == width`` stands for NEW."""
-    base = width + 1
-    return (np.asarray(l, dtype=np.int64) * base + u) * base + v
-
-
-def decode_keys(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of ``encode_keys``: (layer, u, v) arrays."""
-    lu, v = np.divmod(keys, width + 1)
-    l, u = np.divmod(lu, width + 1)
-    return l, u, v
 
 
 def candidate_universe(split: Split, n_neg: int | None = None, seed: int = 0) -> Universe:
@@ -184,31 +167,15 @@ def candidate_universe(split: Split, n_neg: int | None = None, seed: int = 0) ->
     return Universe(width, keys[keep], labels[keep], int(np.searchsorted(keep, len(oldold))))
 
 
-def _entry_keys(entries: dict, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and scores of a non-empty ``ScoreTable.oldold`` or ``.oldnew``.
-
-    Entries with a node outside [0, width) or a negative layer are dropped
-    first: no universe holds them, and their keys could alias a candidate.
-    """
-    k = np.array(list(entries), dtype=np.int64).reshape(len(entries), -1)
-    scores = np.fromiter(entries.values(), dtype=float, count=len(entries))
-    nodes = k[:, :-1]
-    ok = np.all((nodes >= 0) & (nodes < width), axis=1) & (k[:, -1] >= 0)
-    k = k[ok]
-    v = k[:, 1] if k.shape[1] == 3 else width
-    return encode_keys(width, k[:, -1], k[:, 0], v), scores[ok]
-
-
 def universe_scores(uni: Universe, table: ScoreTable) -> np.ndarray:
     """Score vector over ``uni.keys``; candidates absent from the table get
     its baseline, and table entries outside the universe are ignored."""
     vec = np.full(uni.n_candidates, table.baseline, dtype=float)
+    keys, scores = table.key_arrays(uni.width)
     n_oo = uni.n_oldold
-    for offset, block, entries in ((0, uni.keys[:n_oo], table.oldold),
-                                   (n_oo, uni.keys[n_oo:], table.oldnew)):
-        if not entries or not len(block):
+    for offset, block in ((0, uni.keys[:n_oo]), (n_oo, uni.keys[n_oo:])):
+        if not len(block):
             continue
-        keys, scores = _entry_keys(entries, uni.width)
         pos = np.minimum(np.searchsorted(block, keys), len(block) - 1)
         hit = block[pos] == keys
         vec[offset + pos[hit]] = scores[hit]
@@ -334,37 +301,34 @@ def sharma_score(train: MultiplexGraph) -> ScoreTable:
 
     p(l2, l1) is the fraction of node pairs connected in l2 that are also
     connected in l1; a candidate (u, v, l1) scores the sum of p(l2, l1)
-    over the layers l2 that already connect u and v. Pairs disconnected in
-    every layer score zero, and no old-new predictions are produced.
+    over the layers l2 that already connect u and v, added in ascending
+    layer order. Pairs disconnected in every layer score zero, and no
+    old-new predictions are produced.
     """
     layers = sorted(train.layers)
     if len(layers) < 2:
         raise EvalError("layer-coexistence scoring needs >= 2 layers")
-    pairs: dict[int, set[tuple[int, int]]] = {l: set() for l in layers}
-    for u, v, l in train.edges:
-        pairs[l].add((u, v))
-    p: dict[tuple[int, int], float] = {}
-    for l2 in layers:
-        for l1 in layers:
-            if not pairs[l2]:
-                p[(l2, l1)] = 0.0
-            else:
-                p[(l2, l1)] = len(pairs[l2] & pairs[l1]) / len(pairs[l2])
-    table = ScoreTable(directed=train.directed)
-    connected_somewhere = set().union(*pairs.values()) if layers else set()
-    for u, v in sorted(connected_somewhere):
-        present = [l2 for l2 in layers if (u, v) in pairs[l2]]
-        for l1 in layers:
-            if (u, v, l1) in train.edges:
-                continue
-            s = sum(p[(l2, l1)] for l2 in present)
-            if s > 0.0:
-                table.oldold[(u, v, l1)] = s
-    return table
+    idx = train.index()
+    W = idx.width
+    u, v = np.divmod(idx.pair_keys[:-1], W)
+    if not train.directed:  # both orientations are indexed; edges keep u < v
+        u, v = u[u < v], v[u < v]
+    present = np.column_stack([idx.has_pairs(u, v, l) for l in layers])
+    counts = present.T.astype(np.int64) @ present.astype(np.int64)
+    p = counts / np.maximum(np.diag(counts), 1)[:, None]  # p[l2, l1]; 0 for an empty l2
+    score = np.zeros(present.shape)
+    for l2 in range(len(layers)):  # one layer at a time keeps the summation order
+        score += present[:, [l2]] * p[l2]
+    hit = ~present & (score > 0.0)
+    rows, cols = np.nonzero(hit)
+    return ScoreTable.from_keys(train.directed, W,
+                                encode_keys(W, np.array(layers)[cols], u[rows], v[rows]),
+                                score[hit])
 
 
 def classic_score(train_mono: MultiplexGraph, method: str) -> ScoreTable:
-    """Single-layer scores (ra/ja/pa/aa) over undirected neighborhoods."""
+    """Single-layer scores (ra/ja/pa/aa) over undirected neighborhoods,
+    written for each orientation of a pair that is not a training edge."""
     method = method.lower()
     if method not in ("ra", "ja", "pa", "aa"):
         raise EvalError(f"unknown classic method {method!r}")
@@ -376,23 +340,13 @@ def classic_score(train_mono: MultiplexGraph, method: str) -> ScoreTable:
         nbrs[u].add(v)
         nbrs[v].add(u)
     nodes = sorted(train_mono.nodes)
+    orientations = 2 if train_mono.directed else 1
     table = ScoreTable(directed=train_mono.directed)
-
-    def put(u, v, s):
-        if s <= 0.0:
-            return
-        if train_mono.directed:
-            table.oldold[(u, v, layer)] = s
-            table.oldold[(v, u, layer)] = s
-        else:
-            table.oldold[(u, v, layer)] = s
-
     for i, u in enumerate(nodes):
         for v in nodes[i + 1:]:
-            if v in nbrs[u] and not train_mono.directed:
-                continue
-            if train_mono.directed and (u, v, layer) in train_mono.edges \
-                    and (v, u, layer) in train_mono.edges:
+            open_keys = [(a, b, layer) for a, b in ((u, v), (v, u))[:orientations]
+                         if (a, b, layer) not in train_mono.edges]
+            if not open_keys:
                 continue
             common = nbrs[u] & nbrs[v]
             if method == "pa":
@@ -408,11 +362,8 @@ def classic_score(train_mono: MultiplexGraph, method: str) -> ScoreTable:
                     deg = len(nbrs[z])
                     assert deg >= 2, "a common neighbor always has degree >= 2"
                     s += 1.0 / math.log(deg)
-            put(u, v, s)
-    if train_mono.directed:
-        # drop entries for triples that exist in the training graph
-        for e in train_mono.edges:
-            table.oldold.pop(e, None)
+            if s > 0.0:
+                table.oldold.update(dict.fromkeys(open_keys, s))
     return table
 
 
@@ -464,13 +415,9 @@ def ensemble(
     combined = Z @ w
     baselines = np.array([t.baseline for t in tables])
     base_combined = float(((baselines - mu) / sd) @ w)
-    changed = np.flatnonzero(combined != base_combined)
-    n = int(np.searchsorted(changed, uni.n_oldold))
-    l, u, v = (a.tolist() for a in decode_keys(uni.keys[changed], uni.width))
-    vals = combined[changed].tolist()
-    out = ScoreTable(directed=split.train.directed, baseline=base_combined,
-                     oldold=dict(zip(zip(u[:n], v[:n], l[:n]), vals[:n])),
-                     oldnew=dict(zip(zip(u[n:], l[n:]), vals[n:])))
+    changed = combined != base_combined
+    out = ScoreTable.from_keys(split.train.directed, uni.width, uni.keys[changed],
+                               combined[changed], baseline=base_combined)
     return EnsembleResult(table=out, weights=w, internal_auc=internal_auc, universe=uni)
 
 
@@ -493,7 +440,7 @@ def _optimize_on_internal_split(split, scorers, seed, restarts):
         raise EvalError("training set too small for an internal split")
     valid = set(edges[:n_valid])
     inner_train = split.train.subgraph_of_edges(set(split.train.edges) - valid)
-    inner = Split(train=inner_train, test_edges=frozenset(valid), mode="internal")
+    inner = Split(train=inner_train, test_edges=frozenset(valid))
     inner_uni = candidate_universe(inner)
     labels = inner_uni.labels
     if labels.sum() == 0 or labels.sum() == len(labels):

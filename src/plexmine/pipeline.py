@@ -126,16 +126,10 @@ def evaluate_split(
 class CrossValResult:
     fold_reports: list[EvalReport]
     mean_auc: float
-    mean_segment_aucs: dict
 
     @classmethod
     def from_reports(cls, reports: list[EvalReport]) -> "CrossValResult":
-        mean_auc = sum(r.auc for r in reports) / len(reports)
-        seg_means = {}
-        for seg in (list(reports[0].segment_aucs) if reports else []):
-            vals = [r.segment_aucs[seg] for r in reports if r.segment_aucs[seg] is not None]
-            seg_means[seg] = sum(vals) / len(vals) if vals else None
-        return cls(fold_reports=reports, mean_auc=mean_auc, mean_segment_aucs=seg_means)
+        return cls(fold_reports=reports, mean_auc=sum(r.auc for r in reports) / len(reports))
 
 
 def cross_validate(

@@ -8,14 +8,20 @@ contribute nothing. Automorphic embeddings (same node image set) that
 instantiate the same prediction are collapsed first, so symmetric
 antecedents do not inflate scores by their automorphism count.
 
+Each candidate is one int64 key ``(l * (W + 1) + u) * (W + 1) + v``, where
+W is the training graph's index width (largest node id + 1) and ``v == W``
+stands for NEW. The key is a bijection for any integer layer and any node
+in ``[0, W)``. ``ScoreTable.from_keys`` writes a table from keys and
+``ScoreTable.key_arrays`` reads one back as keys, so score tables, the
+candidate universe and the ensemble share this one encoding.
+
 Accumulation works on arrays. Rules are visited in sorted order, which
 groups them by antecedent, and each antecedent's embeddings are fetched
 once and given per-row node-set ids. Each rule encodes its firings as
-int64 target keys, counts the distinct node sets per key, and appends
-(key, confidence x count) to the list of its (segment, layer). At the end
-one ``np.unique`` and one weighted ``np.bincount`` per list sum the
-contributions in sorted-rule order, exactly as adding them one by one to
-0.0 would, and the sums become the ``ScoreTable`` dicts.
+candidate keys, counts the distinct node sets per key, and appends (key,
+confidence x count) to one flat list. At the end one ``np.unique`` and one
+weighted ``np.bincount`` sum the contributions in sorted-rule order,
+exactly as adding them one by one to 0.0 would.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +46,19 @@ logger = logging.getLogger(__name__)
 class LinkClass(str, Enum):
     OLD_OLD = "oldold"
     OLD_NEW = "oldnew"
+
+
+def encode_keys(width: int, l, u, v) -> np.ndarray:
+    """Candidate keys of (layer, u, v); ``v == width`` stands for NEW."""
+    base = width + 1
+    return (np.asarray(l, dtype=np.int64) * base + u) * base + v
+
+
+def decode_keys(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of ``encode_keys``: (layer, u, v) arrays."""
+    lu, v = np.divmod(keys, width + 1)
+    l, u = np.divmod(lu, width + 1)
+    return l, u, v
 
 
 @dataclass
@@ -57,6 +77,35 @@ class ScoreTable:
     baseline: float = 0.0
     provenance: dict[tuple, list[int]] | None = None
 
+    @classmethod
+    def from_keys(cls, directed: bool, width: int, keys: np.ndarray, scores: np.ndarray,
+                  baseline: float = 0.0) -> "ScoreTable":
+        """The table scoring each candidate key (see the module docstring)
+        with its score; each segment's entries keep the order of ``keys``."""
+        l, u, v = decode_keys(keys, width)
+        new = v == width
+        oldold = zip(u[~new].tolist(), v[~new].tolist(), l[~new].tolist())
+        oldnew = zip(u[new].tolist(), l[new].tolist())
+        return cls(directed, oldold=dict(zip(oldold, scores[~new].tolist())),
+                   oldnew=dict(zip(oldnew, scores[new].tolist())), baseline=baseline)
+
+    def key_arrays(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate keys and scores of every entry, old-old then old-new.
+
+        Entries with a node outside [0, width) are dropped first: no
+        universe holds them, and their keys could alias a candidate.
+        """
+        oo = np.array(list(self.oldold), dtype=np.int64).reshape(-1, 3)
+        on = np.array(list(self.oldnew), dtype=np.int64).reshape(-1, 2)
+        u = np.concatenate([oo[:, 0], on[:, 0]])
+        v = np.concatenate([oo[:, 1], np.full(len(on), width, dtype=np.int64)])
+        l = np.concatenate([oo[:, 2], on[:, 1]])
+        scores = np.fromiter(chain(self.oldold.values(), self.oldnew.values()),
+                             dtype=float, count=len(u))
+        new = np.arange(len(u)) >= len(oo)
+        ok = (u >= 0) & (u < width) & (v >= 0) & ((v < width) | new)
+        return encode_keys(width, l[ok], u[ok], v[ok]), scores[ok]
+
 
 def apply_rules(
     g_train: MultiplexGraph,
@@ -71,23 +120,20 @@ def apply_rules(
     antecedent and re-matched on the graph otherwise, once per antecedent.
     A rule adds, to each key it fires, its confidence times the number of
     distinct node sets firing that key (times 1 with
-    ``dedupe_rule_firings``). Keys are ``tail*W + head`` for old-old and
-    the anchor for old-new, ``W`` being ``g_train.index().width``, so they
-    stay in the range of ``GraphIndex.pair_keys``. Every score is the sum of
-    its rules' contributions in ``sorted_rules()`` order, starting from 0.0,
-    whatever order the rules were added in. Rules referencing layers or
-    labels absent from the graph are skipped with a warning. With
-    ``track_provenance`` the table maps each scored ``("oldold", key)`` or
-    ``("oldnew", key)`` to the ids (positions in ``sorted_rules()``) of the
-    rules that fired it, ascending.
+    ``dedupe_rule_firings``). Every score is the sum of its rules'
+    contributions in ``sorted_rules()`` order, starting from 0.0, whatever
+    order the rules were added in. Rules referencing layers or labels absent
+    from the graph are skipped with a warning. With ``track_provenance`` the
+    table maps each scored ``("oldold", (u, v, l))`` or ``("oldnew", (u,
+    l))`` to the ids (positions in ``sorted_rules()``) of the rules that
+    fired it, ascending.
     """
-    table = ScoreTable(directed=g_train.directed,
-                       provenance={} if track_provenance else None)
     labels_present = g_train.labels_present()
     idx = g_train.index()
     W = idx.width
-    # (introduces new node, layer) -> [(keys, weights, rule id)] in rule order
-    parts: dict[tuple[bool, int], list[tuple[np.ndarray, np.ndarray, int]]] = {}
+    # (keys, weights, rule id) per firing rule, after an empty part that lets
+    # a rule set firing nothing concatenate
+    parts = [(np.empty(0, np.int64), np.empty(0), -1)]
     antecedent = None
     for rule_id, rule in enumerate(rules.sorted_rules()):
         ant = rule.antecedent
@@ -107,7 +153,7 @@ def apply_rules(
             E = _antecedent_embeddings(rule, g_train, pattern_set)
             node_sets = _node_set_ids(E)
         if delta.introduces_new_node:
-            sets, targets = node_sets, E[:, delta.i]
+            sets, tail, head = node_sets, E[:, delta.i], W
         else:
             a, b = E[:, delta.i], E[:, delta.j]
             if g_train.directed:
@@ -115,34 +161,26 @@ def apply_rules(
             else:
                 tail, head = np.minimum(a, b), np.maximum(a, b)
             fresh = ~idx.has_pairs(tail, head, delta.layer)
-            sets, targets = node_sets[fresh], tail[fresh] * W + head[fresh]
-        if not len(targets):
+            sets, tail, head = node_sets[fresh], tail[fresh], head[fresh]
+        if not len(sets):
             continue
-        keys, counts = _distinct_sets_per_target(sets, targets)
+        keys, counts = _distinct_sets_per_target(sets, encode_keys(W, delta.layer, tail, head))
         if dedupe_rule_firings:
             counts = np.ones_like(counts)
-        weights = rule.confidence * counts
-        parts.setdefault((delta.introduces_new_node, delta.layer), []).append(
-            (keys, weights, rule_id))
+        parts.append((keys, rule.confidence * counts, rule_id))
 
-    for (new_node, layer), chunks in sorted(parts.items()):
-        keys, inverse = np.unique(np.concatenate([c[0] for c in chunks]),
-                                  return_inverse=True)
-        scores = np.bincount(inverse, weights=np.concatenate([c[1] for c in chunks]),
-                             minlength=len(keys))
-        if new_node:
-            segment, entries = "oldnew", [(u, layer) for u in keys.tolist()]
-        else:
-            tails, heads = np.divmod(keys, W)
-            segment = "oldold"
-            entries = [(t, h, layer) for t, h in zip(tails.tolist(), heads.tolist())]
-        getattr(table, segment).update(zip(entries, scores.tolist()))
-        if table.provenance is not None:
-            rule_ids = np.concatenate([np.full(len(c[0]), c[2]) for c in chunks])
-            firing = np.split(rule_ids[np.argsort(inverse, kind="stable")],
-                              np.cumsum(np.bincount(inverse))[:-1])
-            table.provenance.update(
-                ((segment, e), ids.tolist()) for e, ids in zip(entries, firing))
+    keys, inverse = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
+    scores = np.bincount(inverse, weights=np.concatenate([p[1] for p in parts]),
+                         minlength=len(keys))
+    table = ScoreTable.from_keys(g_train.directed, W, keys, scores)
+    if track_provenance:
+        rule_ids = np.repeat([p[2] for p in parts], [len(p[0]) for p in parts])
+        firing = np.split(rule_ids[np.argsort(inverse, kind="stable")],
+                          np.cumsum(np.bincount(inverse))[:-1])
+        l, u, v = (a.tolist() for a in decode_keys(keys, W))
+        table.provenance = {
+            ("oldnew", (ui, li)) if vi == W else ("oldold", (ui, vi, li)): ids.tolist()
+            for li, ui, vi, ids in zip(l, u, v, firing)}
     return table
 
 
@@ -215,8 +253,9 @@ def load_score_dump(path: str, g: MultiplexGraph) -> ScoreTable:
     """Read a score dump file into a table, mapping names through ``g``.
 
     Raises ``ParseError(path, line)`` for a line that is not UTF-8, a wrong
-    field count, a node or layer name ``g`` does not have, or a score that
-    is not a finite number.
+    field count, a node or layer name ``g`` does not have, a score that is
+    not a finite number, or a candidate listed again with another score
+    (on an undirected graph ``u v`` and ``v u`` are one candidate).
     """
     node_ids = {name: nid for nid, name in g.node_names.items()}
     layer_ids = {name: lid for lid, name in g.layer_names.items()}
@@ -240,9 +279,12 @@ def load_score_dump(path: str, g: MultiplexGraph) -> ScoreTable:
         if not math.isfinite(score):
             raise ParseError(path, lineno, f"non-finite score {score_text!r}")
         if v is None:
-            table.oldnew[(u, l)] = score
+            entries, key = table.oldnew, (u, l)
         else:
             if not g.directed and u > v:
                 u, v = v, u
-            table.oldold[(u, v, l)] = score
+            entries, key = table.oldold, (u, v, l)
+        if entries.setdefault(key, score) != score:
+            raise ParseError(path, lineno, f"candidate already has score {entries[key]!r}, "
+                                           f"not {score_text!r}")
     return table

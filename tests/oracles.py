@@ -11,14 +11,16 @@ over every candidate; that AUC is itself checked against ``brute_auc``.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from plexmine.evaluate import rank_auc
+from plexmine.evaluate import EvalError, rank_auc
 from plexmine.graph import MultiplexGraph
 from plexmine.pattern import Pattern, PatternEdge
+from plexmine.predict import ScoreTable
 
 
 # -- matching ---------------------------------------------------------------
@@ -307,6 +309,98 @@ def brute_universe(split, n_neg=None, seed: int = 0):
     on_keep = sorted(keep_on)
     return ([oldold[i] for i in oo_keep], [oldnew[i] for i in on_keep],
             [oo_pos[i] for i in oo_keep], [on_pos[i] for i in on_keep])
+
+
+# -- baseline scorers ------------------------------------------------------------
+# The set-based scorers the array versions in ``plexmine.evaluate`` replaced,
+# kept as they were, renamed; the array versions must agree bit for bit.
+
+
+def set_sharma_score(train: MultiplexGraph) -> ScoreTable:
+    """Layer-coexistence predictor.
+
+    p(l2, l1) is the fraction of node pairs connected in l2 that are also
+    connected in l1; a candidate (u, v, l1) scores the sum of p(l2, l1)
+    over the layers l2 that already connect u and v. Pairs disconnected in
+    every layer score zero, and no old-new predictions are produced.
+    """
+    layers = sorted(train.layers)
+    if len(layers) < 2:
+        raise EvalError("layer-coexistence scoring needs >= 2 layers")
+    pairs: dict[int, set[tuple[int, int]]] = {l: set() for l in layers}
+    for u, v, l in train.edges:
+        pairs[l].add((u, v))
+    p: dict[tuple[int, int], float] = {}
+    for l2 in layers:
+        for l1 in layers:
+            if not pairs[l2]:
+                p[(l2, l1)] = 0.0
+            else:
+                p[(l2, l1)] = len(pairs[l2] & pairs[l1]) / len(pairs[l2])
+    table = ScoreTable(directed=train.directed)
+    connected_somewhere = set().union(*pairs.values()) if layers else set()
+    for u, v in sorted(connected_somewhere):
+        present = [l2 for l2 in layers if (u, v) in pairs[l2]]
+        for l1 in layers:
+            if (u, v, l1) in train.edges:
+                continue
+            s = sum(p[(l2, l1)] for l2 in present)
+            if s > 0.0:
+                table.oldold[(u, v, l1)] = s
+    return table
+
+
+def set_classic_score(train_mono: MultiplexGraph, method: str) -> ScoreTable:
+    """Single-layer scores (ra/ja/pa/aa) over undirected neighborhoods."""
+    method = method.lower()
+    if method not in ("ra", "ja", "pa", "aa"):
+        raise EvalError(f"unknown classic method {method!r}")
+    if len(train_mono.layers) != 1:
+        raise EvalError("classic scores need a single-layer graph")
+    (layer,) = train_mono.layers
+    nbrs: dict[int, set[int]] = {n: set() for n in train_mono.nodes}
+    for u, v, _ in train_mono.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    nodes = sorted(train_mono.nodes)
+    table = ScoreTable(directed=train_mono.directed)
+
+    def put(u, v, s):
+        if s <= 0.0:
+            return
+        if train_mono.directed:
+            table.oldold[(u, v, layer)] = s
+            table.oldold[(v, u, layer)] = s
+        else:
+            table.oldold[(u, v, layer)] = s
+
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            if v in nbrs[u] and not train_mono.directed:
+                continue
+            if train_mono.directed and (u, v, layer) in train_mono.edges \
+                    and (v, u, layer) in train_mono.edges:
+                continue
+            common = nbrs[u] & nbrs[v]
+            if method == "pa":
+                s = len(nbrs[u]) * len(nbrs[v])
+            elif method == "ja":
+                union = nbrs[u] | nbrs[v]
+                s = len(common) / len(union) if union else 0.0
+            elif method == "ra":
+                s = sum(1.0 / len(nbrs[z]) for z in common)
+            else:  # aa
+                s = 0.0
+                for z in common:
+                    deg = len(nbrs[z])
+                    assert deg >= 2, "a common neighbor always has degree >= 2"
+                    s += 1.0 / math.log(deg)
+            put(u, v, s)
+    if train_mono.directed:
+        # drop entries for triples that exist in the training graph
+        for e in train_mono.edges:
+            table.oldold.pop(e, None)
+    return table
 
 
 # -- frustration ----------------------------------------------------------------

@@ -272,7 +272,7 @@ def _planted_oldnew_instance():
                            layers=[0, 1])
     test_edges = frozenset((i, 400 + i, 1) for i in range(30, 40))
     from plexmine.evaluate import Split
-    return Split(train=train, test_edges=test_edges, mode="planted")
+    return Split(train=train, test_edges=test_edges)
 
 
 def test_criterion_8_oldnew_capability():

@@ -2,6 +2,7 @@ import io
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,8 @@ from plexmine import evaluate
 from plexmine.cli import _support_arg, main
 from plexmine.evaluate import kfold_split, sharma_score, temporal_split
 from plexmine.io import load_multiplex, load_temporal
-from plexmine.pipeline import cross_validate, evaluate_split, make_rule_scorer, run_mining
+from plexmine.pipeline import (CrossValResult, cross_validate, evaluate_split,
+                               make_rule_scorer, run_mining)
 from plexmine.predict import load_score_dump, score_dump
 from plexmine.rules import DEFAULT_MIN_CONFIDENCE
 
@@ -207,6 +209,7 @@ def test_evaluate_ensemble_reuses_fold_universe(small_graph, monkeypatch, mode, 
     pytest.param("{u}\tNEW\tL0\tabc", id="non-numeric-score"),
     pytest.param("{u}\tNEW\tL0\tnan", id="nan-score"),
     pytest.param("{u}\tNEW\tL0\t-1e999", id="infinite-score"),
+    pytest.param("{u}\tNEW\tL0\t0.5", id="repeated-candidate-other-score"),
 ])
 def test_evaluate_bad_score_dump_is_parse_error(temporal_graph, tmp_path, bad_line):
     u = open(temporal_graph).readline().split("\t")[0]
@@ -374,6 +377,45 @@ def test_exit_code_invalid_params(small_graph, tmp_path):
 def test_exit_code_missing_file(tmp_path):
     code, _, _ = run_cli("mine", str(tmp_path / "nope.edges"))
     assert code == 1
+
+
+@pytest.mark.parametrize("support", ["abc", "40%x", "%"])
+def test_bad_support_names_the_forms_it_accepts(small_graph, capsys, support):
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", small_graph + ".edges", "--support", support])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument --support: expected an integer count, a fraction such as 0.4 or a "
+        f"percentage such as 40%, got {support!r}\n")
+
+
+@pytest.mark.parametrize("flags", [["--attrs", "{g}.attrs"], ["--directed"]])
+def test_frustration_takes_no_flag_that_layer_names_ignore(small_graph, tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["frustration", "--rules", str(tmp_path / "r.tsv"), "--signs", "L0:+",
+              "--edges", small_graph + ".edges", *(f.format(g=small_graph) for f in flags)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evaluate", "{g}.edges", "--kfold", "2", "--keep-layers", "L0"],
+     "--keep-layers needs --monoplex"),
+    (["mine", "{g}.edges", "--timings-out", "{d}/t.tsv", "--rules-out", "{d}/r.tsv"],
+     "--timings-out needs --timings"),
+    (["predict", "{g}.edges", "--rules", "{d}/r.tsv", "--top", "-3"], "--top must be >= 1, got -3"),
+    (["predict", "{g}.edges", "--rules", "{d}/r.tsv", "--top", "0"], "--top must be >= 1, got 0"),
+])
+def test_flag_that_would_do_nothing_is_invalid(small_graph, tmp_path, args, message):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run_cli(*(a.format(g=small_graph, d=out_dir) for a in args))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_split_and_cv_result_hold_only_fields_that_are_read():
+    assert [f.name for f in fields(evaluate.Split)] == ["train", "test_edges"]
+    assert [f.name for f in fields(CrossValResult)] == ["fold_reports", "mean_auc"]
 
 
 @pytest.mark.parametrize("universe", ["sampled:x", "sampled:", "sampled:1.5", "bogus"])
@@ -578,6 +620,20 @@ def _graph_command(command: str, paths: dict) -> list[str]:
                 *mining]
     return ["evaluate", paths["temporal"], "--attrs", paths["tattrs"],
             "--temporal", "10", "3", "--support", "2", "--size", "2"]
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_frustration_edge_file_keeps_exit_contract(graph_fuzz_inputs, data):
+    with open(graph_fuzz_inputs["edges"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    mutated = graph_fuzz_inputs["dir"] / "mutated_frustration.edges"
+    mutated.write_bytes(_mutated_file(lines, data))
+    code, _, err = run_cli("frustration", "--rules", graph_fuzz_inputs["rules"],
+                           "--edges", str(mutated), "--signs", "L0:+,L1:-")
+    _assert_exit_contract(code, err)
+    if code == 1:
+        assert err.startswith(f"error: {mutated}:"), err
 
 
 @pytest.mark.parametrize("command, target", [

@@ -14,7 +14,6 @@ from plexmine.evaluate import (
     auc_and_roc,
     candidate_universe,
     classic_score,
-    decode_keys,
     ensemble,
     kfold_split,
     rank_auc,
@@ -24,9 +23,16 @@ from plexmine.evaluate import (
     universe_scores,
 )
 from plexmine.graph import MultiplexGraph, TemporalMultiplexGraph, flatten_monoplex
-from plexmine.predict import LinkClass, ScoreTable
+from plexmine.predict import LinkClass, ScoreTable, decode_keys
 
-from oracles import brute_auc, brute_universe, full_vector_hill_climb, random_multiplex
+from oracles import (
+    brute_auc,
+    brute_universe,
+    full_vector_hill_climb,
+    random_multiplex,
+    set_classic_score,
+    set_sharma_score,
+)
 
 
 def _line_graph(n=10, layers=1):
@@ -179,7 +185,7 @@ def _toy_split():
     train = MultiplexGraph([0, 1, 2], [(0, 1, 0), (1, 2, 0)], directed=False,
                            layers=[0])
     test = frozenset({(0, 2, 0), (2, 3, 0)})  # one old-old, one old-new (node 3)
-    return Split(train=train, test_edges=test, mode="toy")
+    return Split(train=train, test_edges=test)
 
 
 def _decoded(uni):
@@ -228,6 +234,21 @@ def test_universe_and_scores_match_enumeration_oracle(directed):
             scores = [table.oldold.get(c, table.baseline) for c in oldold]
             scores += [table.oldnew.get(c, table.baseline) for c in oldnew]
             assert universe_scores(uni, table).tolist() == scores
+
+
+def test_negative_layers_are_scored():
+    # the key is a bijection for any integer layer: only node ids outside
+    # [0, W) are dropped from a table
+    train = MultiplexGraph([0, 1, 2], [(0, 1, -2), (1, 2, 5)], directed=False,
+                           layers=[-2, 5])
+    split = Split(train=train, test_edges=frozenset({(0, 2, -2), (2, 3, -2)}))
+    table = ScoreTable(directed=False, oldold={(0, 2, -2): 1.0, (0, 3, -2): 0.5},
+                       oldnew={(2, -2): 1.0, (3, 5): 0.5})
+    uni = candidate_universe(split)
+    oldold, oldnew, _, _ = _decoded(uni)
+    want = [table.oldold.get(c, 0.0) for c in oldold] + [table.oldnew.get(c, 0.0) for c in oldnew]
+    assert universe_scores(uni, table).tolist() == want
+    assert roc_auc(table, split).auc == 1.0
 
 
 def test_unscored_candidates_get_baseline_zero():
@@ -362,6 +383,35 @@ def test_classic_matches_set_oracle():
                     assert got == pytest.approx(want, abs=1e-12)
 
 
+def _random_gapped_multiplex(rng, directed):
+    """Node ids with gaps, layer ids that are negative, sparse or gapped,
+    and layers that may hold no edge."""
+    layers = rng.choice(([0, 1], [-2, 5], [3, 7, 100], [0, 1, 2, 3]))
+    n = rng.randint(2, 10)
+    nodes = rng.sample(range(3 * n), n)
+    used = rng.sample(layers, rng.randint(1, len(layers)))
+    edges = [(*rng.sample(nodes, 2), rng.choice(used)) for _ in range(rng.randint(0, 4 * n))]
+    return MultiplexGraph(nodes, edges, directed=directed, layers=layers)
+
+
+def _hexed(table):
+    return ({k: (type(s), float(s).hex()) for k, s in table.oldold.items()},
+            table.oldnew, table.baseline)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_baseline_scorers_match_set_scorers_bit_for_bit(directed):
+    rng = random.Random(43 if directed else 42)
+    for _ in range(160):
+        g = _random_gapped_multiplex(rng, directed)
+        assert _hexed(sharma_score(g)) == _hexed(set_sharma_score(g))
+        (layer,) = rng.sample(sorted(g.layers), 1)
+        mono = MultiplexGraph(g.nodes, [(u, v, layer) for u, v, _ in g.edges],
+                              directed=directed, layers=[layer])
+        for method in ("ra", "ja", "pa", "aa"):
+            assert _hexed(classic_score(mono, method)) == _hexed(set_classic_score(mono, method))
+
+
 def test_classic_requires_single_layer():
     g = MultiplexGraph(range(3), [(0, 1, 0), (1, 2, 1)], layers=[0, 1])
     with pytest.raises(EvalError):
@@ -372,8 +422,7 @@ def test_combined_auc_between_segments_on_constructed_instance():
     # equal candidate counts per segment, segment AUCs 1.0 and 0.0: the
     # combined AUC must land between them
     train = MultiplexGraph([0, 1, 2], [(0, 1, 0)], directed=False, layers=[0])
-    split = Split(train=train, test_edges=frozenset({(0, 2, 0), (1, 9, 0)}),
-                  mode="constructed")
+    split = Split(train=train, test_edges=frozenset({(0, 2, 0), (1, 9, 0)}))
     oldold, oldnew, _, _ = _decoded(candidate_universe(split))
     assert len(oldold) == 2 and len(oldnew) == 3
     table = ScoreTable(directed=False)

@@ -6,6 +6,7 @@ import pytest
 from plexmine import predict
 
 from plexmine.graph import MultiplexGraph
+from plexmine.io import ParseError
 from plexmine.matcher import match_array
 from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import (
@@ -270,6 +271,27 @@ def test_score_dump_roundtrip(tmp_path):
     back = load_score_dump(str(path), g)
     assert back.oldold == {(0, 2, 1): 1.5}
     assert back.oldnew == {(1, 0): 0.25}
+
+
+@pytest.mark.parametrize("directed, lines, error_line", [
+    (False, ["u\tNEW\ta\t0.5", "u\tNEW\ta\t0.9"], 2),
+    (False, ["v\tw\ta\t0.2", "w\tv\ta\t0.7"], 2),  # one undirected candidate
+    (True, ["v\tw\ta\t0.2", "w\tv\ta\t0.7"], None),  # two directed candidates
+    (False, ["u\tNEW\ta\t0.5", "v\tw\ta\t1", "u\tNEW\ta\t0.50", "w\tv\ta\t1.0"], None),
+])
+def test_score_dump_candidate_repeated_only_with_its_score(tmp_path, directed, lines,
+                                                            error_line):
+    g = MultiplexGraph([0, 1, 2], [(0, 1, 0)], directed=directed, layers=[0],
+                       node_names={0: "u", 1: "v", 2: "w"}, layer_names={0: "a"})
+    path = tmp_path / "scores.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    if error_line is None:
+        load_score_dump(str(path), g)
+        return
+    with pytest.raises(ParseError) as exc:
+        load_score_dump(str(path), g)
+    assert exc.value.lineno == error_line
+    assert "already has score" in str(exc.value)
 
 
 def test_provenance_lists_every_firing_rule_in_sorted_order():

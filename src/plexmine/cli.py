@@ -101,7 +101,7 @@ def cmd_mine(args) -> int:
                          "embedded")
         post = run_mining(g, args.support, args.size, args.confidence, strategy,
                           "posthoc")
-        equal = emb.rules.same_rules(post.rules)
+        equal = emb.rules.to_tsv() == post.rules.to_tsv()
         sys.stderr.write(
             f"mode-equivalence\t{'equal' if equal else 'DIFFERENT'}\t"
             f"embedded_total={emb.timings.total_s:.6f}\t"
@@ -191,8 +191,12 @@ def _print_cv(result: CrossValResult, out_path: str | None) -> None:
 def cmd_evaluate(args) -> int:
     if args.keep_layers and not args.monoplex:
         raise EvalError("--keep-layers needs --monoplex")
+    if args.ensemble and args.method is not None:
+        raise EvalError("--ensemble replaces --method; give one of them")
+    if args.temporal and args.kfold is not None:
+        raise EvalError("--temporal replaces --kfold; give one of them")
     n_neg = _n_neg_arg(args)
-    methods = args.ensemble.split(",") if args.ensemble else [args.method]
+    methods = args.ensemble.split(",") if args.ensemble else [args.method or "rules"]
     if args.temporal:
         tg = load_temporal(args.edges, args.attrs, args.directed)
         g = tg.base
@@ -212,7 +216,7 @@ def cmd_evaluate(args) -> int:
     scorers = [_method_scorer(m, args) for m in methods]
     tables = [load_score_dump(path, g) for path in args.scores_tsv or []]
     if not args.temporal:
-        splits = kfold_split(g, args.kfold, args.seed)
+        splits = kfold_split(g, 10 if args.kfold is None else args.kfold, args.seed)
     reports = [
         evaluate_split(split, scorers, tables, optimize=args.ensemble_mode == "opt",
                        seed=args.seed, n_neg=n_neg)
@@ -291,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="ROC/AUC evaluation harness")
     _add_graph_args(p)
     _add_mining_args(p)
-    p.add_argument("--kfold", type=int, default=10)
+    p.add_argument("--kfold", type=int, help="number of folds (default 10; not with --temporal)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--temporal", nargs=2, type=int, metavar=("T", "DELTA"),
                    help="temporal split instead of k-fold (edge file has "
                         "a 4th integer column)")
-    p.add_argument("--method", default="rules",
-                   choices=["rules", "sharma", "ra", "ja", "pa", "aa"])
+    p.add_argument("--method", choices=["rules", "sharma", "ra", "ja", "pa", "aa"],
+                   help="scoring method (default rules; not with --ensemble)")
     p.add_argument("--ensemble", help="comma list of methods to combine")
     p.add_argument("--ensemble-mode", choices=["base", "opt"], default="base")
     p.add_argument("--universe", default="full", help="full or sampled:N")

@@ -46,11 +46,6 @@ class Split:
         if overlap:
             raise EvalError(f"{len(overlap)} test edges overlap the training set")
 
-    @property
-    def new_nodes(self) -> frozenset[int]:
-        ends = {n for u, v, _ in self.test_edges for n in (u, v)}
-        return frozenset(ends - self.train.nodes)
-
 
 def kfold_split(g: MultiplexGraph, k: int, seed: int = 0) -> list[Split]:
     """Partition edges into k near-equal test folds (seeded shuffle).

@@ -220,7 +220,6 @@ class GraphIndex:
     """
 
     def __init__(self, g: MultiplexGraph):
-        self.g = g
         self.width = (max(g.nodes) + 1) if g.nodes else 1
         W = self.width
         self.node_arr = np.array(sorted(g.nodes), dtype=np.int64)

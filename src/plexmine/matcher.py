@@ -69,20 +69,14 @@ def match_array(p: Pattern, g: MultiplexGraph) -> np.ndarray:
             break
         if op == "filter":
             a, b = E[:, col_of[e.i]], E[:, col_of[e.j]]
-            if g.directed:
-                us, vs = (a, b) if e.dirbit else (b, a)
-            else:
-                us, vs = a, b
+            us, vs = (a, b) if e.dirbit else (b, a)  # undirected pairs are stored both ways
             E = E[idx.has_pairs(us, vs, e.layer)]
         else:
             old = e.i if e.i in col_of else e.j
             new = e.j if old == e.i else e.i
-            # direction of traversal: expanding from `old` towards `new`
-            if g.directed:
-                src = e.i if e.dirbit else e.j
-                incoming = src == new  # new -> old means we follow in-edges of old
-            else:
-                incoming = False
+            # new -> old means we follow in-edges of old; undirected graphs
+            # have one table for both
+            incoming = (e.i if e.dirbit else e.j) == new
             rows, nbrs = idx.neighbors_flat(E[:, col_of[old]], e.layer, incoming)
             want = idx.label_ids.get(p.node_labels[new])
             keep = idx.node_label[nbrs] == want

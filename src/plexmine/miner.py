@@ -229,8 +229,8 @@ def _extensions(
     if E.shape[0] == 0:
         return
     k = p.k
-    existing = {(e.i, e.j, e.layer, e.dirbit) for e in p.edges}
-    directions = (True, False) if g.directed else (True,)
+    existing = set(p.edges)
+    dirbits = (True, False) if g.directed else (False,)
 
     # cycle closures (including parallel edges between the same pair): one
     # pair-index probe per node pair serves every layer and direction
@@ -239,16 +239,14 @@ def _extensions(
             masks = idx.pair_masks(E[:, i], E[:, j])
             present = [int(w) for w in np.bitwise_or.reduce(masks, axis=0)]
             for pos, layer in enumerate(idx.layers):
-                for forward in directions:
-                    dirbit = forward if g.directed else False
+                for dirbit in dirbits:
                     if (i, j, layer, dirbit) in existing:
                         continue
-                    bit = 2 * pos + (0 if forward else 1)
+                    bit = 2 * pos + (0 if dirbit else 1)
                     word, flag = bit >> 6, 1 << (bit & 63)
                     if not present[word] & flag:
                         continue
-                    d = Delta(i, j, layer, forward=forward if g.directed else True)
-                    yield d, E.compress(masks[:, word] & flag != 0, axis=0)
+                    yield Delta(i, j, layer, dirbit), E.compress(masks[:, word] & flag != 0, axis=0)
 
     # fresh-node attachments
     if k >= cfg.max_nodes:
@@ -256,7 +254,8 @@ def _extensions(
     for i in range(k):
         anchors_unique = np.unique(E[:, i])
         for layer in idx.layers:
-            for incoming in ((False, True) if g.directed else (False,)):
+            for dirbit in dirbits:
+                incoming = not dirbit  # new -> anchor: follow the anchor's in-edges
                 _, cand_nbrs = idx.neighbors_flat(anchors_unique, layer, incoming)
                 if cand_nbrs.size == 0:
                     continue
@@ -281,12 +280,4 @@ def _extensions(
                     label = idx.labels_list[int(lab_id)]
                     m = lab_ids == lab_id
                     child_embs = np.column_stack([E[rows[m]], nbrs[m]])
-                    forward = not incoming
-                    d = Delta(
-                        i,
-                        None,
-                        layer,
-                        forward=forward if g.directed else True,
-                        new_label=label,
-                    )
-                    yield d, child_embs
+                    yield Delta(i, None, layer, dirbit, label), child_embs

@@ -103,7 +103,7 @@ class Pattern:
             if a < b:
                 edges.append(PatternEdge(a, b, e.layer, e.dirbit))
             else:
-                edges.append(PatternEdge(b, a, e.layer, not e.dirbit if self.directed else False))
+                edges.append(PatternEdge(b, a, e.layer, self.directed and not e.dirbit))
         return Pattern(self.directed, tuple(labels), tuple(edges))
 
 
@@ -112,15 +112,16 @@ class Delta:
     """A single-edge extension of a pattern.
 
     Cycle deltas connect existing nodes i < j; node deltas (j is None)
-    attach a fresh node labeled ``new_label`` to node i. ``forward`` is the
-    true direction i -> j (or i -> new node); it is True for undirected
-    patterns, where direction is meaningless.
+    attach a fresh node labeled ``new_label`` to node i, which gets the
+    next index. ``dirbit`` means what it means on the ``PatternEdge`` the
+    delta adds: the true direction runs i -> j (or i -> new node). It is
+    always False for undirected patterns.
     """
 
     i: int
     j: int | None
     layer: int
-    forward: bool = True
+    dirbit: bool
     new_label: str | None = None
 
     def __post_init__(self):
@@ -141,11 +142,10 @@ class Delta:
 def apply_delta(p: Pattern, d: Delta) -> Pattern:
     """Extend a pattern by one edge (and at most one node)."""
     if d.j is None:
-        k = p.k
-        edge = PatternEdge(d.i, k, d.layer, d.forward if p.directed else False)
+        edge = PatternEdge(d.i, p.k, d.layer, d.dirbit)
         return Pattern(p.directed, p.node_labels + (d.new_label,), p.edges + (edge,))
-    edge = PatternEdge(d.i, d.j, d.layer, d.forward if p.directed else False)
-    if (edge.i, edge.j, edge.layer, edge.dirbit) in {(e.i, e.j, e.layer, e.dirbit) for e in p.edges}:
+    edge = PatternEdge(d.i, d.j, d.layer, d.dirbit)
+    if edge in p.edges:
         raise PatternError(f"delta edge {edge} already present")
     return Pattern(p.directed, p.node_labels, p.edges + (edge,))
 
@@ -164,6 +164,11 @@ class CanonicalCode:
     def to_string(self) -> str:
         """The dump form; computed once per code object."""
         return self._string
+
+    @functools.cached_property
+    def pattern(self) -> "Pattern":
+        """The pattern in canonical node indexing; built once per code object."""
+        return pattern_from_code(self)
 
     @functools.cached_property
     def _string(self) -> str:
@@ -352,36 +357,34 @@ def canonical_delta_key(p: Pattern, d: Delta, orderings: tuple[tuple[int, ...], 
 
     The delta's endpoints are reprojected through every canonical ordering
     of ``p`` (``orderings``) and the smallest image is kept, so automorphic
-    placements of the same extension collapse to one key.
+    placements of the same extension collapse to one key. The key's dirbit
+    has the delta's meaning in the reprojected indexing.
     """
+    if d.dirbit and not p.directed:
+        raise PatternError("dirbit set on undirected pattern")
     best = None
     for order in orderings:
         pos = {node: ci for ci, node in enumerate(order)}
         if d.j is None:
-            dirbit = 1 if (p.directed and d.forward) else 0
-            cand = (NODE_KIND, pos[d.i], d.layer, dirbit, d.new_label)
+            cand = (NODE_KIND, pos[d.i], d.layer, int(d.dirbit), d.new_label)
         else:
             a, b = pos[d.i], pos[d.j]
-            lo, hi = (a, b) if a < b else (b, a)
-            if p.directed:
-                src = d.i if d.forward else d.j
-                dirbit = 1 if pos[src] == lo else 0
-            else:
-                dirbit = 0
-            cand = (CYCLE_KIND, lo, hi, d.layer, dirbit)
+            if a < b:
+                cand = (CYCLE_KIND, a, b, d.layer, int(d.dirbit))
+            else:  # the endpoints swap, so a directed edge's bit flips
+                cand = (CYCLE_KIND, b, a, d.layer, int(p.directed and not d.dirbit))
         if best is None or cand < best:
             best = cand
     return best
 
 
-def delta_from_key(key: tuple, directed: bool) -> Delta:
+def delta_from_key(key: tuple) -> Delta:
     """Rebuild a delta, in canonical antecedent indexing, from its key."""
     if key[0] == NODE_KIND:
         _, i, layer, dirbit, new_label = key
-        return Delta(i=i, j=None, layer=layer, forward=bool(dirbit) if directed else True,
-                     new_label=new_label)
+        return Delta(i, None, layer, bool(dirbit), new_label)
     _, lo, hi, layer, dirbit = key
-    return Delta(i=lo, j=hi, layer=layer, forward=bool(dirbit) if directed else True)
+    return Delta(lo, hi, layer, bool(dirbit))
 
 
 def delta_key_to_string(key: tuple) -> str:

@@ -157,7 +157,7 @@ def apply_rules(
         else:
             a, b = E[:, delta.i], E[:, delta.j]
             if g_train.directed:
-                tail, head = (a, b) if delta.forward else (b, a)
+                tail, head = (a, b) if delta.dirbit else (b, a)
             else:
                 tail, head = np.minimum(a, b), np.maximum(a, b)
             fresh = ~idx.has_pairs(tail, head, delta.layer)

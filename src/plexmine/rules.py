@@ -1,8 +1,12 @@
 """Graph association rules: antecedent -> antecedent + one edge.
 
-Rules are keyed by (antecedent canonical code, canonical delta position),
-so extensions that are isomorphic as (antecedent, consequent, delta)
+A rule holds only its two canonical codes, its canonical delta key and
+its two supports; the antecedent pattern is read off its code. Rules are
+keyed by (antecedent canonical code, canonical delta position), so
+extensions that are isomorphic as (antecedent, consequent, delta)
 triples merge into one rule no matter which search branch produced them.
+Two rule sets are equal when their ``to_tsv`` dumps are: codes and delta
+keys print injectively.
 Two construction modes exist with identical output: the embedded sink
 collects rules while the miner runs, and the legacy post-hoc derivation
 rebuilds them from a finished pattern set by testing single-edge
@@ -29,7 +33,6 @@ from .pattern import (
     delta_from_key,
     delta_key_from_string,
     delta_key_to_string,
-    pattern_from_code,
 )
 
 CONFIDENCE_EPS = 1e-12
@@ -42,17 +45,12 @@ CODE_FORM = "a canonical code <B|D><u|d>|<root label>|<src>-<dst>:<layer>:<dirbi
 DELTA_FORM = "C:<i>-<j>:<layer>:<dirbit> or N:<i>:<layer>:<dirbit>:<label>"
 
 
-def _pattern_of(code: CanonicalCode, patterns: dict[CanonicalCode, Pattern]) -> Pattern:
-    """``pattern_from_code(code)``, built once per ``patterns`` dict."""
-    p = patterns.get(code)
-    if p is None:
-        p = patterns[code] = pattern_from_code(code)
-    return p
-
-
 @dataclass(frozen=True)
 class AssociationRule:
-    antecedent: Pattern  # in canonical node indexing
+    """Antecedent -> antecedent + delta, held as the two canonical codes,
+    the canonical delta key (in the antecedent's canonical node indexing)
+    and the two supports. Patterns and the delta are read off these."""
+
     antecedent_code: CanonicalCode
     consequent_code: CanonicalCode
     delta_key: tuple
@@ -60,12 +58,17 @@ class AssociationRule:
     support_c: int
 
     @property
+    def antecedent(self) -> Pattern:
+        """The antecedent in canonical node indexing, which the delta key uses."""
+        return self.antecedent_code.pattern
+
+    @property
     def confidence(self) -> float:
         return self.support_c / self.support_a
 
     @property
     def delta(self) -> Delta:
-        return delta_from_key(self.delta_key, self.antecedent.directed)
+        return delta_from_key(self.delta_key)
 
     @property
     def introduces_new_node(self) -> bool:
@@ -137,9 +140,10 @@ class RuleSet:
         non-integer support, supports that break
         ``0 < support_c <= support_a``, a confidence column other than
         ``support_c/support_a`` to six decimals, delta node indices outside
-        the antecedent, or a consequent code that is not the canonical code
-        of the antecedent extended by the delta. The message names the
-        field and the form it expects.
+        the antecedent, a delta dirbit on an undirected antecedent, or a
+        consequent code that is not the canonical code of the antecedent
+        extended by the delta. The message names the field and the form it
+        expects.
         """
         rs = cls()
         memo = {}  # this load's canonical searches
@@ -150,20 +154,6 @@ class RuleSet:
                 raise ParseError(path, lineno, str(exc)) from None
         return rs
 
-    def same_rules(self, other: "RuleSet") -> bool:
-        """Set equality of (antecedent, delta, consequent, supports)."""
-        if set(self.rules) != set(other.rules):
-            return False
-        for k, r in self.rules.items():
-            o = other.rules[k]
-            if (r.support_a, r.support_c, r.consequent_code) != (
-                o.support_a,
-                o.support_c,
-                o.consequent_code,
-            ):
-                return False
-        return True
-
 
 def _field(name: str, text: str, parse, form: str):
     """``parse(text)``, or a ValueError naming the field and its form."""
@@ -173,17 +163,16 @@ def _field(name: str, text: str, parse, form: str):
         raise ValueError(f"{name} {text!r} does not parse: expected {form}") from None
 
 
-def _code_and_pattern(text: str) -> tuple[CanonicalCode, Pattern]:
+def _connected_code(text: str) -> CanonicalCode:
     code = CanonicalCode.from_string(text)
-    pattern = pattern_from_code(code)
-    if not pattern.is_connected():
+    if not code.pattern.is_connected():
         raise ValueError("disconnected pattern")
-    return code, pattern
+    return code
 
 
-def _key_and_delta(text: str, directed: bool) -> tuple[tuple, Delta]:
+def _key_and_delta(text: str) -> tuple[tuple, Delta]:
     key = delta_key_from_string(text)
-    return key, delta_from_key(key, directed)
+    return key, delta_from_key(key)
 
 
 def _rule_from_fields(parts: list[str], memo: dict) -> AssociationRule:
@@ -198,22 +187,17 @@ def _rule_from_fields(parts: list[str], memo: dict) -> AssociationRule:
     if not abs(confidence - support_c / support_a) <= CONFIDENCE_TOLERANCE:
         raise ValueError(f"confidence {conf_text} is not {support_c}/{support_a} "
                          "to six decimals")
-    a_code, antecedent = _field("antecedent code", a_text, _code_and_pattern, CODE_FORM)
-    delta_key, delta = _field("delta", d_text,
-                              lambda t: _key_and_delta(t, a_code.directed), DELTA_FORM)
+    a_code = _field("antecedent code", a_text, _connected_code, CODE_FORM)
+    antecedent = a_code.pattern
+    delta_key, delta = _field("delta", d_text, _key_and_delta, DELTA_FORM)
     if not 0 <= delta.i < antecedent.k or (delta.j is not None and delta.j >= antecedent.k):
         raise ValueError(f"delta {d_text} does not fit a {antecedent.k}-node antecedent")
+    if delta.dirbit and not antecedent.directed:
+        raise ValueError(f"delta {d_text} sets a dirbit on an undirected antecedent")
     c_code = _field("consequent code", c_text, CanonicalCode.from_string, CODE_FORM)
     if canonical_code(apply_delta(antecedent, delta), a_code.strategy, memo) != c_code:
         raise ValueError(f"consequent code {c_text} is not antecedent + delta {d_text}")
-    return AssociationRule(
-        antecedent=antecedent,
-        antecedent_code=a_code,
-        consequent_code=c_code,
-        delta_key=delta_key,
-        support_a=support_a,
-        support_c=support_c,
-    )
+    return AssociationRule(a_code, c_code, delta_key, support_a, support_c)
 
 
 class RuleBuilder:
@@ -227,7 +211,6 @@ class RuleBuilder:
     def __init__(self, min_confidence: float = DEFAULT_MIN_CONFIDENCE):
         self.min_confidence = min_confidence
         self._rules = RuleSet()
-        self._antecedents: dict[CanonicalCode, Pattern] = {}
 
     def offer(self, parent: MinedPattern, child: MinedPattern, delta: Delta) -> AssociationRule | None:
         conf = child.support / parent.support
@@ -237,15 +220,8 @@ class RuleBuilder:
         existing = self._rules.rules.get((parent.code, delta_key))
         if existing is not None:
             return existing
-        rule = AssociationRule(
-            antecedent=_pattern_of(parent.code, self._antecedents),
-            antecedent_code=parent.code,
-            consequent_code=child.code,
-            delta_key=delta_key,
-            support_a=parent.support,
-            support_c=child.support,
-        )
-        return self._rules.add(rule)
+        return self._rules.add(AssociationRule(
+            parent.code, child.code, delta_key, parent.support, child.support))
 
     def result(self) -> RuleSet:
         return self._rules
@@ -267,7 +243,6 @@ def derive_rules_posthoc(
     to the embedded sink on the same mining run, whose searches it reuses.
     """
     rs = RuleSet()
-    antecedents: dict[CanonicalCode, Pattern] = {}
     records = list(patterns)
     # antecedent candidates per consequent: one per deletable edge
     deletions: list[list[tuple]] = []
@@ -292,17 +267,10 @@ def derive_rules_posthoc(
                 conf = child.support / a_rec.support
                 if conf + CONFIDENCE_EPS < min_confidence:
                     continue
-                rs.add(
-                    AssociationRule(
-                        antecedent=_pattern_of(code_a, antecedents),
-                        antecedent_code=code_a,
-                        consequent_code=child.code,
-                        delta_key=canonical_delta_key(
-                            ant, delta, canonical_orderings(ant, strategy, patterns.memo)),
-                        support_a=a_rec.support,
-                        support_c=child.support,
-                    )
-                )
+                delta_key = canonical_delta_key(
+                    ant, delta, canonical_orderings(ant, strategy, patterns.memo))
+                rs.add(AssociationRule(
+                    a_rec.code, child.code, delta_key, a_rec.support, child.support))
     return rs
 
 
@@ -317,22 +285,18 @@ def _single_edge_antecedents(pb: Pattern, eidx: int):
     deg_i = sum(1 for x in rest if e.i in (x.i, x.j))
     deg_j = sum(1 for x in rest if e.j in (x.i, x.j))
     directed = pb.directed
+    # the deleted edge's dirbit, and its dirbit seen from e.j (the reverse
+    # direction, or none on an undirected pattern)
+    from_i, from_j = e.dirbit, directed and not e.dirbit
     if deg_i > 0 and deg_j > 0:
-        ant = Pattern(directed, pb.node_labels, rest)
-        yield ant, Delta(e.i, e.j, e.layer, forward=e.dirbit if directed else True)
+        yield Pattern(directed, pb.node_labels, rest), Delta(e.i, e.j, e.layer, from_i)
         return
     if deg_i == 0 and deg_j == 0:
         # pb is a single edge on two nodes: either endpoint can anchor
-        yield (
-            Pattern(directed, (pb.node_labels[e.i],), ()),
-            Delta(0, None, e.layer, forward=e.dirbit if directed else True,
-                  new_label=pb.node_labels[e.j]),
-        )
-        yield (
-            Pattern(directed, (pb.node_labels[e.j],), ()),
-            Delta(0, None, e.layer, forward=(not e.dirbit) if directed else True,
-                  new_label=pb.node_labels[e.i]),
-        )
+        yield (Pattern(directed, (pb.node_labels[e.i],), ()),
+               Delta(0, None, e.layer, from_i, pb.node_labels[e.j]))
+        yield (Pattern(directed, (pb.node_labels[e.j],), ()),
+               Delta(0, None, e.layer, from_j, pb.node_labels[e.i]))
         return
     drop, keep = (e.i, e.j) if deg_i == 0 else (e.j, e.i)
     labels = tuple(lab for n, lab in enumerate(pb.node_labels) if n != drop)
@@ -344,9 +308,5 @@ def _single_edge_antecedents(pb: Pattern, eidx: int):
         PatternEdge(reindex(x.i), reindex(x.j), x.layer, x.dirbit) for x in rest
     )
     ant = Pattern(directed, labels, edges)
-    # direction existing -> new: the deleted edge ran keep -> drop iff its
-    # actual source was `keep`
-    actual_src = e.i if e.dirbit else e.j
-    forward = (actual_src == keep) if directed else True
-    yield ant, Delta(reindex(keep), None, e.layer, forward=forward,
-                     new_label=pb.node_labels[drop])
+    yield ant, Delta(reindex(keep), None, e.layer, from_i if keep == e.i else from_j,
+                     pb.node_labels[drop])

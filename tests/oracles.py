@@ -183,7 +183,7 @@ def brute_apply_rules(g: MultiplexGraph, rules, dedupe_rule_firings: bool = Fals
             else:
                 u, v = emb[delta.i], emb[delta.j]
                 if g.directed:
-                    t, h = (u, v) if delta.forward else (v, u)
+                    t, h = (u, v) if delta.dirbit else (v, u)
                 else:
                     t, h = min(u, v), max(u, v)
                 if (t, h, delta.layer) in g.edges:
@@ -274,12 +274,11 @@ def brute_universe(split, n_neg=None, seed: int = 0):
     oo_pos_set = {
         e for e in split.test_edges if e[0] in g.nodes and e[1] in g.nodes
     }
-    new_nodes = split.new_nodes
     on_pos_set = set()
     for u, v, l in split.test_edges:
-        if u in g.nodes and v in new_nodes:
+        if u in g.nodes and v not in g.nodes:
             on_pos_set.add((u, l))
-        if v in g.nodes and u in new_nodes:
+        if v in g.nodes and u not in g.nodes:
             on_pos_set.add((v, l))
     oldold = []
     for l in layers:

@@ -234,6 +234,7 @@ def test_evaluate_bad_score_dump_is_parse_error(temporal_graph, tmp_path, bad_li
     pytest.param(2, "C:0", "delta", id="delta-form"),
     pytest.param(2, "C:0-5:0:0", "delta", id="delta-outside-antecedent"),
     pytest.param(2, "N:7:0:0:_", "delta", id="node-delta-outside-antecedent"),
+    pytest.param(2, "N:0:0:1:_", "delta", id="delta-dirbit-on-undirected"),
     pytest.param(1, "Bu|zz|", "consequent code", id="consequent-not-antecedent-plus-delta"),
     pytest.param(5, "abc", "confidence", id="confidence-form"),
     pytest.param(5, "0.000001", "confidence", id="confidence-not-support-ratio"),
@@ -404,6 +405,10 @@ def test_frustration_takes_no_flag_that_layer_names_ignore(small_graph, tmp_path
      "--timings-out needs --timings"),
     (["predict", "{g}.edges", "--rules", "{d}/r.tsv", "--top", "-3"], "--top must be >= 1, got -3"),
     (["predict", "{g}.edges", "--rules", "{d}/r.tsv", "--top", "0"], "--top must be >= 1, got 0"),
+    (["evaluate", "{g}.edges", "--kfold", "2", "--method", "sharma", "--ensemble", "rules,sharma"],
+     "--ensemble replaces --method; give one of them"),
+    (["evaluate", "{g}.edges", "--temporal", "10", "3", "--kfold", "2"],
+     "--temporal replaces --kfold; give one of them"),
 ])
 def test_flag_that_would_do_nothing_is_invalid(small_graph, tmp_path, args, message):
     out_dir = tmp_path / "out"

@@ -82,7 +82,7 @@ def test_kfold_can_isolate_nodes():
     # a leaf's only edge may land in the test fold; the node then counts new
     g = _line_graph(5)
     folds = kfold_split(g, 4, seed=0)
-    assert any(s.new_nodes for s in folds)
+    assert any({n for u, v, _ in s.test_edges for n in (u, v)} - s.train.nodes for s in folds)
 
 
 def _temporal_fixture():

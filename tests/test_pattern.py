@@ -20,7 +20,7 @@ from plexmine.pattern import (
     pattern_from_code,
 )
 
-from oracles import random_connected_pattern
+from oracles import brute_canonical_key, random_connected_pattern
 
 
 def test_single_node_code():
@@ -101,23 +101,23 @@ def test_code_string_quotes_labels():
 
 def test_apply_delta_node_and_cycle():
     edge = Pattern(False, ("x", "y"), (PatternEdge(0, 1, 0, False),))
-    grown = apply_delta(edge, Delta(0, None, 1, True, "z"))
+    grown = apply_delta(edge, Delta(0, None, 1, False, "z"))
     assert grown.k == 3 and len(grown.edges) == 2
-    closed = apply_delta(grown, Delta(1, 2, 0, True))
+    closed = apply_delta(grown, Delta(1, 2, 0, False))
     assert closed.k == 3 and len(closed.edges) == 3
     with pytest.raises(PatternError):
-        apply_delta(edge, Delta(0, 1, 0, True))  # already present
+        apply_delta(edge, Delta(0, 1, 0, False))  # already present
 
 
 def test_delta_key_collapses_symmetric_placements():
     edge = Pattern(False, ("x", "x"), (PatternEdge(0, 1, 0, False),))
-    k0 = canonical_delta_key(edge, Delta(0, None, 1, True, "y"), canonical_orderings(edge))
-    k1 = canonical_delta_key(edge, Delta(1, None, 1, True, "y"), canonical_orderings(edge))
+    k0 = canonical_delta_key(edge, Delta(0, None, 1, False, "y"), canonical_orderings(edge))
+    k1 = canonical_delta_key(edge, Delta(1, None, 1, False, "y"), canonical_orderings(edge))
     assert k0 == k1
     # asymmetric labels keep placements apart
     edge2 = Pattern(False, ("x", "y"), (PatternEdge(0, 1, 0, False),))
-    a = canonical_delta_key(edge2, Delta(0, None, 1, True, "z"), canonical_orderings(edge2))
-    b = canonical_delta_key(edge2, Delta(1, None, 1, True, "z"), canonical_orderings(edge2))
+    a = canonical_delta_key(edge2, Delta(0, None, 1, False, "z"), canonical_orderings(edge2))
+    b = canonical_delta_key(edge2, Delta(1, None, 1, False, "z"), canonical_orderings(edge2))
     assert a != b
 
 
@@ -126,7 +126,7 @@ def test_delta_key_string_roundtrip():
     for d in (Delta(0, None, 1, False, "z"), Delta(0, 1, 1, False)):
         key = canonical_delta_key(edge, d, canonical_orderings(edge))
         assert delta_key_from_string(delta_key_to_string(key)) == key
-        rebuilt = delta_from_key(key, True)
+        rebuilt = delta_from_key(key)
         assert rebuilt.layer == d.layer
         assert rebuilt.introduces_new_node == d.introduces_new_node
 
@@ -139,3 +139,33 @@ def test_directed_direction_bit_distinguishes():
     pair1 = Pattern(True, ("x", "x"),
                     (PatternEdge(0, 1, 0, True), PatternEdge(0, 1, 0, False)))
     assert canonical_code(pair1.relabeled((1, 0))) == canonical_code(pair1)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+@pytest.mark.parametrize("directed", [False, True])
+def test_delta_round_trips_through_its_key(strategy, directed):
+    """A delta's dirbit means the same in the delta, in its key and in the
+    delta rebuilt from the key on the canonical pattern."""
+    rng = random.Random(29 if directed else 31)
+    dirbits = (False, True) if directed else (False,)
+    for _ in range(30):
+        p = random_connected_pattern(rng, max_nodes=4, directed=directed)
+        code, orderings = canonical_code(p, strategy), canonical_orderings(p, strategy)
+        deltas = [Delta(i, None, layer, b, lab)
+                  for i in range(p.k) for layer in (0, 1) for b in dirbits for lab in "ab"]
+        deltas += [Delta(i, j, layer, b)
+                   for j in range(p.k) for i in range(j) for layer in (0, 1) for b in dirbits
+                   if PatternEdge(i, j, layer, b) not in p.edges]
+        for d in deltas:
+            rebuilt = delta_from_key(canonical_delta_key(p, d, orderings))
+            assert (brute_canonical_key(apply_delta(code.pattern, rebuilt))
+                    == brute_canonical_key(apply_delta(p, d))), (p, d)
+
+
+def test_dirbit_on_undirected_pattern_is_rejected():
+    edge = Pattern(False, ("x", "y"), (PatternEdge(0, 1, 0, False),))
+    for d in (Delta(0, None, 1, True, "z"), Delta(0, 1, 1, True)):
+        with pytest.raises(PatternError):
+            apply_delta(edge, d)
+        with pytest.raises(PatternError):
+            canonical_delta_key(edge, d, canonical_orderings(edge))

@@ -16,7 +16,6 @@ from plexmine.pattern import (
     canonical_code,
     canonical_delta_key,
     canonical_orderings,
-    pattern_from_code,
 )
 from plexmine.predict import (
     ScoreTable,
@@ -33,17 +32,9 @@ from oracles import brute_apply_rules, random_multiplex
 def _rule(antecedent: Pattern, delta: Delta, support_a: int, support_c: int) -> AssociationRule:
     code = canonical_code(antecedent)
     key = canonical_delta_key(antecedent, delta, canonical_orderings(antecedent))
-    canon = pattern_from_code(code)
     from plexmine.pattern import apply_delta, delta_from_key
-    cons = canonical_code(apply_delta(canon, delta_from_key(key, antecedent.directed)))
-    return AssociationRule(
-        antecedent=canon,
-        antecedent_code=code,
-        consequent_code=cons,
-        delta_key=key,
-        support_a=support_a,
-        support_c=support_c,
-    )
+    cons = canonical_code(apply_delta(code.pattern, delta_from_key(key)))
+    return AssociationRule(code, cons, key, support_a, support_c)
 
 
 def _ruleset(*rules) -> RuleSet:
@@ -64,7 +55,7 @@ def test_triangle_closing_rule_on_path():
     g = MultiplexGraph([0, 1, 2], [(0, 1, 0), (1, 2, 0)], directed=False)
     path2 = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
-    rule = _rule(path2, Delta(0, 2, 0, True), 4, 3)
+    rule = _rule(path2, Delta(0, 2, 0, False), 4, 3)
     table = apply_rules(g, _ruleset(rule))
     assert table.oldold == {(0, 2, 0): pytest.approx(0.75)}
     assert not table.oldnew
@@ -76,7 +67,7 @@ def test_oldnew_three_embeddings_sum():
     attrs = {0: "h", 1: "s", 2: "s", 3: "s"}
     g = MultiplexGraph(range(4), edges, attrs=attrs, directed=False)
     ant = Pattern(False, ("h", "s"), (PatternEdge(0, 1, 0, False),))
-    rule = _rule(ant, Delta(0, None, 1, True, "n"), 4, 3)
+    rule = _rule(ant, Delta(0, None, 1, False, "n"), 4, 3)
     g2 = MultiplexGraph(range(5), edges + [(0, 4, 1)],
                         attrs=attrs | {4: "n"}, directed=False, layers=[0, 1])
     table = apply_rules(g2, _ruleset(rule))
@@ -87,7 +78,7 @@ def test_existing_triples_never_scored():
     g = MultiplexGraph([0, 1, 2], [(0, 1, 0), (1, 2, 0), (0, 2, 0)], directed=False)
     path2 = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
-    rule = _rule(path2, Delta(0, 2, 0, True), 4, 3)
+    rule = _rule(path2, Delta(0, 2, 0, False), 4, 3)
     table = apply_rules(g, _ruleset(rule))
     assert table.oldold == {}  # the triangle is already closed everywhere
 
@@ -201,10 +192,10 @@ def _many_rules_one_target():
         edges = [PatternEdge(0, 1, l, False) for l in s] + [
             PatternEdge(1, 2, l, False) for l in t]
         path = Pattern(False, ("_",) * 3, tuple(edges))
-        rules.append(_rule(path, Delta(0, 2, 1, True), *supports[len(rules) % 3]))
+        rules.append(_rule(path, Delta(0, 2, 1, False), *supports[len(rules) % 3]))
     for s in sets:
         pair = Pattern(False, ("_",) * 2, tuple(PatternEdge(0, 1, l, False) for l in s))
-        rules.append(_rule(pair, Delta(0, None, 1, True, "_"), *supports[len(rules) % 3]))
+        rules.append(_rule(pair, Delta(0, None, 1, False, "_"), *supports[len(rules) % 3]))
     rs = _ruleset(*rules)
     assert len(rs) == len(rules) == 135
     return g, rs
@@ -236,7 +227,7 @@ def test_skips_rules_with_unknown_layer(caplog):
     g = MultiplexGraph([0, 1, 2], [(0, 1, 0), (1, 2, 0)], directed=False)
     path2 = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
-    rule = _rule(path2, Delta(0, 2, 7, True), 4, 3)  # layer 7 unknown
+    rule = _rule(path2, Delta(0, 2, 7, False), 4, 3)  # layer 7 unknown
     with caplog.at_level("WARNING"):
         table = apply_rules(g, _ruleset(rule))
     assert not table.oldold
@@ -325,6 +316,6 @@ def test_provenance_tracks_rule_ids():
     g = MultiplexGraph([0, 1, 2], [(0, 1, 0), (1, 2, 0)], directed=False)
     path2 = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
-    rule = _rule(path2, Delta(0, 2, 0, True), 4, 3)
+    rule = _rule(path2, Delta(0, 2, 0, False), 4, 3)
     table = apply_rules(g, _ruleset(rule), track_provenance=True)
     assert table.provenance == {("oldold", (0, 2, 0)): [0]}

@@ -10,7 +10,6 @@ from plexmine.pattern import (
     canonical_code,
     canonical_delta_key,
     canonical_orderings,
-    pattern_from_code,
 )
 from plexmine.rules import AssociationRule, RuleSet
 from plexmine.signed import (
@@ -101,18 +100,15 @@ def _mk_rule(ant: Pattern, delta: Delta) -> AssociationRule:
     code = canonical_code(ant)
     key = canonical_delta_key(ant, delta, canonical_orderings(ant))
     from plexmine.pattern import apply_delta, delta_from_key
-    canon = pattern_from_code(code)
-    cons = canonical_code(apply_delta(canon, delta_from_key(key, ant.directed)))
-    return AssociationRule(antecedent=canon, antecedent_code=code,
-                           consequent_code=cons, delta_key=key,
-                           support_a=10, support_c=7)
+    cons = canonical_code(apply_delta(code.pattern, delta_from_key(key)))
+    return AssociationRule(code, cons, key, support_a=10, support_c=7)
 
 
 def test_classify_wedge_rules():
     wedge = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
-    closing_neg = _mk_rule(wedge, Delta(0, 2, 1, True))
-    closing_pos = _mk_rule(wedge, Delta(0, 2, 0, True))
+    closing_neg = _mk_rule(wedge, Delta(0, 2, 1, False))
+    closing_pos = _mk_rule(wedge, Delta(0, 2, 0, False))
     assert classify_rule(closing_neg, PLUS_MINUS) == RuleFrustrationClass.INCREASING
     assert classify_rule(closing_pos, PLUS_MINUS) == RuleFrustrationClass.ZERO_CONSEQUENT
 
@@ -121,7 +117,7 @@ def test_classify_decreasing_by_index():
     # (+,+,-) triangle antecedent has count 1; attaching any positive edge
     # keeps the count at 1, so the index strictly drops (1/3 -> 1/4).
     tri = _triangle((0, 0, 1))
-    rule = _mk_rule(tri, Delta(0, None, 0, True, "_"))
+    rule = _mk_rule(tri, Delta(0, None, 0, False, "_"))
     assert frustrated_count(rule.antecedent, PLUS_MINUS) == 1
     assert frustrated_count(rule.consequent, PLUS_MINUS) == 1
     assert classify_rule(rule, PLUS_MINUS) == RuleFrustrationClass.DECREASING
@@ -138,14 +134,14 @@ def test_adding_edge_never_lowers_count():
         signs = PLUS_MINUS
         before = frustrated_count(p, signs)
         if rng.random() < 0.5 or p.k < 2:
-            delta = Delta(rng.randrange(p.k), None, rng.randrange(2), True, "_")
+            delta = Delta(rng.randrange(p.k), None, rng.randrange(2), False, "_")
         else:
             i, j = sorted(rng.sample(range(p.k), 2))
             existing = {(e.i, e.j, e.layer, e.dirbit) for e in p.edges}
             layer = rng.randrange(2)
             if (i, j, layer, False) in existing:
                 continue
-            delta = Delta(i, j, layer, True)
+            delta = Delta(i, j, layer, False)
         from plexmine.pattern import apply_delta
         after = frustrated_count(apply_delta(p, delta), signs)
         assert after >= before
@@ -157,10 +153,10 @@ def test_classification_is_total():
     wedge = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 1, False)))
     rules = [
-        _mk_rule(wedge, Delta(0, 2, 0, True)),
-        _mk_rule(wedge, Delta(0, 2, 1, True)),
-        _mk_rule(wedge, Delta(0, None, 7, True, "_")),  # excluded layer delta
-        _mk_rule(Pattern(False, ("_",), ()), Delta(0, None, 0, True, "_")),
+        _mk_rule(wedge, Delta(0, 2, 0, False)),
+        _mk_rule(wedge, Delta(0, 2, 1, False)),
+        _mk_rule(wedge, Delta(0, None, 7, False, "_")),  # excluded layer delta
+        _mk_rule(Pattern(False, ("_",), ()), Delta(0, None, 0, False, "_")),
     ]
     for r in rules:
         assert classify_rule(r, PLUS_MINUS) in RuleFrustrationClass
@@ -170,8 +166,8 @@ def test_report_all_positive_rules():
     wedge = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
     rs = RuleSet()
-    rs.add(_mk_rule(wedge, Delta(0, 2, 0, True)))
-    rs.add(_mk_rule(wedge, Delta(0, None, 0, True, "_")))
+    rs.add(_mk_rule(wedge, Delta(0, 2, 0, False)))
+    rs.add(_mk_rule(wedge, Delta(0, None, 0, False, "_")))
     report = frustration_report(rs, PLUS_MINUS)
     assert report.shares[RuleFrustrationClass.ZERO_CONSEQUENT] == 1.0
     assert report.shares[RuleFrustrationClass.INCREASING] == 0.0
@@ -182,10 +178,10 @@ def test_report_planted_class_shares():
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
     tri = _triangle((0, 0, 1))
     rs = RuleSet()
-    rs.add(_mk_rule(wedge, Delta(0, 2, 1, True)))        # increasing
-    rs.add(_mk_rule(wedge, Delta(0, 2, 0, True)))        # zero consequent
-    rs.add(_mk_rule(tri, Delta(0, None, 0, True, "_")))  # decreasing
-    rs.add(_mk_rule(tri, Delta(1, None, 0, True, "_")))  # decreasing
+    rs.add(_mk_rule(wedge, Delta(0, 2, 1, False)))        # increasing
+    rs.add(_mk_rule(wedge, Delta(0, 2, 0, False)))        # zero consequent
+    rs.add(_mk_rule(tri, Delta(0, None, 0, False, "_")))  # decreasing
+    rs.add(_mk_rule(tri, Delta(1, None, 0, False, "_")))  # decreasing
     report = frustration_report(rs, PLUS_MINUS)
     assert report.shares[RuleFrustrationClass.INCREASING] == pytest.approx(0.25)
     assert report.shares[RuleFrustrationClass.ZERO_CONSEQUENT] == pytest.approx(0.25)
@@ -199,9 +195,9 @@ def test_ccdf_starts_at_one_nonincreasing():
     wedge = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
     rs = RuleSet()
-    rs.add(_mk_rule(wedge, Delta(0, 2, 0, True)))
-    rs.add(_mk_rule(wedge, Delta(0, None, 0, True, "_")))
-    rs.add(_mk_rule(wedge, Delta(1, None, 0, True, "_")))
+    rs.add(_mk_rule(wedge, Delta(0, 2, 0, False)))
+    rs.add(_mk_rule(wedge, Delta(0, None, 0, False, "_")))
+    rs.add(_mk_rule(wedge, Delta(1, None, 0, False, "_")))
     report = frustration_report(rs, PLUS_MINUS)
     curve = report.support_ccdf[RuleFrustrationClass.ZERO_CONSEQUENT]
     assert curve[0][1] == 1.0

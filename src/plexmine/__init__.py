@@ -10,7 +10,6 @@ from .graph import MultiplexGraph, TemporalMultiplexGraph, flatten_monoplex
 from .coupled import CoupledSimpleGraph, MultilayerInstance, from_coupled, to_coupled
 from .io import load_multiplex, load_temporal, save_multiplex
 from .pattern import CanonicalCode, Delta, Pattern, PatternEdge, Strategy, canonical_code
-from .matcher import enumerate_embeddings, mis_support
 from .miner import MinedPattern, MiningConfig, PatternSet, mine
 from .rules import AssociationRule, RuleBuilder, RuleSet, derive_rules_posthoc
 from .predict import LinkClass, ScoreTable, apply_rules, top_k
@@ -45,8 +44,6 @@ __all__ = [
     "CanonicalCode",
     "Strategy",
     "canonical_code",
-    "enumerate_embeddings",
-    "mis_support",
     "MiningConfig",
     "MinedPattern",
     "PatternSet",

@@ -148,6 +148,9 @@ def cmd_predict(args) -> int:
         lines = text.splitlines(keepends=True)[: args.top]
         text = "".join(lines)
     _out(args.out, text)
+    if not text:
+        sys.stderr.write(f"warning: {len(rules)} rules scored no candidate, "
+                         "so predict wrote no rows\n")
     if args.timings:
         sys.stderr.write(f"apply_s\t{apply_s:.6f}\n")
     return 0

@@ -15,8 +15,6 @@ import numpy as np
 from .graph import MultiplexGraph
 from .pattern import Pattern, PatternError
 
-Embedding = tuple[int, ...]
-
 
 class MatchError(ValueError):
     pass
@@ -91,29 +89,6 @@ def match_array(p: Pattern, g: MultiplexGraph) -> np.ndarray:
     E = E[:, [col_of[i] for i in range(p.k)]]
     E = E[np.lexsort(tuple(E[:, c] for c in reversed(range(p.k))))]
     return np.ascontiguousarray(E, dtype=np.int64)
-
-
-def enumerate_embeddings(p: Pattern, g: MultiplexGraph) -> list[Embedding]:
-    """Complete, duplicate-free list of embeddings as node tuples."""
-    return [tuple(int(x) for x in row) for row in match_array(p, g)]
-
-
-def image_table(embs: list[Embedding], k: int) -> list[set[int]]:
-    """Per pattern-node sets of distinct graph nodes playing that role."""
-    table: list[set[int]] = [set() for _ in range(k)]
-    for emb in embs:
-        if len(emb) != k:
-            raise MatchError(f"embedding arity {len(emb)} != {k}")
-        for pos, node in enumerate(emb):
-            table[pos].add(node)
-    return table
-
-
-def mis_support(embs: list[Embedding], k: int) -> int:
-    """Minimum image support: min over roles of distinct node images."""
-    if not embs:
-        return 0
-    return min(len(s) for s in image_table(embs, k))
 
 
 def mis_support_array(E: np.ndarray, sigma: int, marks: np.ndarray) -> int:

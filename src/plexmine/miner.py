@@ -20,7 +20,7 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from .graph import MultiplexGraph
-from .matcher import match_array, mis_support_array
+from .matcher import mis_support_array
 from .pattern import (
     CanonicalCode,
     Delta,
@@ -48,15 +48,12 @@ class MiningConfig:
     ``support`` is an absolute minimum image count when given as an int,
     or a fraction of |V| when given as a float in (0, 1] (the threshold is
     then ceil(fraction * |V|)). ``max_nodes`` caps pattern size in nodes;
-    edges keep growing via cycle closures at the cap. ``max_embeddings``
-    optionally truncates stored embedding arrays; supports stay exact and
-    consumers re-enumerate when they need the full set.
+    edges keep growing via cycle closures at the cap.
     """
 
     support: float | int = 1
     max_nodes: int = 3
     strategy: Strategy = Strategy.BFS
-    max_embeddings: int | None = None
 
     def resolve_support(self, g: MultiplexGraph) -> int:
         s = self.support
@@ -80,23 +77,12 @@ class MinedPattern:
     pattern: Pattern
     code: CanonicalCode
     support: int
-    embeddings: np.ndarray  # (N, k), pattern-index columns, sorted rows
-    n_embeddings: int  # full count even when the stored array is truncated
+    embeddings: np.ndarray  # (N, k), every embedding, pattern-index columns, sorted rows
     orderings: tuple[tuple[int, ...], ...]  # canonical discovery orderings
-    parent_code: CanonicalCode | None = None
 
-    @property
-    def complete(self) -> bool:
-        return self.embeddings.shape[0] == self.n_embeddings
-
-    def full_embeddings(self, g: MultiplexGraph) -> np.ndarray:
-        if self.complete:
-            return self.embeddings
-        return match_array(self.pattern, g)
-
-    def embeddings_canonical(self, g: MultiplexGraph) -> np.ndarray:
+    def embeddings_canonical(self) -> np.ndarray:
         """Embeddings with columns permuted to canonical node indexing."""
-        return self.full_embeddings(g)[:, list(self.orderings[0])]
+        return self.embeddings[:, list(self.orderings[0])]
 
 
 class PatternSet:
@@ -121,7 +107,7 @@ class PatternSet:
     def dump(self) -> str:
         """One line per pattern: code, support, embedding count. Sorted."""
         lines = [
-            f"{rec.code.to_string()}\t{rec.support}\t{rec.n_embeddings}"
+            f"{rec.code.to_string()}\t{rec.support}\t{len(rec.embeddings)}"
             for rec in self.records.values()
         ]
         return "\n".join(sorted(lines)) + ("\n" if lines else "")
@@ -156,8 +142,7 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
             pattern=p,
             code=canonical_code(p, cfg.strategy, ps.memo),
             support=len(members),
-            embeddings=_stored(members.reshape(-1, 1), cfg.max_embeddings),
-            n_embeddings=len(members),
+            embeddings=members.reshape(-1, 1),
             orderings=canonical_orderings(p, cfg.strategy, ps.memo),
         )
         ps.add(rec)
@@ -183,10 +168,8 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
                     pattern=child_pattern,
                     code=code_c,
                     support=supp_c,
-                    embeddings=_stored(child_embs, cfg.max_embeddings),
-                    n_embeddings=len(child_embs),
+                    embeddings=child_embs,
                     orderings=canonical_orderings(child_pattern, cfg.strategy, ps.memo),
-                    parent_code=parent.code,
                 )
                 ps.add(rec_c)
                 queue.append(rec_c)
@@ -198,14 +181,6 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
             if rule_sink is not None:
                 rule_sink.offer(parent, rec_c, delta)
     return ps
-
-
-def _stored(E: np.ndarray, cap: int | None) -> np.ndarray:
-    """The embedding rows a record keeps: all, or a copy of the first ``cap``
-    (a copy, so the full array is not kept alive behind a view)."""
-    if cap is None or len(E) <= cap:
-        return E
-    return E[:cap].copy()
 
 
 def _extensions(
@@ -225,7 +200,7 @@ def _extensions(
     """
     p = parent.pattern
     idx = g.index()
-    E = parent.full_embeddings(g)
+    E = parent.embeddings
     if E.shape[0] == 0:
         return
     k = p.k

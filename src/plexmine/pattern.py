@@ -10,6 +10,12 @@ sequence over all spanning-tree explorations consistent with the chosen
 strategy (BFS or DFS). Equal codes <=> isomorphic patterns, which lets the
 miner deduplicate candidates without isomorphism tests. Tuples compare by
 the fixed key (src, layer, dirbit, dst_label, dst).
+
+A delta is one edge added to a pattern. ``canonical_delta`` moves it into
+the pattern's canonical node indexing, keeping the smallest image over the
+canonical orderings, so automorphic placements of one extension become one
+equal ``Delta``. Codes and deltas print injectively (``to_string``) and
+parse back (``from_string``).
 """
 
 from __future__ import annotations
@@ -134,9 +140,27 @@ class Delta:
             if self.new_label is not None:
                 raise PatternError("cycle delta cannot carry new_label")
 
-    @property
-    def introduces_new_node(self) -> bool:
-        return self.j is None
+    def to_string(self) -> str:
+        """The dump form; computed once per delta object."""
+        return self._string
+
+    @functools.cached_property
+    def _string(self) -> str:
+        if self.j is None:
+            return f"N:{self.i}:{self.layer}:{int(self.dirbit)}:{_q(self.new_label)}"
+        return f"C:{self.i}-{self.j}:{self.layer}:{int(self.dirbit)}"
+
+    @classmethod
+    def from_string(cls, s: str) -> "Delta":
+        kind, *parts = s.split(":")
+        if kind == "N":
+            i, layer, dirbit, label = parts
+            return cls(int(i), None, int(layer), bool(_bit(dirbit)), _uq(label))
+        if kind != "C":
+            raise PatternError(f"delta kind {kind!r} is not C or N")
+        span, layer, dirbit = parts
+        lo, hi = span.split("-")
+        return cls(int(lo), int(hi), int(layer), bool(_bit(dirbit)))
 
 
 def apply_delta(p: Pattern, d: Delta) -> Pattern:
@@ -191,7 +215,10 @@ class CanonicalCode:
             for part in body.split(";"):
                 span, layer, dirbit, lab = part.split(":")
                 src, dst = span.split("-")
-                tuples.append(CodeTuple(int(src), int(layer), int(dirbit), _uq(lab), int(dst)))
+                bit = _bit(dirbit)
+                if bit and not directed:
+                    raise PatternError(f"dirbit set in undirected code tuple {part!r}")
+                tuples.append(CodeTuple(int(src), int(layer), bit, _uq(lab), int(dst)))
         return cls(strategy, directed, _uq(root), tuple(tuples))
 
 
@@ -201,6 +228,13 @@ def _q(label: str) -> str:
 
 def _uq(s: str) -> str:
     return urllib.parse.unquote(s)
+
+
+def _bit(s: str) -> int:
+    """A dumped dirbit, which is ``0`` or ``1``."""
+    if s not in ("0", "1"):
+        raise PatternError(f"dirbit {s!r} is not 0 or 1")
+    return int(s)
 
 
 def _canonical_search(p: Pattern, strategy: Strategy):
@@ -342,62 +376,35 @@ def pattern_from_code(code: CanonicalCode) -> Pattern:
         elif t.dst > len(labels):
             raise PatternError(f"code tuple {t} skips an index")
         lo, hi = (t.src, t.dst) if t.src < t.dst else (t.dst, t.src)
-        edges.append(PatternEdge(lo, hi, t.layer, bool(t.dirbit) if code.directed else False))
+        edges.append(PatternEdge(lo, hi, t.layer, bool(t.dirbit)))
     return Pattern(code.directed, tuple(labels), tuple(edges))
 
 
 # -- delta canonicalization -------------------------------------------------
 
-CYCLE_KIND = 0
-NODE_KIND = 1
 
-
-def canonical_delta_key(p: Pattern, d: Delta, orderings: tuple[tuple[int, ...], ...]) -> tuple:
-    """Position-independent identity of a delta on pattern ``p``.
+def canonical_delta(p: Pattern, d: Delta, orderings: tuple[tuple[int, ...], ...]) -> Delta:
+    """The delta in the canonical node indexing of ``p``.
 
     The delta's endpoints are reprojected through every canonical ordering
     of ``p`` (``orderings``) and the smallest image is kept, so automorphic
-    placements of the same extension collapse to one key. The key's dirbit
-    has the delta's meaning in the reprojected indexing.
+    placements of the same extension collapse to one delta. Its dirbit has
+    the delta's meaning in the reprojected indexing.
     """
     if d.dirbit and not p.directed:
         raise PatternError("dirbit set on undirected pattern")
     best = None
     for order in orderings:
         pos = {node: ci for ci, node in enumerate(order)}
+        # cand is the reprojected delta's (i, j, layer, dirbit)
         if d.j is None:
-            cand = (NODE_KIND, pos[d.i], d.layer, int(d.dirbit), d.new_label)
+            cand = (pos[d.i], None, d.layer, d.dirbit)
         else:
             a, b = pos[d.i], pos[d.j]
             if a < b:
-                cand = (CYCLE_KIND, a, b, d.layer, int(d.dirbit))
+                cand = (a, b, d.layer, d.dirbit)
             else:  # the endpoints swap, so a directed edge's bit flips
-                cand = (CYCLE_KIND, b, a, d.layer, int(p.directed and not d.dirbit))
+                cand = (b, a, d.layer, p.directed and not d.dirbit)
         if best is None or cand < best:
             best = cand
-    return best
-
-
-def delta_from_key(key: tuple) -> Delta:
-    """Rebuild a delta, in canonical antecedent indexing, from its key."""
-    if key[0] == NODE_KIND:
-        _, i, layer, dirbit, new_label = key
-        return Delta(i, None, layer, bool(dirbit), new_label)
-    _, lo, hi, layer, dirbit = key
-    return Delta(lo, hi, layer, bool(dirbit))
-
-
-def delta_key_to_string(key: tuple) -> str:
-    if key[0] == NODE_KIND:
-        _, i, layer, dirbit, new_label = key
-        return f"N:{i}:{layer}:{dirbit}:{_q(new_label)}"
-    _, lo, hi, layer, dirbit = key
-    return f"C:{lo}-{hi}:{layer}:{dirbit}"
-
-
-def delta_key_from_string(s: str) -> tuple:
-    parts = s.split(":")
-    if parts[0] == "N":
-        return (NODE_KIND, int(parts[1]), int(parts[2]), int(parts[3]), _uq(parts[4]))
-    lo, hi = parts[1].split("-")
-    return (CYCLE_KIND, int(lo), int(hi), int(parts[2]), int(parts[3]))
+    return Delta(*best, d.new_label)

@@ -123,10 +123,10 @@ def apply_rules(
     ``dedupe_rule_firings``). Every score is the sum of its rules'
     contributions in ``sorted_rules()`` order, starting from 0.0, whatever
     order the rules were added in. Rules referencing layers or labels absent
-    from the graph are skipped with a warning. With ``track_provenance`` the
-    table maps each scored ``("oldold", (u, v, l))`` or ``("oldnew", (u,
-    l))`` to the ids (positions in ``sorted_rules()``) of the rules that
-    fired it, ascending.
+    from the graph are skipped, with one warning giving their count. With
+    ``track_provenance`` the table maps each scored ``("oldold", (u, v,
+    l))`` or ``("oldnew", (u, l))`` to the ids (positions in
+    ``sorted_rules()``) of the rules that fired it, ascending.
     """
     labels_present = g_train.labels_present()
     idx = g_train.index()
@@ -135,6 +135,7 @@ def apply_rules(
     # a rule set firing nothing concatenate
     parts = [(np.empty(0, np.int64), np.empty(0), -1)]
     antecedent = None
+    skipped = 0
     for rule_id, rule in enumerate(rules.sorted_rules()):
         ant = rule.antecedent
         delta = rule.delta
@@ -143,16 +144,13 @@ def apply_rules(
         if delta.new_label is not None:
             needed_labels.add(delta.new_label)
         if not needed_layers <= g_train.layers or not needed_labels <= labels_present:
-            logger.warning(
-                "skipping rule %d: references layer/label absent from the graph",
-                rule_id,
-            )
+            skipped += 1
             continue
         if rule.antecedent_code != antecedent:
             antecedent = rule.antecedent_code
             E = _antecedent_embeddings(rule, g_train, pattern_set)
             node_sets = _node_set_ids(E)
-        if delta.introduces_new_node:
+        if delta.j is None:
             sets, tail, head = node_sets, E[:, delta.i], W
         else:
             a, b = E[:, delta.i], E[:, delta.j]
@@ -168,6 +166,9 @@ def apply_rules(
         if dedupe_rule_firings:
             counts = np.ones_like(counts)
         parts.append((keys, rule.confidence * counts, rule_id))
+    if skipped:
+        logger.warning("skipped %d of %d rules: they reference a layer or label "
+                       "absent from the graph", skipped, len(rules))
 
     keys, inverse = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
     scores = np.bincount(inverse, weights=np.concatenate([p[1] for p in parts]),
@@ -190,7 +191,7 @@ def _antecedent_embeddings(
     if pattern_set is not None:
         rec = pattern_set.get(rule.antecedent_code)
         if rec is not None:
-            return rec.embeddings_canonical(g)
+            return rec.embeddings_canonical()
     return match_array(rule.antecedent, g)
 
 

@@ -1,12 +1,12 @@
 """Graph association rules: antecedent -> antecedent + one edge.
 
-A rule holds only its two canonical codes, its canonical delta key and
-its two supports; the antecedent pattern is read off its code. Rules are
-keyed by (antecedent canonical code, canonical delta position), so
-extensions that are isomorphic as (antecedent, consequent, delta)
-triples merge into one rule no matter which search branch produced them.
-Two rule sets are equal when their ``to_tsv`` dumps are: codes and delta
-keys print injectively.
+A rule holds only its two canonical codes, its canonical delta (in the
+antecedent's canonical node indexing) and its two supports; the
+antecedent pattern is read off its code. Rules are keyed by (antecedent
+canonical code, canonical delta), so extensions that are isomorphic as
+(antecedent, consequent, delta) triples merge into one rule no matter
+which search branch produced them. Two rule sets are equal when their
+``to_tsv`` dumps are: codes and deltas print injectively.
 Two construction modes exist with identical output: the embedded sink
 collects rules while the miner runs, and the legacy post-hoc derivation
 rebuilds them from a finished pattern set by testing single-edge
@@ -15,7 +15,6 @@ containment between patterns of adjacent size.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .io import ParseError, text_lines
@@ -28,38 +27,36 @@ from .pattern import (
     Strategy,
     apply_delta,
     canonical_code,
-    canonical_delta_key,
+    canonical_delta,
     canonical_orderings,
-    delta_from_key,
-    delta_key_from_string,
-    delta_key_to_string,
 )
 
 CONFIDENCE_EPS = 1e-12
 CONFIDENCE_TOLERANCE = 5e-7 + CONFIDENCE_EPS  # half a unit of the dump's 6th decimal
 DEFAULT_MIN_CONFIDENCE = 0.5
 
-RuleKey = tuple[CanonicalCode, tuple]
+RuleKey = tuple[CanonicalCode, Delta]
 
-CODE_FORM = "a canonical code <B|D><u|d>|<root label>|<src>-<dst>:<layer>:<dirbit>:<label>;..."
-DELTA_FORM = "C:<i>-<j>:<layer>:<dirbit> or N:<i>:<layer>:<dirbit>:<label>"
+CODE_FORM = ("a canonical code <B|D><u|d>|<root label>|<src>-<dst>:<layer>:<dirbit>:<label>;... "
+             "with dirbit 0 or 1, and 0 in an undirected code")
+DELTA_FORM = "C:<i>-<j>:<layer>:<dirbit> or N:<i>:<layer>:<dirbit>:<label> with dirbit 0 or 1"
 
 
 @dataclass(frozen=True)
 class AssociationRule:
     """Antecedent -> antecedent + delta, held as the two canonical codes,
-    the canonical delta key (in the antecedent's canonical node indexing)
-    and the two supports. Patterns and the delta are read off these."""
+    the canonical delta (in the antecedent's canonical node indexing) and
+    the two supports. The patterns are read off these."""
 
     antecedent_code: CanonicalCode
     consequent_code: CanonicalCode
-    delta_key: tuple
+    delta: Delta
     support_a: int
     support_c: int
 
     @property
     def antecedent(self) -> Pattern:
-        """The antecedent in canonical node indexing, which the delta key uses."""
+        """The antecedent in canonical node indexing, which the delta uses."""
         return self.antecedent_code.pattern
 
     @property
@@ -67,31 +64,18 @@ class AssociationRule:
         return self.support_c / self.support_a
 
     @property
-    def delta(self) -> Delta:
-        return delta_from_key(self.delta_key)
-
-    @property
-    def introduces_new_node(self) -> bool:
-        return self.delta_key[0] == 1
-
-    @property
     def consequent(self) -> Pattern:
         return apply_delta(self.antecedent, self.delta)
 
     def key(self) -> RuleKey:
-        return (self.antecedent_code, self.delta_key)
-
-    @functools.cached_property
-    def delta_string(self) -> str:
-        """The delta's dump form; computed once per rule."""
-        return delta_key_to_string(self.delta_key)
+        return (self.antecedent_code, self.delta)
 
     def to_line(self) -> str:
         return "\t".join(
             [
                 self.antecedent_code.to_string(),
                 self.consequent_code.to_string(),
-                self.delta_string,
+                self.delta.to_string(),
                 str(self.support_a),
                 str(self.support_c),
                 f"{self.confidence:.6f}",
@@ -111,7 +95,7 @@ class RuleSet:
 
     def sorted_rules(self) -> list[AssociationRule]:
         return sorted(self.rules.values(),
-                      key=lambda r: (r.antecedent_code.to_string(), r.delta_string))
+                      key=lambda r: (r.antecedent_code.to_string(), r.delta.to_string()))
 
     def add(self, rule: AssociationRule) -> AssociationRule:
         prev = self.rules.get(rule.key())
@@ -119,7 +103,7 @@ class RuleSet:
             if (prev.support_a, prev.support_c) != (rule.support_a, rule.support_c):
                 raise ValueError(
                     f"conflicting supports for rule {rule.antecedent_code.to_string()} "
-                    f"{rule.delta_string}: "
+                    f"{rule.delta.to_string()}: "
                     f"{(prev.support_a, prev.support_c)} vs "
                     f"{(rule.support_a, rule.support_c)}"
                 )
@@ -139,8 +123,10 @@ class RuleSet:
         wrong field count, a code or delta that does not parse, a
         non-integer support, supports that break
         ``0 < support_c <= support_a``, a confidence column other than
-        ``support_c/support_a`` to six decimals, delta node indices outside
-        the antecedent, a delta dirbit on an undirected antecedent, or a
+        ``support_c/support_a`` to six decimals, a dirbit other than 0 or 1
+        or one set in an undirected code, an antecedent code that is not
+        the canonical code of its pattern, delta node indices outside the
+        antecedent, a delta dirbit on an undirected antecedent, or a
         consequent code that is not the canonical code of the antecedent
         extended by the delta. The message names the field and the form it
         expects.
@@ -170,11 +156,6 @@ def _connected_code(text: str) -> CanonicalCode:
     return code
 
 
-def _key_and_delta(text: str) -> tuple[tuple, Delta]:
-    key = delta_key_from_string(text)
-    return key, delta_from_key(key)
-
-
 def _rule_from_fields(parts: list[str], memo: dict) -> AssociationRule:
     if len(parts) != 6:
         raise ValueError(f"expected 6 fields, got {len(parts)}")
@@ -189,7 +170,11 @@ def _rule_from_fields(parts: list[str], memo: dict) -> AssociationRule:
                          "to six decimals")
     a_code = _field("antecedent code", a_text, _connected_code, CODE_FORM)
     antecedent = a_code.pattern
-    delta_key, delta = _field("delta", d_text, _key_and_delta, DELTA_FORM)
+    canonical = canonical_code(antecedent, a_code.strategy, memo)
+    if canonical != a_code:
+        raise ValueError(f"antecedent code {a_text} is not canonical: "
+                         f"its pattern's code is {canonical.to_string()}")
+    delta = _field("delta", d_text, Delta.from_string, DELTA_FORM)
     if not 0 <= delta.i < antecedent.k or (delta.j is not None and delta.j >= antecedent.k):
         raise ValueError(f"delta {d_text} does not fit a {antecedent.k}-node antecedent")
     if delta.dirbit and not antecedent.directed:
@@ -197,7 +182,7 @@ def _rule_from_fields(parts: list[str], memo: dict) -> AssociationRule:
     c_code = _field("consequent code", c_text, CanonicalCode.from_string, CODE_FORM)
     if canonical_code(apply_delta(antecedent, delta), a_code.strategy, memo) != c_code:
         raise ValueError(f"consequent code {c_text} is not antecedent + delta {d_text}")
-    return AssociationRule(a_code, c_code, delta_key, support_a, support_c)
+    return AssociationRule(a_code, c_code, delta, support_a, support_c)
 
 
 class RuleBuilder:
@@ -216,12 +201,12 @@ class RuleBuilder:
         conf = child.support / parent.support
         if conf + CONFIDENCE_EPS < self.min_confidence:
             return None
-        delta_key = canonical_delta_key(parent.pattern, delta, parent.orderings)
-        existing = self._rules.rules.get((parent.code, delta_key))
+        delta = canonical_delta(parent.pattern, delta, parent.orderings)
+        existing = self._rules.rules.get((parent.code, delta))
         if existing is not None:
             return existing
         return self._rules.add(AssociationRule(
-            parent.code, child.code, delta_key, parent.support, child.support))
+            parent.code, child.code, delta, parent.support, child.support))
 
     def result(self) -> RuleSet:
         return self._rules
@@ -267,10 +252,10 @@ def derive_rules_posthoc(
                 conf = child.support / a_rec.support
                 if conf + CONFIDENCE_EPS < min_confidence:
                     continue
-                delta_key = canonical_delta_key(
-                    ant, delta, canonical_orderings(ant, strategy, patterns.memo))
-                rs.add(AssociationRule(
-                    a_rec.code, child.code, delta_key, a_rec.support, child.support))
+                orderings = canonical_orderings(ant, strategy, patterns.memo)
+                rs.add(AssociationRule(a_rec.code, child.code,
+                                       canonical_delta(ant, delta, orderings),
+                                       a_rec.support, child.support))
     return rs
 
 

@@ -3,9 +3,11 @@
 Everything here is deliberately naive pure Python: permutation-based
 matching, exhaustive edge-subset enumeration, pairwise AUC, full 2^k
 bipartition scans. None of it shares code paths with the production
-engine, so agreement is evidence, not tautology. The one exception is
-``full_vector_hill_climb``, which scores with the engine's ``rank_auc``
-over every candidate; that AUC is itself checked against ``brute_auc``.
+engine, so agreement is evidence, not tautology. There are two
+exceptions. ``full_vector_hill_climb`` scores with the engine's
+``rank_auc`` over every candidate; that AUC is itself checked against
+``brute_auc``. ``enumerate_embeddings`` lists the rows of the engine's
+``match_array``; those are checked against ``brute_embeddings``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from plexmine.evaluate import EvalError, rank_auc
 from plexmine.graph import MultiplexGraph
+from plexmine.matcher import MatchError, match_array
 from plexmine.pattern import Pattern, PatternEdge
 from plexmine.predict import ScoreTable
 
@@ -71,6 +74,32 @@ def brute_mis(p: Pattern, g: MultiplexGraph) -> int:
     if not embs:
         return 0
     return min(len({e[i] for e in embs}) for i in range(p.k))
+
+
+Embedding = tuple[int, ...]
+
+
+def enumerate_embeddings(p: Pattern, g: MultiplexGraph) -> list[Embedding]:
+    """The rows of ``match_array(p, g)`` as node tuples."""
+    return [tuple(int(x) for x in row) for row in match_array(p, g)]
+
+
+def image_table(embs: list[Embedding], k: int) -> list[set[int]]:
+    """Per pattern-node sets of distinct graph nodes playing that role."""
+    table: list[set[int]] = [set() for _ in range(k)]
+    for emb in embs:
+        if len(emb) != k:
+            raise MatchError(f"embedding arity {len(emb)} != {k}")
+        for pos, node in enumerate(emb):
+            table[pos].add(node)
+    return table
+
+
+def mis_support(embs: list[Embedding], k: int) -> int:
+    """Minimum image support: min over roles of distinct node images."""
+    if not embs:
+        return 0
+    return min(len(s) for s in image_table(embs, k))
 
 
 # -- exhaustive pattern enumeration ------------------------------------------
@@ -177,7 +206,7 @@ def brute_apply_rules(g: MultiplexGraph, rules, dedupe_rule_firings: bool = Fals
             continue
         firings = set()
         for emb in brute_embeddings(ant, g):
-            if delta.introduces_new_node:
+            if delta.j is None:
                 key = (emb[delta.i], delta.layer)
                 firings.add((frozenset(emb), ("on", key)))
             else:

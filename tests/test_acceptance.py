@@ -18,7 +18,7 @@ from plexmine.datagen import SynthConfig, generate
 from plexmine.evaluate import auc_and_roc, rank_auc, roc_auc, sharma_score
 from plexmine.graph import MultiplexGraph
 from plexmine.io import dataset_paths, load_multiplex
-from plexmine.matcher import enumerate_embeddings, image_table, mis_support
+from plexmine.matcher import match_array, mis_support_array
 from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import Strategy, canonical_code
 from plexmine.pipeline import cross_validate, make_rule_scorer, run_mining
@@ -32,6 +32,9 @@ from oracles import (
     brute_canonical_key,
     brute_frustration_count,
     brute_mine,
+    enumerate_embeddings,
+    image_table,
+    mis_support,
     random_connected_pattern,
     random_multiplex,
 )
@@ -62,6 +65,8 @@ def test_criterion_1_mis_fixture(image_table_graph, chain_pattern):
     assert len(embs) == 4
     assert [len(s) for s in image_table(embs, 4)] == [3, 3, 3, 3]
     assert mis_support(embs, 4) == 3
+    E = match_array(chain_pattern, image_table_graph)
+    assert mis_support_array(E, 1, np.zeros(image_table_graph.index().width, dtype=bool)) == 3
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _ok(1, f"4 embeddings, support 3, {elapsed * 1000:.0f} ms")

@@ -1,8 +1,11 @@
 import io
+import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +113,27 @@ def test_predict_roundtrip(small_graph, tmp_path):
     assert len(lines) <= 5
     scores = [float(l.split("\t")[3]) for l in lines]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_predict_that_skips_every_rule_warns_twice(small_graph, tmp_path):
+    """Run as a process, so the log warning reaches stderr as it does for users."""
+    rules = str(tmp_path / "rules.tsv")
+    code, _, _ = run_cli("mine", small_graph + ".edges", "--attrs", small_graph + ".attrs",
+                         "--support", "25%", "--size", "3", "--rules-out", rules,
+                         "--patterns-out", str(tmp_path / "p.tsv"))
+    n_rules = len(open(rules).read().splitlines())
+    assert code == 0 and n_rules > 2
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # without --attrs every node has the default label, which no rule uses
+    proc = subprocess.run([sys.executable, "-m", "plexmine.cli", "predict",
+                           small_graph + ".edges", "--rules", rules],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"skipped {n_rules} of {n_rules} rules: they reference a layer or label "
+        "absent from the graph",
+        f"warning: {n_rules} rules scored no candidate, so predict wrote no rows"]
 
 
 def test_evaluate_kfold(small_graph):
@@ -230,6 +254,11 @@ def test_evaluate_bad_score_dump_is_parse_error(temporal_graph, tmp_path, bad_li
     pytest.param(0, "Xq|_|", "antecedent code", id="antecedent-code-head"),
     pytest.param(0, "Bu|a|0-1:0:0:a;3-2:0:0:a;2-3:1:0:a", "antecedent code",
                  id="antecedent-disconnected"),
+    pytest.param(0, "Bu|_|0-1:1:0:_;0-2:0:0:_",
+                 "antecedent code Bu|_|0-1:1:0:_;0-2:0:0:_ is not canonical",
+                 id="antecedent-not-canonical"),
+    pytest.param(0, "Bu|_|0-1:0:1:_", "antecedent code", id="code-dirbit-on-undirected"),
+    pytest.param(0, "Bd|_|0-1:0:7:_", "antecedent code", id="code-dirbit-not-0-or-1"),
     pytest.param(1, "Bu|a|x", "consequent code", id="consequent-code-form"),
     pytest.param(2, "C:0", "delta", id="delta-form"),
     pytest.param(2, "C:0-5:0:0", "delta", id="delta-outside-antecedent"),

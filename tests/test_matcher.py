@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from plexmine.graph import MultiplexGraph
-from plexmine.matcher import (
-    MatchError,
-    enumerate_embeddings,
-    image_table,
-    match_array,
-    mis_support,
-    mis_support_array,
-)
+from plexmine.matcher import MatchError, match_array, mis_support_array
 from plexmine.pattern import Pattern, PatternEdge
 
-from oracles import brute_embeddings, random_connected_pattern, random_multiplex
+from oracles import (
+    brute_embeddings,
+    enumerate_embeddings,
+    image_table,
+    mis_support,
+    random_connected_pattern,
+    random_multiplex,
+)
 
 
 def test_single_edge_pattern_counts_edges():

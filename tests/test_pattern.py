@@ -12,11 +12,8 @@ from plexmine.pattern import (
     Strategy,
     apply_delta,
     canonical_code,
-    canonical_delta_key,
+    canonical_delta,
     canonical_orderings,
-    delta_from_key,
-    delta_key_from_string,
-    delta_key_to_string,
     pattern_from_code,
 )
 
@@ -111,24 +108,51 @@ def test_apply_delta_node_and_cycle():
 
 def test_delta_key_collapses_symmetric_placements():
     edge = Pattern(False, ("x", "x"), (PatternEdge(0, 1, 0, False),))
-    k0 = canonical_delta_key(edge, Delta(0, None, 1, False, "y"), canonical_orderings(edge))
-    k1 = canonical_delta_key(edge, Delta(1, None, 1, False, "y"), canonical_orderings(edge))
-    assert k0 == k1
+    k0 = canonical_delta(edge, Delta(0, None, 1, False, "y"), canonical_orderings(edge))
+    k1 = canonical_delta(edge, Delta(1, None, 1, False, "y"), canonical_orderings(edge))
+    assert k0 == k1 == Delta(0, None, 1, False, "y")
     # asymmetric labels keep placements apart
     edge2 = Pattern(False, ("x", "y"), (PatternEdge(0, 1, 0, False),))
-    a = canonical_delta_key(edge2, Delta(0, None, 1, False, "z"), canonical_orderings(edge2))
-    b = canonical_delta_key(edge2, Delta(1, None, 1, False, "z"), canonical_orderings(edge2))
+    a = canonical_delta(edge2, Delta(0, None, 1, False, "z"), canonical_orderings(edge2))
+    b = canonical_delta(edge2, Delta(1, None, 1, False, "z"), canonical_orderings(edge2))
     assert a != b
 
 
 def test_delta_key_string_roundtrip():
     edge = Pattern(True, ("x", "y"), (PatternEdge(0, 1, 0, True),))
     for d in (Delta(0, None, 1, False, "z"), Delta(0, 1, 1, False)):
-        key = canonical_delta_key(edge, d, canonical_orderings(edge))
-        assert delta_key_from_string(delta_key_to_string(key)) == key
-        rebuilt = delta_from_key(key)
-        assert rebuilt.layer == d.layer
-        assert rebuilt.introduces_new_node == d.introduces_new_node
+        canonical = canonical_delta(edge, d, canonical_orderings(edge))
+        assert Delta.from_string(canonical.to_string()) == canonical
+        assert canonical.layer == d.layer
+        assert (canonical.j is None) == (d.j is None)
+
+
+def test_delta_string_roundtrip_over_random_deltas():
+    rng = random.Random(41)
+    labels = ["a", "a b", "x:y", "50%", "|;-", "\u00e9", "N:0:1:0:_"]
+    for _ in range(300):
+        i, layer, dirbit = rng.randrange(6), rng.randrange(-3, 40), rng.random() < 0.5
+        if rng.random() < 0.5:
+            d = Delta(i, None, layer, dirbit, rng.choice(labels))
+        else:
+            d = Delta(i, i + 1 + rng.randrange(5), layer, dirbit)
+        text = d.to_string()
+        assert d.to_string() is text  # computed once per delta object
+        assert Delta.from_string(text) == d
+        assert text.count(":") == (4 if d.j is None else 3)
+
+
+@pytest.mark.parametrize("text", ["N:0:1:7:b", "C:0-1:0:2", "C:0-1:0:", "C:0-1:0:True",
+                                  "X:0-1:0:0", "N:0:1:0:b:c", "C:1-0:0:0"])
+def test_delta_string_rejects_bad_forms(text):
+    with pytest.raises(ValueError):  # PatternError is one
+        Delta.from_string(text)
+
+
+@pytest.mark.parametrize("text", ["Bd|a|0-1:0:7:b", "Bu|a|0-1:0:1:b"])
+def test_code_string_rejects_bad_dirbits(text):
+    with pytest.raises(PatternError):
+        CanonicalCode.from_string(text)
 
 
 def test_directed_direction_bit_distinguishes():
@@ -144,8 +168,8 @@ def test_directed_direction_bit_distinguishes():
 @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
 @pytest.mark.parametrize("directed", [False, True])
 def test_delta_round_trips_through_its_key(strategy, directed):
-    """A delta's dirbit means the same in the delta, in its key and in the
-    delta rebuilt from the key on the canonical pattern."""
+    """A delta's dirbit means the same in the delta and in its canonical
+    form on the canonical pattern."""
     rng = random.Random(29 if directed else 31)
     dirbits = (False, True) if directed else (False,)
     for _ in range(30):
@@ -157,8 +181,8 @@ def test_delta_round_trips_through_its_key(strategy, directed):
                    for j in range(p.k) for i in range(j) for layer in (0, 1) for b in dirbits
                    if PatternEdge(i, j, layer, b) not in p.edges]
         for d in deltas:
-            rebuilt = delta_from_key(canonical_delta_key(p, d, orderings))
-            assert (brute_canonical_key(apply_delta(code.pattern, rebuilt))
+            canonical = canonical_delta(p, d, orderings)
+            assert (brute_canonical_key(apply_delta(code.pattern, canonical))
                     == brute_canonical_key(apply_delta(p, d))), (p, d)
 
 
@@ -168,4 +192,4 @@ def test_dirbit_on_undirected_pattern_is_rejected():
         with pytest.raises(PatternError):
             apply_delta(edge, d)
         with pytest.raises(PatternError):
-            canonical_delta_key(edge, d, canonical_orderings(edge))
+            canonical_delta(edge, d, canonical_orderings(edge))

@@ -13,8 +13,9 @@ from plexmine.pattern import (
     Delta,
     Pattern,
     PatternEdge,
+    apply_delta,
     canonical_code,
-    canonical_delta_key,
+    canonical_delta,
     canonical_orderings,
 )
 from plexmine.predict import (
@@ -31,10 +32,9 @@ from oracles import brute_apply_rules, random_multiplex
 
 def _rule(antecedent: Pattern, delta: Delta, support_a: int, support_c: int) -> AssociationRule:
     code = canonical_code(antecedent)
-    key = canonical_delta_key(antecedent, delta, canonical_orderings(antecedent))
-    from plexmine.pattern import apply_delta, delta_from_key
-    cons = canonical_code(apply_delta(code.pattern, delta_from_key(key)))
-    return AssociationRule(code, cons, key, support_a, support_c)
+    delta = canonical_delta(antecedent, delta, canonical_orderings(antecedent))
+    cons = canonical_code(apply_delta(code.pattern, delta))
+    return AssociationRule(code, cons, delta, support_a, support_c)
 
 
 def _ruleset(*rules) -> RuleSet:
@@ -141,20 +141,18 @@ def _assert_exact(table: ScoreTable, oracle) -> None:
 
 def test_scorer_matches_bruteforce_sample():
     rng = random.Random(55)
-    checked = skipped_rules = incomplete = 0
+    checked = skipped_rules = 0
     kinds = set()
     for case in range(60):
         layer_ids = ((0, 1, 2), (3, 7, 100), (-2, 5))[case % 3]
         g = _relayer(random_multiplex(rng, max_nodes=7, max_layers=len(layer_ids),
                                       directed=case % 2 == 0), layer_ids)
-        cap = (None, 2)[case // 3 % 2]
         sink = RuleBuilder(0.0)
-        ps = mine(g, MiningConfig(1, 3, max_embeddings=cap), rule_sink=sink)
+        ps = mine(g, MiningConfig(1, 3), rule_sink=sink)
         rules = sink.result()
         if not len(rules):
             continue
-        kinds |= {(g.directed, r.introduces_new_node) for r in rules}
-        incomplete += sum(not rec.complete for rec in ps)
+        kinds |= {(g.directed, r.delta.j is None) for r in rules}
         # the rules applied to g without one of its layers: rules that need
         # it are skipped, the rest are re-matched on the smaller graph
         g_less = _without_layer(g, rng.choice(sorted(g.layers)))
@@ -168,7 +166,7 @@ def test_scorer_matches_bruteforce_sample():
             _assert_exact(apply_rules(g_less, rules, dedupe_rule_firings=dedupe),
                           brute_apply_rules(g_less, rules, dedupe_rule_firings=dedupe))
         checked += 1
-    assert checked >= 40 and skipped_rules > 0 and incomplete > 0
+    assert checked >= 40 and skipped_rules > 0
     assert kinds == {(d, n) for d in (False, True) for n in (False, True)}
 
 
@@ -204,8 +202,8 @@ def _many_rules_one_target():
 def test_sums_follow_sorted_rule_order():
     g, rules = _many_rules_one_target()
     ordered = rules.sorted_rules()
-    oldold = [r.confidence for r in ordered if not r.introduces_new_node]
-    oldnew = [r.confidence for r in ordered if r.introduces_new_node]
+    oldold = [r.confidence for r in ordered if r.delta.j is not None]
+    oldnew = [r.confidence for r in ordered if r.delta.j is None]
     want_oo = want_on = want_hub = 0.0
     for c in oldold:
         want_oo += c
@@ -227,11 +225,14 @@ def test_skips_rules_with_unknown_layer(caplog):
     g = MultiplexGraph([0, 1, 2], [(0, 1, 0), (1, 2, 0)], directed=False)
     path2 = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
-    rule = _rule(path2, Delta(0, 2, 7, False), 4, 3)  # layer 7 unknown
+    unknown = [_rule(path2, Delta(0, 2, layer, False), 4, 3) for layer in (7, 8)]
+    known = _rule(path2, Delta(0, 2, 0, False), 4, 3)
     with caplog.at_level("WARNING"):
-        table = apply_rules(g, _ruleset(rule))
-    assert not table.oldold
-    assert any("skipping rule" in r.message for r in caplog.records)
+        table = apply_rules(g, _ruleset(*unknown, known))
+    assert table.oldold == {(0, 2, 0): pytest.approx(0.75)}
+    # one warning for all skipped rules
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipped 2 of 3 rules: they reference a layer or label absent from the graph"]
 
 
 def test_top_k_ordering_and_clamp():
@@ -288,8 +289,8 @@ def test_score_dump_candidate_repeated_only_with_its_score(tmp_path, directed, l
 def test_provenance_lists_every_firing_rule_in_sorted_order():
     g, rules = _many_rules_one_target()
     ordered = rules.sorted_rules()
-    oo_ids = [i for i, r in enumerate(ordered) if not r.introduces_new_node]
-    on_ids = [i for i, r in enumerate(ordered) if r.introduces_new_node]
+    oo_ids = [i for i, r in enumerate(ordered) if r.delta.j is not None]
+    on_ids = [i for i, r in enumerate(ordered) if r.delta.j is None]
     table = apply_rules(g, rules, track_provenance=True)
     assert table.provenance == {("oldold", (0, 2, 1)): oo_ids,
                                 ("oldnew", (0, 1)): on_ids,

@@ -1,11 +1,11 @@
 import dataclasses
+import functools
 import random
 from collections import Counter
 
-from plexmine import rules as rules_mod
 from plexmine.graph import MultiplexGraph
 from plexmine.miner import MiningConfig, mine
-from plexmine.pattern import CanonicalCode, Strategy, delta_key_to_string
+from plexmine.pattern import CanonicalCode, Delta, Strategy
 from plexmine.rules import RuleBuilder, RuleSet, derive_rules_posthoc
 
 from oracles import random_multiplex
@@ -50,7 +50,7 @@ def test_old_new_rule_shape():
     g = MultiplexGraph(nodes, edges, directed=False, layers=[0, 1])
     _, emb, _ = _mine_both(g, 3, 3, 0.5)
     grow = [r for r in emb
-            if r.antecedent.k == 2 and r.introduces_new_node]
+            if r.antecedent.k == 2 and r.delta.j is None]
     assert grow
     for r in grow:
         assert r.consequent.k == 3
@@ -112,9 +112,10 @@ def test_confidence_boundary_inclusive():
     assert emb.to_tsv() == post.to_tsv()
 
 
-def _fresh_string(code: CanonicalCode) -> str:
-    """The code's string, computed on an equal copy that has not memoised it."""
-    return dataclasses.replace(code).to_string()
+def _fresh_string(code_or_delta: CanonicalCode | Delta) -> str:
+    """The string of a code or delta, computed on an equal copy that has
+    not memoised it."""
+    return dataclasses.replace(code_or_delta).to_string()
 
 
 def test_code_string_memo_keeps_dumps_and_rule_order():
@@ -128,16 +129,16 @@ def test_code_string_memo_keeps_dumps_and_rule_order():
         for strategy in (Strategy.BFS, Strategy.DFS):
             ps, emb, post = _mine_both(g, 1, 3, 0.3, strategy)
             want = sorted(emb.rules, key=lambda k: (_fresh_string(k[0]),
-                                                    delta_key_to_string(k[1])))
+                                                    _fresh_string(k[1])))
             for rs in (emb, post, emb):  # the second pass over emb reads the memo
                 assert [r.key() for r in rs.sorted_rules()] == want
             assert emb.to_tsv().splitlines() == sorted(
                 "\t".join([_fresh_string(r.antecedent_code), _fresh_string(r.consequent_code),
-                           delta_key_to_string(r.delta_key), str(r.support_a),
+                           _fresh_string(r.delta), str(r.support_a),
                            str(r.support_c), f"{r.confidence:.6f}"])
                 for r in emb)
             assert ps.dump().splitlines() == sorted(
-                f"{_fresh_string(rec.code)}\t{rec.support}\t{rec.n_embeddings}" for rec in ps)
+                f"{_fresh_string(rec.code)}\t{rec.support}\t{len(rec.embeddings)}" for rec in ps)
             for rec in ps:
                 text = rec.code.to_string()
                 assert rec.code.to_string() is text
@@ -150,17 +151,22 @@ def test_rule_order_ignores_insertion_order_and_encodes_each_delta_once(monkeypa
     g = MultiplexGraph(g0.nodes, g0.edges, attrs={u: f"{a} %" for u, a in g0.attrs.items()},
                        directed=g0.directed, layers=g0.layers)
     _, emb, _ = _mine_both(g, 1, 3, 0.3)
-    assert any(r.introduces_new_node for r in emb) and len(emb) > 20
-    want = sorted(emb.rules, key=lambda k: (_fresh_string(k[0]), delta_key_to_string(k[1])))
+    assert any(r.delta.j is None for r in emb) and len(emb) > 20
+    want = sorted(emb.rules, key=lambda k: (_fresh_string(k[0]), _fresh_string(k[1])))
     encoded = Counter()
+    encode = Delta._string.func
 
-    def counted(key):
-        encoded[key] += 1
-        return delta_key_to_string(key)
+    def counted(delta):
+        encoded[delta] += 1
+        return encode(delta)
 
-    monkeypatch.setattr(rules_mod, "delta_key_to_string", counted)
+    memo = functools.cached_property(counted)
+    memo.__set_name__(Delta, "_string")
+    monkeypatch.setattr(Delta, "_string", memo)
     for _ in range(3):
-        shuffled = [dataclasses.replace(r) for r in emb.rules.values()]  # nothing memoised
+        # copies of the rules and their deltas: nothing memoised
+        shuffled = [dataclasses.replace(r, delta=dataclasses.replace(r.delta))
+                    for r in emb.rules.values()]
         rng.shuffle(shuffled)
         rs = RuleSet()
         for r in shuffled:

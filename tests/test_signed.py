@@ -7,8 +7,9 @@ from plexmine.pattern import (
     Delta,
     Pattern,
     PatternEdge,
+    apply_delta,
     canonical_code,
-    canonical_delta_key,
+    canonical_delta,
     canonical_orderings,
 )
 from plexmine.rules import AssociationRule, RuleSet
@@ -98,10 +99,9 @@ def test_negation_and_swap_invariance():
 
 def _mk_rule(ant: Pattern, delta: Delta) -> AssociationRule:
     code = canonical_code(ant)
-    key = canonical_delta_key(ant, delta, canonical_orderings(ant))
-    from plexmine.pattern import apply_delta, delta_from_key
-    cons = canonical_code(apply_delta(code.pattern, delta_from_key(key)))
-    return AssociationRule(code, cons, key, support_a=10, support_c=7)
+    delta = canonical_delta(ant, delta, canonical_orderings(ant))
+    cons = canonical_code(apply_delta(code.pattern, delta))
+    return AssociationRule(code, cons, delta, support_a=10, support_c=7)
 
 
 def test_classify_wedge_rules():

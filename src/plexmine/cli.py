@@ -28,7 +28,7 @@ from .io import ParseError, load_multiplex, load_temporal, save_multiplex
 from .miner import MiningConfig, MiningError, MiningInvariantError
 from .pattern import PatternError, Strategy
 from .pipeline import CrossValResult, evaluate_split, make_rule_scorer, run_mining
-from .predict import apply_rules, load_score_dump, score_dump
+from .predict import applicable_rules, apply_rules, load_score_dump, score_dump
 from .rules import DEFAULT_MIN_CONFIDENCE, RuleSet
 from .signed import SignMap, SignedError, frustration_report
 
@@ -140,6 +140,10 @@ def cmd_predict(args) -> int:
         raise ValueError(f"--top must be >= 1, got {args.top}")
     g = _load(args)
     rules = RuleSet.from_tsv(args.rules)
+    skipped = len(rules) - len(applicable_rules(g, rules))
+    if skipped:
+        sys.stderr.write(f"warning: skipped {skipped} of {len(rules)} rules: they reference "
+                         "a layer or label absent from the graph\n")
     t0 = time.perf_counter()
     table = apply_rules(g, rules, dedupe_rule_firings=args.dedupe_rule_firings)
     apply_s = time.perf_counter() - t0

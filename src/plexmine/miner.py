@@ -148,10 +148,10 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
         ps.add(rec)
         queue.append(rec)
 
-    marks = np.zeros(idx.width, dtype=bool)  # scratch for support counting
+    marks = np.zeros(idx.width, dtype=bool)  # scratch for distinct images
     while queue:
         parent = queue.popleft()
-        for delta, child_embs in _extensions(parent, g, cfg, sigma):
+        for delta, child_embs in _extensions(parent, g, cfg, sigma, marks):
             supp_c = mis_support_array(child_embs, sigma, marks)
             if supp_c > parent.support:
                 raise MiningInvariantError(
@@ -184,7 +184,7 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
 
 
 def _extensions(
-    parent: MinedPattern, g: MultiplexGraph, cfg: MiningConfig, sigma: int = 1
+    parent: MinedPattern, g: MultiplexGraph, cfg: MiningConfig, sigma: int, marks: np.ndarray
 ) -> Iterator[tuple[Delta, np.ndarray]]:
     """All single-edge extension candidates with nonempty embedding sets.
 
@@ -196,7 +196,9 @@ def _extensions(
     Fresh-node candidates whose new-node image count provably falls below
     ``sigma`` are pruned before the expansion join is materialized; the
     bound is sound because the new column's images are a subset of the
-    distinct neighbors of the anchor column's distinct images.
+    distinct neighbors of the anchor column's distinct images. ``marks``
+    is the scratch array of ``mis_support_array``, left all False at every
+    yield.
     """
     p = parent.pattern
     idx = g.index()
@@ -226,20 +228,18 @@ def _extensions(
     # fresh-node attachments
     if k >= cfg.max_nodes:
         return
+    n_labels = len(idx.labels_list)
     for i in range(k):
-        anchors_unique = np.unique(E[:, i])
+        anchors_unique = _distinct(E[:, i], marks)
         for layer in idx.layers:
             for dirbit in dirbits:
                 incoming = not dirbit  # new -> anchor: follow the anchor's in-edges
                 _, cand_nbrs = idx.neighbors_flat(anchors_unique, layer, incoming)
                 if cand_nbrs.size == 0:
                     continue
-                cand_labels = idx.node_label[np.unique(cand_nbrs)]
-                frequent_labels = {
-                    int(lab) for lab in np.unique(cand_labels)
-                    if int(np.sum(cand_labels == lab)) >= sigma
-                }
-                if not frequent_labels:
+                cand_labels = idx.node_label[_distinct(cand_nbrs, marks)]
+                frequent = np.bincount(cand_labels, minlength=n_labels) >= sigma
+                if not frequent.any():
                     continue
                 rows, nbrs = idx.neighbors_flat(E[:, i], layer, incoming)
                 keep = np.ones(rows.size, dtype=bool)
@@ -249,10 +249,17 @@ def _extensions(
                 if rows.size == 0:
                     continue
                 lab_ids = idx.node_label[nbrs]
-                for lab_id in np.unique(lab_ids):
-                    if int(lab_id) not in frequent_labels:
-                        continue
-                    label = idx.labels_list[int(lab_id)]
+                present = np.bincount(lab_ids, minlength=n_labels) > 0
+                for lab_id in np.flatnonzero(present & frequent):
+                    label = idx.labels_list[lab_id]
                     m = lab_ids == lab_id
                     child_embs = np.column_stack([E[rows[m]], nbrs[m]])
                     yield Delta(i, None, layer, dirbit, label), child_embs
+
+
+def _distinct(values: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending; ``marks`` as in ``mis_support_array``."""
+    marks[values] = True
+    distinct = np.flatnonzero(marks)
+    marks[distinct] = False
+    return distinct

@@ -17,20 +17,24 @@ candidate universe and the ensemble share this one encoding.
 
 Accumulation works on arrays. Rules are visited in sorted order, which
 groups them by antecedent, and each antecedent's embeddings are fetched
-once and given per-row node-set ids. Each rule encodes its firings as
-candidate keys, counts the distinct node sets per key, and appends (key,
-confidence x count) to one flat list. At the end one ``np.unique`` and one
-weighted ``np.bincount`` sum the contributions in sorted-rule order,
-exactly as adding them one by one to 0.0 would.
+once. Whole antecedents are gathered into batches of about
+``BATCH_FIRINGS`` firings (embedding rows x rules), and each batch costs a
+few dozen numpy calls: every (rule, row) firing is encoded as a
+candidate key at once, one pair-index probe drops the firings that land on
+a training edge, and one sort of packed (rule, key, node set) values counts
+the distinct node sets per (rule, key). A batch yields (key, confidence x
+count) parts ascending by rule and then by key, so one ``np.unique`` and
+one weighted ``np.bincount`` over all batches sum every score's
+contributions in sorted-rule order, exactly as adding them one by one to
+0.0 would.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -39,8 +43,6 @@ from .io import ParseError, text_lines
 from .matcher import match_array
 from .miner import PatternSet
 from .rules import AssociationRule, RuleSet
-
-logger = logging.getLogger(__name__)
 
 
 class LinkClass(str, Enum):
@@ -107,6 +109,30 @@ class ScoreTable:
         return encode_keys(width, l[ok], u[ok], v[ok]), scores[ok]
 
 
+# Firings (antecedent rows x rules) gathered before a batch is scored. A
+# batch costs a few dozen numpy calls however many rules it holds, so small
+# batches pay mostly call overhead: with one batch per antecedent, a 10-fold
+# run on a 150-node graph took 1.70 s against 1.35 s. One batch for the
+# whole rule set raised that run's peak RSS from 46 to 57 MB; with 8192
+# firings it stays at the 47 MB of per-rule application.
+BATCH_FIRINGS = 8192
+
+
+def applicable_rules(g: MultiplexGraph, rules: RuleSet) -> list[tuple[int, AssociationRule]]:
+    """(id, rule) of the rules whose layers and labels ``g`` has, where a
+    rule's id is its position in ``sorted_rules()``; ``apply_rules`` skips
+    the others."""
+    labels_present = g.labels_present()
+    applicable = []
+    for rule_id, rule in enumerate(rules.sorted_rules()):
+        labels = set(rule.antecedent.node_labels)
+        if rule.delta.new_label is not None:
+            labels.add(rule.delta.new_label)
+        if rule.antecedent.layers | {rule.delta.layer} <= g.layers and labels <= labels_present:
+            applicable.append((rule_id, rule))
+    return applicable
+
+
 def apply_rules(
     g_train: MultiplexGraph,
     rules: RuleSet,
@@ -122,60 +148,33 @@ def apply_rules(
     distinct node sets firing that key (times 1 with
     ``dedupe_rule_firings``). Every score is the sum of its rules'
     contributions in ``sorted_rules()`` order, starting from 0.0, whatever
-    order the rules were added in. Rules referencing layers or labels absent
-    from the graph are skipped, with one warning giving their count. With
-    ``track_provenance`` the table maps each scored ``("oldold", (u, v,
-    l))`` or ``("oldnew", (u, l))`` to the ids (positions in
-    ``sorted_rules()``) of the rules that fired it, ascending.
+    order the rules were added in. Rules outside ``applicable_rules`` are
+    skipped. With ``track_provenance`` the table maps each scored
+    ``("oldold", (u, v, l))`` or ``("oldnew", (u, l))`` to the ids
+    (positions in ``sorted_rules()``) of the rules that fired it, ascending.
     """
-    labels_present = g_train.labels_present()
     idx = g_train.index()
     W = idx.width
-    # (keys, weights, rule id) per firing rule, after an empty part that lets
-    # a rule set firing nothing concatenate
-    parts = [(np.empty(0, np.int64), np.empty(0), -1)]
-    antecedent = None
-    skipped = 0
-    for rule_id, rule in enumerate(rules.sorted_rules()):
-        ant = rule.antecedent
-        delta = rule.delta
-        needed_layers = set(ant.layers) | {delta.layer}
-        needed_labels = set(ant.node_labels)
-        if delta.new_label is not None:
-            needed_labels.add(delta.new_label)
-        if not needed_layers <= g_train.layers or not needed_labels <= labels_present:
-            skipped += 1
-            continue
-        if rule.antecedent_code != antecedent:
-            antecedent = rule.antecedent_code
-            E = _antecedent_embeddings(rule, g_train, pattern_set)
-            node_sets = _node_set_ids(E)
-        if delta.j is None:
-            sets, tail, head = node_sets, E[:, delta.i], W
-        else:
-            a, b = E[:, delta.i], E[:, delta.j]
-            if g_train.directed:
-                tail, head = (a, b) if delta.dirbit else (b, a)
-            else:
-                tail, head = np.minimum(a, b), np.maximum(a, b)
-            fresh = ~idx.has_pairs(tail, head, delta.layer)
-            sets, tail, head = node_sets[fresh], tail[fresh], head[fresh]
-        if not len(sets):
-            continue
-        keys, counts = _distinct_sets_per_target(sets, encode_keys(W, delta.layer, tail, head))
-        if dedupe_rule_firings:
-            counts = np.ones_like(counts)
-        parts.append((keys, rule.confidence * counts, rule_id))
-    if skipped:
-        logger.warning("skipped %d of %d rules: they reference a layer or label "
-                       "absent from the graph", skipped, len(rules))
+    # (keys, weights, rule ids) per batch, after an empty part that lets a
+    # rule set firing nothing concatenate
+    parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
+    batch, firings = [], 0
+    for E, group in _antecedent_groups(g_train, applicable_rules(g_train, rules), pattern_set):
+        n = len(E) * len(group)
+        if batch and firings + n > BATCH_FIRINGS:
+            parts.append(_apply_batch(idx, g_train.directed, batch, dedupe_rule_firings))
+            batch, firings = [], 0
+        batch.append((E, group))
+        firings += n
+    if batch:
+        parts.append(_apply_batch(idx, g_train.directed, batch, dedupe_rule_firings))
 
     keys, inverse = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
     scores = np.bincount(inverse, weights=np.concatenate([p[1] for p in parts]),
                          minlength=len(keys))
     table = ScoreTable.from_keys(g_train.directed, W, keys, scores)
     if track_provenance:
-        rule_ids = np.repeat([p[2] for p in parts], [len(p[0]) for p in parts])
+        rule_ids = np.concatenate([p[2] for p in parts])
         firing = np.split(rule_ids[np.argsort(inverse, kind="stable")],
                           np.cumsum(np.bincount(inverse))[:-1])
         l, u, v = (a.tolist() for a in decode_keys(keys, W))
@@ -185,36 +184,105 @@ def apply_rules(
     return table
 
 
-def _antecedent_embeddings(
-    rule: AssociationRule, g: MultiplexGraph, pattern_set: PatternSet | None
-) -> np.ndarray:
-    if pattern_set is not None:
-        rec = pattern_set.get(rule.antecedent_code)
-        if rec is not None:
-            return rec.embeddings_canonical()
-    return match_array(rule.antecedent, g)
+def _antecedent_groups(g: MultiplexGraph, rules: list[tuple[int, AssociationRule]],
+                       pattern_set: PatternSet | None):
+    """(embeddings, [(id, rule), ...]) per run of ``rules`` sharing an antecedent."""
+    for code, group in groupby(rules, key=lambda item: item[1].antecedent_code):
+        rec = pattern_set.get(code) if pattern_set is not None else None
+        E = rec.embeddings_canonical() if rec is not None else match_array(code.pattern, g)
+        yield E, list(group)
 
 
-def _node_set_ids(E: np.ndarray) -> np.ndarray:
-    """One id per embedding row, equal for rows with the same node set."""
+def _apply_batch(idx, directed: bool, batch, dedupe: bool
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, weights, rule ids) of every rule in ``batch``, a list of
+    ``_antecedent_groups`` items, ascending by rule id and then by key."""
+    W = idx.width
+    # every embedding row of the batch, padded with -1 to the widest antecedent
+    sizes = [len(E) for E, _ in batch]
+    starts = np.cumsum([0] + sizes)
+    rows = np.full((starts[-1], max(E.shape[1] for E, _ in batch)), -1, dtype=np.int64)
+    for (E, _), s in zip(batch, starts):
+        rows[s:s + len(E), :E.shape[1]] = E
+    sets = _node_set_ids(rows, W)
+
+    # per rule: first row, row count, id, confidence and delta fields; a
+    # fresh-node delta reads its anchor column twice
+    group_sizes = [len(group) for _, group in batch]
+    first, count = np.repeat(starts[:-1], group_sizes), np.repeat(sizes, group_sizes)
+    rule_id = np.array([rid for _, group in batch for rid, _ in group], dtype=np.int64)
+    rules = [r for _, group in batch for _, r in group]
+    deltas = [r.delta for r in rules]
+    conf = np.array([r.confidence for r in rules])
+    col_a = np.array([d.i for d in deltas], dtype=np.int64)
+    col_b = np.array([d.i if d.j is None else d.j for d in deltas], dtype=np.int64)
+    fresh_node = np.array([d.j is None for d in deltas])
+    forward = np.array([d.dirbit for d in deltas])
+    layer = np.array([d.layer for d in deltas], dtype=np.int64)
+
+    # every (rule, row) firing, as the candidate it instantiates
+    fr = np.repeat(np.arange(len(rules)), count)
+    row = np.arange(len(fr)) + np.repeat(first - (np.cumsum(count) - count), count)
+    a, b = rows[row, col_a[fr]], rows[row, col_b[fr]]
+    if directed:
+        fwd = forward[fr]
+        tail, head = np.where(fwd, a, b), np.where(fwd, b, a)
+    else:
+        tail, head = np.minimum(a, b), np.maximum(a, b)
+    head[fresh_node[fr]] = W
+    key_pos, keys = _ranks(encode_keys(W, layer[fr], tail, head))
+
+    # firings on a training edge contribute nothing; the distinct keys come
+    # ascending, so the pair index is probed in nearly sorted order
+    l, u, v = decode_keys(keys, W)
+    cyc = np.flatnonzero(v != W)
+    bit = 2 * np.searchsorted(idx.layers, l[cyc])
+    masks = idx.pair_masks(u[cyc], v[cyc])
+    on_edge = np.zeros(len(keys), dtype=bool)
+    on_edge[cyc] = masks[np.arange(len(cyc)), bit >> 6] \
+        & (np.uint64(1) << (bit & 63).astype(np.uint64)) != 0
+    keep = ~on_edge[key_pos]
+    fr, row, key_pos = fr[keep], row[keep], key_pos[keep]
+    if not len(fr):
+        return np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64)
+
+    # distinct (rule, key, node set) values, then node sets per (rule, key);
+    # packed values stay below len(rules) * len(keys) * n_sets
+    n_sets = int(sets.max()) + 1
+    packed = np.sort((fr * len(keys) + key_pos) * n_sets + sets[row])
+    rule_key = packed[_firsts(packed)] // n_sets
+    bounds = np.flatnonzero(_firsts(rule_key))
+    rule, key = np.divmod(rule_key[bounds], len(keys))
+    weights = conf[rule] if dedupe else conf[rule] * np.diff(np.append(bounds, len(rule_key)))
+    return keys[key], weights, rule_id[rule]
+
+
+def _firsts(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal sorted values."""
+    first = np.ones(len(sorted_values), dtype=bool)
+    first[1:] = sorted_values[1:] != sorted_values[:-1]
+    return first
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's position among the distinct values, and those, ascending."""
+    order = np.argsort(values)
+    sorted_values = values[order]
+    first = _firsts(sorted_values)
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[order] = np.cumsum(first) - 1
+    return ranks, sorted_values[first]
+
+
+def _node_set_ids(E: np.ndarray, width: int) -> np.ndarray:
+    """One id per row of ``E``, equal for rows with the same node set; node
+    ids lie in ``[-1, width)``. Each column folds into the ids of the
+    columns before it, so no value outgrows ``len(E) * (width + 1)``."""
     rows = np.sort(E, axis=1)
-    order = np.lexsort(rows.T)
-    rows = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(first)
+    ids = rows[:, 0] + 1
+    for col in rows.T[1:]:
+        ids = _ranks(ids * (width + 1) + col + 1)[0]
     return ids
-
-
-def _distinct_sets_per_target(sets: np.ndarray, targets: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct targets, ascending, and how many distinct node sets fire each."""
-    order = np.lexsort((sets, targets))
-    sets, targets = sets[order], targets[order]
-    first = np.ones(len(targets), dtype=bool)
-    first[1:] = (targets[1:] != targets[:-1]) | (sets[1:] != sets[:-1])
-    return np.unique(targets[first], return_counts=True)
 
 
 def top_k(table: ScoreTable, k: int) -> list[tuple[tuple, float]]:

@@ -1,11 +1,8 @@
 import io
-import os
 import random
-import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,23 +112,20 @@ def test_predict_roundtrip(small_graph, tmp_path):
     assert scores == sorted(scores, reverse=True)
 
 
-def test_predict_that_skips_every_rule_warns_twice(small_graph, tmp_path):
-    """Run as a process, so the log warning reaches stderr as it does for users."""
+def test_predict_that_skips_every_rule_warns_twice(small_graph, tmp_path, capsys):
+    """In process, where the root logger has pytest's handlers."""
     rules = str(tmp_path / "rules.tsv")
     code, _, _ = run_cli("mine", small_graph + ".edges", "--attrs", small_graph + ".attrs",
                          "--support", "25%", "--size", "3", "--rules-out", rules,
                          "--patterns-out", str(tmp_path / "p.tsv"))
     n_rules = len(open(rules).read().splitlines())
     assert code == 0 and n_rules > 2
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     # without --attrs every node has the default label, which no rule uses
-    proc = subprocess.run([sys.executable, "-m", "plexmine.cli", "predict",
-                           small_graph + ".edges", "--rules", rules],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        f"skipped {n_rules} of {n_rules} rules: they reference a layer or label "
+    assert main(["predict", small_graph + ".edges", "--rules", rules]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"warning: skipped {n_rules} of {n_rules} rules: they reference a layer or label "
         "absent from the graph",
         f"warning: {n_rules} rules scored no candidate, so predict wrote no rows"]
 

@@ -20,6 +20,7 @@ from plexmine.pattern import (
 )
 from plexmine.predict import (
     ScoreTable,
+    applicable_rules,
     apply_rules,
     load_score_dump,
     score_dump,
@@ -221,18 +222,17 @@ def test_sums_follow_sorted_rule_order():
         _assert_exact(table, brute_apply_rules(g, rules, dedupe_rule_firings=dedupe))
 
 
-def test_skips_rules_with_unknown_layer(caplog):
+def test_skips_rules_with_unknown_layer():
     g = MultiplexGraph([0, 1, 2], [(0, 1, 0), (1, 2, 0)], directed=False)
     path2 = Pattern(False, ("_", "_", "_"),
                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
     unknown = [_rule(path2, Delta(0, 2, layer, False), 4, 3) for layer in (7, 8)]
     known = _rule(path2, Delta(0, 2, 0, False), 4, 3)
-    with caplog.at_level("WARNING"):
-        table = apply_rules(g, _ruleset(*unknown, known))
+    rules = _ruleset(*unknown, known)
+    table = apply_rules(g, rules)
     assert table.oldold == {(0, 2, 0): pytest.approx(0.75)}
-    # one warning for all skipped rules
-    assert [r.getMessage() for r in caplog.records] == [
-        "skipped 2 of 3 rules: they reference a layer or label absent from the graph"]
+    # the known rule sorts first; the two others are the skipped ones
+    assert applicable_rules(g, rules) == [(0, known)]
 
 
 def test_top_k_ordering_and_clamp():
@@ -320,3 +320,79 @@ def test_provenance_tracks_rule_ids():
     rule = _rule(path2, Delta(0, 2, 0, False), 4, 3)
     table = apply_rules(g, _ruleset(rule), track_provenance=True)
     assert table.provenance == {("oldold", (0, 2, 0)): [0]}
+
+
+def _table_hex(table: ScoreTable):
+    return ([(k, v.hex()) for k, v in table.oldold.items()],
+            [(k, v.hex()) for k, v in table.oldnew.items()], table.provenance)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_provenance_matches_one_rule_oracles(directed):
+    rng = random.Random(61 + directed)
+    checked = 0
+    for _ in range(25):
+        g = random_multiplex(rng, max_nodes=8, directed=directed)
+        sink = RuleBuilder(0.0)
+        mine(g, MiningConfig(1, 3), rule_sink=sink)
+        rules = sink.result()
+        fired: dict = {}
+        for rule_id, rule in enumerate(rules.sorted_rules()):
+            oo, on = brute_apply_rules(g, _ruleset(rule))
+            for key in oo:
+                fired.setdefault(("oldold", key), []).append(rule_id)
+            for key in on:
+                fired.setdefault(("oldnew", key), []).append(rule_id)
+        table = apply_rules(g, rules, track_provenance=True)
+        assert table.provenance == fired
+        checked += len(fired)
+    assert checked > 100
+
+
+@pytest.mark.parametrize("budget", [1, 7, 1 << 40])
+def test_batch_size_changes_no_table(monkeypatch, budget):
+    rng = random.Random(77)
+    cases = [(*_many_rules_one_target(), None)]
+    for directed in (False, True):
+        for _ in range(6):
+            g = random_multiplex(rng, max_nodes=9, directed=directed)
+            sink = RuleBuilder(0.0)
+            cases.append((g, sink.result(), mine(g, MiningConfig(1, 3), rule_sink=sink)))
+    for dedupe in (False, True):
+        want = [_table_hex(apply_rules(g, rules, pattern_set=ps, dedupe_rule_firings=dedupe,
+                                       track_provenance=True)) for g, rules, ps in cases]
+        monkeypatch.setattr(predict, "BATCH_FIRINGS", budget)
+        got = [_table_hex(apply_rules(g, rules, pattern_set=ps, dedupe_rule_firings=dedupe,
+                                      track_provenance=True)) for g, rules, ps in cases]
+        monkeypatch.undo()
+        assert got == want
+
+
+def test_antecedent_without_embeddings_fires_nothing():
+    # layer 1 is declared but has no edge, so every antecedent using it is
+    # re-matched to zero rows, inside the same batches as the others
+    g = MultiplexGraph(range(5), [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0)],
+                       directed=False, layers=[0, 1])
+    path2 = Pattern(False, ("_", "_", "_"),
+                    (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
+    empty = [Pattern(False, ("_", "_"), (PatternEdge(0, 1, 1, False),)),
+             Pattern(False, ("_", "_", "_"),
+                     (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 1, False)))]
+    live = [_rule(path2, Delta(0, 2, layer, False), 4, 3) for layer in (0, 1)]
+    dead = [_rule(empty[0], Delta(0, None, 0, False, "_"), 4, 3),
+            _rule(empty[1], Delta(0, 2, 0, False), 4, 3)]
+    table = apply_rules(g, _ruleset(*live, *dead), track_provenance=True)
+    _assert_exact(table, brute_apply_rules(g, _ruleset(*live)))
+    assert len(table.oldold) == 6 and not table.oldnew
+
+
+def test_firings_all_on_training_edges_give_empty_table():
+    # every layer of a complete graph: each cycle rule closes an existing edge
+    g = MultiplexGraph(range(4), [(u, v, l) for u in range(4) for v in range(u + 1, 4)
+                                  for l in (0, 1)], directed=False)
+    sink = RuleBuilder(0.0)
+    mine(g, MiningConfig(1, 3), rule_sink=sink)
+    cycles = [r for r in sink.result().sorted_rules() if r.delta.j is not None]
+    assert len(cycles) > 5
+    table = apply_rules(g, _ruleset(*cycles), track_provenance=True)
+    assert table.oldold == {} and table.oldnew == {} and table.provenance == {}

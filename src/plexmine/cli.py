@@ -52,6 +52,17 @@ def _support_arg(text: str) -> float | int:
             f"such as 40%, got {text!r}") from None
 
 
+def _confidence_arg(text: str) -> float:
+    """A number in [0, 1], which rules out NaN and the infinities."""
+    try:
+        value = float(text)
+        if 0.0 <= value <= 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+
+
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("edges", help="edge file (u TAB v TAB layer)")
     p.add_argument("--attrs", help="node attribute file (node TAB label)")
@@ -63,7 +74,7 @@ def _add_mining_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--support", type=_support_arg, default=1,
                    help="minimum image support: int, fraction, or N%% of |V|")
     p.add_argument("--size", type=int, default=3, help="max pattern nodes")
-    p.add_argument("--confidence", type=float, default=DEFAULT_MIN_CONFIDENCE,
+    p.add_argument("--confidence", type=_confidence_arg, default=DEFAULT_MIN_CONFIDENCE,
                    help="minimum rule confidence")
     p.add_argument("--strategy", choices=["bfs", "dfs"], default="bfs")
 
@@ -262,6 +273,9 @@ def cmd_generate(args) -> int:
         seed=args.seed,
     )
     g = generate(cfg)
+    if cfg.avg_degree % 2:
+        sys.stderr.write(f"warning: odd --avg-degree {cfg.avg_degree} rounds down "
+                         f"to {2 * cfg.m}\n")
     save_multiplex(g, f"{args.out_prefix}.edges", f"{args.out_prefix}.attrs")
     sys.stderr.write(f"wrote {g!r} to {args.out_prefix}.edges/.attrs\n")
     return 0

@@ -9,13 +9,10 @@ set; node labels are drawn uniformly from a small alphabet.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 
 from .graph import MultiplexGraph
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -34,14 +31,15 @@ class SynthConfig:
             raise ValueError("n_labels must be >= 1")
         if not 0.0 <= self.p_triangle <= 1.0:
             raise ValueError("p_triangle must be in [0,1]")
+        if self.avg_degree < 2:
+            raise ValueError("avg_degree must be >= 2")
         if self.n < self.avg_degree + 1:
             raise ValueError("need n >= avg_degree + 1")
 
     @property
     def m(self) -> int:
-        if self.avg_degree % 2:
-            logger.warning("odd avg_degree %d: rounding m down", self.avg_degree)
-        return max(1, self.avg_degree // 2)
+        """Edges per arriving node; an odd avg_degree rounds down."""
+        return self.avg_degree // 2
 
 
 def _label_alphabet(n_labels: int) -> list[str]:

@@ -2,45 +2,63 @@
 
 An embedding is an injective map from pattern nodes to graph nodes that
 preserves node labels, edge layers, and (for directed graphs) edge
-direction. Enumeration is a vectorized join: anchor on the pattern node
-with the fewest label candidates, then process pattern edges one at a
-time, expanding along adjacency when the edge reaches a new node and
-filtering by membership when it closes a cycle.
+direction. Enumeration is a vectorized join that follows a canonical
+code, which doubles as the join plan: start from the root label's nodes,
+then take the code's tuples, expanding along adjacency when a tuple
+reaches a fresh node and filtering by membership when it closes a cycle.
+Fresh nodes are placed in code order; a closure runs as soon as both its
+endpoints are placed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import MultiplexGraph
-from .pattern import Pattern, PatternError
+from .graph import GraphIndex, MultiplexGraph
+from .pattern import CanonicalCode, Pattern, canonical_code, canonical_orderings
 
 
 class MatchError(ValueError):
     pass
 
 
-def _join_plan(p: Pattern, anchor: int):
-    """Order pattern edges so each step touches already-placed nodes."""
-    remaining = list(p.edges)
-    placed = [anchor]
-    plan: list[tuple[str, object]] = []
-    while remaining:
-        both = [e for e in remaining if e.i in placed and e.j in placed]
-        if both:
-            e = both[0]
-            plan.append(("filter", e))
-            remaining.remove(e)
-            continue
-        half = [e for e in remaining if (e.i in placed) != (e.j in placed)]
-        if not half:
-            raise PatternError("disconnected pattern")
-        e = half[0]
-        new = e.j if e.i in placed else e.i
-        plan.append(("expand", e))
-        placed.append(new)
-        remaining.remove(e)
-    return plan, placed
+def attach(idx: GraphIndex, E: np.ndarray, col: int, layer: int,
+           incoming: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, nbrs): every neighbor in ``layer`` of each row's ``col`` image
+    that the row does not hold already, rows ascending and each row's
+    neighbors ascending. ``incoming`` follows in-edges."""
+    rows, nbrs = idx.neighbors_flat(E[:, col], layer, incoming)
+    keep = np.ones(rows.size, dtype=bool)
+    for c in range(E.shape[1]):
+        keep &= nbrs != E[rows, c]
+    return rows[keep], nbrs[keep]
+
+
+def code_embeddings(code: CanonicalCode, g: MultiplexGraph) -> np.ndarray:
+    """All embeddings of ``code``'s pattern in ``g`` as an (N, k) int array.
+
+    Columns follow code indices and rows come sorted. Direction bits are
+    ignored when the graph is undirected.
+    """
+    if code.directed != g.directed:
+        raise MatchError("pattern/graph directedness mismatch")
+    idx = g.index()
+    labels = {code.root_label} | {t.dst_label for t in code.tuples}
+    if not ({t.layer for t in code.tuples} <= g.layers and labels <= idx.label_ids.keys()):
+        return np.empty((0, code.pattern.k), dtype=np.int64)
+    E = idx.nodes_by_label[code.root_label].reshape(-1, 1).copy()
+    # the code may list a closure after expansions (a parallel edge in a
+    # higher layer does); run it first, before they multiply the rows
+    for t in sorted(code.tuples, key=lambda t: max(t.src, t.dst)):
+        forward = bool(t.dirbit) == (t.src < t.dst)  # the true edge runs src -> dst
+        if t.dst < E.shape[1]:
+            a, b = E[:, t.src], E[:, t.dst]
+            E = E[idx.has_pairs(a, b, t.layer) if forward else idx.has_pairs(b, a, t.layer)]
+        else:
+            rows, nbrs = attach(idx, E, t.src, t.layer, not forward)
+            keep = idx.node_label[nbrs] == idx.label_ids[t.dst_label]
+            E = np.column_stack([E[rows[keep]], nbrs[keep]])
+    return E
 
 
 def match_array(p: Pattern, g: MultiplexGraph) -> np.ndarray:
@@ -49,46 +67,10 @@ def match_array(p: Pattern, g: MultiplexGraph) -> np.ndarray:
     Columns follow pattern node indices. Direction bits are ignored when
     the graph is undirected.
     """
-    if p.directed != g.directed:
-        raise MatchError("pattern/graph directedness mismatch")
-    if not p.layers <= g.layers:
-        return np.empty((0, p.k), dtype=np.int64)
-    idx = g.index()
-    for lab in p.node_labels:
-        if lab not in idx.nodes_by_label:
-            return np.empty((0, p.k), dtype=np.int64)
-    anchor = min(range(p.k), key=lambda i: (len(idx.nodes_by_label[p.node_labels[i]]), i))
-    plan, _ = _join_plan(p, anchor)
-    col_of = {anchor: 0}  # grows as expansion appends columns
-
-    E = idx.nodes_by_label[p.node_labels[anchor]].reshape(-1, 1).copy()
-    for op, e in plan:
-        if E.shape[0] == 0:
-            break
-        if op == "filter":
-            a, b = E[:, col_of[e.i]], E[:, col_of[e.j]]
-            us, vs = (a, b) if e.dirbit else (b, a)  # undirected pairs are stored both ways
-            E = E[idx.has_pairs(us, vs, e.layer)]
-        else:
-            old = e.i if e.i in col_of else e.j
-            new = e.j if old == e.i else e.i
-            # new -> old means we follow in-edges of old; undirected graphs
-            # have one table for both
-            incoming = (e.i if e.dirbit else e.j) == new
-            rows, nbrs = idx.neighbors_flat(E[:, col_of[old]], e.layer, incoming)
-            want = idx.label_ids.get(p.node_labels[new])
-            keep = idx.node_label[nbrs] == want
-            for c in range(E.shape[1]):
-                keep &= nbrs != E[rows, c]
-            rows, nbrs = rows[keep], nbrs[keep]
-            E = np.column_stack([E[rows], nbrs])
-            col_of[new] = E.shape[1] - 1
-    if E.shape[0] == 0:
-        return np.empty((0, p.k), dtype=np.int64)
-    # back to pattern-index column order, then deterministic row order
-    E = E[:, [col_of[i] for i in range(p.k)]]
-    E = E[np.lexsort(tuple(E[:, c] for c in reversed(range(p.k))))]
-    return np.ascontiguousarray(E, dtype=np.int64)
+    memo: dict = {}
+    code = canonical_code(p, memo=memo)
+    E = code_embeddings(code, g)[:, np.argsort(canonical_orderings(p, memo=memo)[0])]
+    return E[np.lexsort(E.T[::-1])]
 
 
 def mis_support_array(E: np.ndarray, sigma: int, marks: np.ndarray) -> int:

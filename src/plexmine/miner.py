@@ -20,7 +20,7 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from .graph import MultiplexGraph
-from .matcher import mis_support_array
+from .matcher import attach, mis_support_array
 from .pattern import (
     CanonicalCode,
     Delta,
@@ -241,11 +241,7 @@ def _extensions(
                 frequent = np.bincount(cand_labels, minlength=n_labels) >= sigma
                 if not frequent.any():
                     continue
-                rows, nbrs = idx.neighbors_flat(E[:, i], layer, incoming)
-                keep = np.ones(rows.size, dtype=bool)
-                for c in range(k):
-                    keep &= nbrs != E[rows, c]
-                rows, nbrs = rows[keep], nbrs[keep]
+                rows, nbrs = attach(idx, E, i, layer, incoming)
                 if rows.size == 0:
                     continue
                 lab_ids = idx.node_label[nbrs]

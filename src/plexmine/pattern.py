@@ -9,7 +9,11 @@ The canonical code of a pattern is the lexicographically smallest tuple
 sequence over all spanning-tree explorations consistent with the chosen
 strategy (BFS or DFS). Equal codes <=> isomorphic patterns, which lets the
 miner deduplicate candidates without isomorphism tests. Tuples compare by
-the fixed key (src, layer, dirbit, dst_label, dst).
+the fixed key (src, layer, dirbit, dst_label, dst). A tuple's dirbit says
+the true edge direction runs from its lower code index to its higher one.
+The code is also a join plan: each tuple attaches a fresh node (``dst``
+is the next code index) or closes a cycle between placed nodes, which is
+how ``matcher.code_embeddings`` enumerates embeddings.
 
 A delta is one edge added to a pattern. ``canonical_delta`` moves it into
 the pattern's canonical node indexing, keeping the smallest image over the
@@ -240,12 +244,15 @@ def _bit(s: str) -> int:
 def _canonical_search(p: Pattern, strategy: Strategy):
     """Minimal code tuples plus every discovery ordering achieving them.
 
-    Explorations are enumerated with two sound prunings: at each state only
-    locally minimal next tuples are expanded (any larger choice is
-    dominated from the same prefix), and branches whose prefix exceeds the
-    best complete code are cut. Orderings map code index -> node index;
-    there is one per exploration attaining the minimum, so together they
-    carry the pattern's canonical automorphisms.
+    An exploration keeps an agenda of discovered code indices: BFS emits
+    from its front and DFS from its back, a fresh node joins its back, and
+    a node leaves it once all its edges are emitted. Explorations are
+    enumerated with two sound prunings: at each state only locally minimal
+    next tuples are expanded (any larger choice is dominated from the same
+    prefix), and branches whose prefix exceeds the best complete code are
+    cut. Orderings map code index -> node index; there is one per
+    exploration attaining the minimum, so together they carry the
+    pattern's canonical automorphisms.
     """
     if not p.is_connected():
         raise PatternError("canonical code requires a connected pattern")
@@ -254,69 +261,35 @@ def _canonical_search(p: Pattern, strategy: Strategy):
     for eidx, e in enumerate(p.edges):
         inc[e.i].append(eidx)
         inc[e.j].append(eidx)
+    take, rest = (0, slice(1, None)) if strategy == Strategy.BFS else (-1, slice(None, -1))
 
     best: list[CodeTuple] | None = None
     best_orders: list[tuple[int, ...]] = []
-    min_label = min(p.node_labels)
-    n_edges = len(p.edges)
-
-    def candidates(state):
-        order, pos, emitted, agenda = state
-        # advance deterministically to the node that must emit next
-        if strategy == Strategy.BFS:
-            cur = agenda
-            while cur < len(order) and all(
-                e in emitted for e in inc[order[cur]]
-            ):
-                cur += 1
-            if cur == len(order):
-                return None, cur  # complete
-            return order[cur], cur
-        stack = list(agenda)
-        while stack and all(e in emitted for e in inc[order[stack[-1]]]):
-            stack.pop()
-        if not stack:
-            return None, tuple(stack)
-        return order[stack[-1]], tuple(stack)
 
     def rec(order, pos, emitted, agenda, tuples, tied):
         nonlocal best, best_orders
-        node, agenda = candidates((order, pos, emitted, agenda))
-        if node is None:
-            if len(emitted) != n_edges:
-                return  # unreachable for connected patterns
+        while agenda and all(e in emitted for e in inc[order[agenda[take]]]):
+            agenda = agenda[rest]
+        if not agenda:
             if best is None or tuples < best:
                 best = list(tuples)
                 best_orders = [tuple(order)]
             elif tuples == best:
                 best_orders.append(tuple(order))
             return
-        cur = pos[node]
+        cur = agenda[take]
+        node = order[cur]
         cands = []
         for eidx in inc[node]:
             if eidx in emitted:
                 continue
             e = p.edges[eidx]
             other = e.j if e.i == node else e.i
-            if other in pos:
-                dst = pos[other]
-                lo = min(cur, dst)
-                if p.directed:
-                    actual_src = e.i if e.dirbit else e.j
-                    dirbit = 1 if pos[actual_src] == lo else 0
-                else:
-                    dirbit = 0
-                t = CodeTuple(cur, e.layer, dirbit, p.node_labels[other], dst)
-                cands.append((t, eidx, None))
-            else:
-                dst = len(order)
-                if p.directed:
-                    actual_src = e.i if e.dirbit else e.j
-                    dirbit = 1 if actual_src == node else 0
-                else:
-                    dirbit = 0
-                t = CodeTuple(cur, e.layer, dirbit, p.node_labels[other], dst)
-                cands.append((t, eidx, other))
+            dst = pos.get(other, len(order))
+            # the dirbit says the true source has the lower code index
+            src = cur if (e.i if e.dirbit else e.j) == node else dst
+            dirbit = int(p.directed and src == min(cur, dst))
+            cands.append((CodeTuple(cur, e.layer, dirbit, p.node_labels[other], dst), eidx, other))
         t_min = min(t for t, _, _ in cands)
         depth = len(tuples)
         if best is not None and tied:
@@ -325,22 +298,19 @@ def _canonical_search(p: Pattern, strategy: Strategy):
             tied_next = t_min == best[depth]
         else:
             tied_next = tied
-        for t, eidx, new_node in cands:
+        for t, eidx, other in cands:
             if t != t_min:
                 continue
-            if new_node is None:
+            if t.dst < len(order):
                 rec(order, pos, emitted | {eidx}, agenda, tuples + [t], tied_next)
             else:
-                pos2 = dict(pos)
-                pos2[new_node] = len(order)
-                agenda2 = agenda if strategy == Strategy.BFS else agenda + (len(order),)
-                rec(order + [new_node], pos2, emitted | {eidx}, agenda2, tuples + [t], tied_next)
+                rec(order + [other], {**pos, other: t.dst}, emitted | {eidx},
+                    agenda + (t.dst,), tuples + [t], tied_next)
 
+    min_label = min(p.node_labels)
     for root in range(k):
-        if p.node_labels[root] != min_label:
-            continue
-        start_agenda = 0 if strategy == Strategy.BFS else (0,)
-        rec([root], {root: 0}, frozenset(), start_agenda, [], best is not None)
+        if p.node_labels[root] == min_label:
+            rec([root], {root: 0}, frozenset(), (0,), [], best is not None)
     return tuple(best), tuple(dict.fromkeys(best_orders))
 
 

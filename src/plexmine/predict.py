@@ -17,7 +17,9 @@ candidate universe and the ensemble share this one encoding.
 
 Accumulation works on arrays. Rules are visited in sorted order, which
 groups them by antecedent, and each antecedent's embeddings are fetched
-once. Whole antecedents are gathered into batches of about
+once: from the mined pattern set when it holds them, or by walking the
+antecedent's canonical code, which doubles as the join plan and yields
+columns already in canonical node indexing. Whole antecedents are gathered into batches of about
 ``BATCH_FIRINGS`` firings (embedding rows x rules), and each batch costs a
 few dozen numpy calls: every (rule, row) firing is encoded as a
 candidate key at once, one pair-index probe drops the firings that land on
@@ -40,7 +42,7 @@ import numpy as np
 
 from .graph import MultiplexGraph
 from .io import ParseError, text_lines
-from .matcher import match_array
+from .matcher import code_embeddings
 from .miner import PatternSet
 from .rules import AssociationRule, RuleSet
 
@@ -189,7 +191,7 @@ def _antecedent_groups(g: MultiplexGraph, rules: list[tuple[int, AssociationRule
     """(embeddings, [(id, rule), ...]) per run of ``rules`` sharing an antecedent."""
     for code, group in groupby(rules, key=lambda item: item[1].antecedent_code):
         rec = pattern_set.get(code) if pattern_set is not None else None
-        E = rec.embeddings_canonical() if rec is not None else match_array(code.pattern, g)
+        E = rec.embeddings_canonical() if rec is not None else code_embeddings(code, g)
         yield E, list(group)
 
 

@@ -413,6 +413,31 @@ def test_bad_support_names_the_forms_it_accepts(small_graph, capsys, support):
         f"percentage such as 40%, got {support!r}\n")
 
 
+@pytest.mark.parametrize("command", ["mine", "evaluate"])
+@pytest.mark.parametrize("confidence", ["nan", "-1", "1.5", "inf", "abc"])
+def test_bad_confidence_names_its_range(small_graph, capsys, command, confidence):
+    with pytest.raises(SystemExit) as exc:
+        main([command, small_graph + ".edges", "--confidence", confidence])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"argument --confidence: expected a number in [0, 1], got {confidence!r}\n")
+
+
+@pytest.mark.parametrize("degree", ["0", "-4", "1"])
+def test_generate_rejects_average_degree_below_two(tmp_path, degree):
+    code, _, err = run_cli("generate", "--nodes", "20", "--avg-degree", degree,
+                           "--out-prefix", str(tmp_path / "g"))
+    assert (code, err) == (2, "error: avg_degree must be >= 2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_warns_that_odd_degree_rounds_down(tmp_path):
+    code, _, err = run_cli("generate", "--nodes", "30", "--layers", "1", "--avg-degree", "5",
+                           "--out-prefix", str(tmp_path / "g"))
+    assert code == 0
+    assert err.splitlines()[0] == "warning: odd --avg-degree 5 rounds down to 4"
+
+
 @pytest.mark.parametrize("flags", [["--attrs", "{g}.attrs"], ["--directed"]])
 def test_frustration_takes_no_flag_that_layer_names_ignore(small_graph, tmp_path, flags):
     with pytest.raises(SystemExit) as exc:

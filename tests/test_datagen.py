@@ -1,5 +1,3 @@
-import logging
-
 import pytest
 
 from plexmine.datagen import SynthConfig, generate
@@ -44,12 +42,10 @@ def test_mean_degree_within_ten_percent():
         assert abs(mean_deg - target) / target < 0.10
 
 
-def test_odd_degree_rounds_down_with_warning(caplog):
+def test_odd_degree_rounds_down():
     cfg = SynthConfig(n=30, layers=1, avg_degree=5, seed=1)
-    with caplog.at_level(logging.WARNING):
-        g = generate(cfg)
+    g = generate(cfg)
     assert cfg.m == 2
-    assert any("rounding" in r.message for r in caplog.records)
     assert g.n_edges == 2 * (30 - 2)
 
 
@@ -60,3 +56,6 @@ def test_invalid_configs_rejected():
         generate(SynthConfig(layers=0))
     with pytest.raises(ValueError):
         generate(SynthConfig(p_triangle=1.5))
+    for avg_degree in (1, 0, -4):
+        with pytest.raises(ValueError):
+            generate(SynthConfig(n=20, avg_degree=avg_degree))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from plexmine.graph import MultiplexGraph
-from plexmine.matcher import MatchError, match_array, mis_support_array
-from plexmine.pattern import Pattern, PatternEdge
+from plexmine.matcher import MatchError, code_embeddings, match_array, mis_support_array
+from plexmine.pattern import Pattern, PatternEdge, Strategy, canonical_code
 
 from oracles import (
     brute_embeddings,
@@ -88,6 +88,25 @@ def test_matches_bruteforce_on_random_instances():
         assert got == want
         checked += 1
     assert checked > 60
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("directed", [False, True])
+def test_code_walk_matches_bruteforce(strategy, directed):
+    # codes use up to three labels and layers, so many graphs lack one of them
+    rng = random.Random(31)
+    found = missing = 0
+    for _ in range(200):
+        g = random_multiplex(rng, max_nodes=7, directed=directed)
+        p = random_connected_pattern(rng, max_nodes=4, n_layers=3, labels="abc",
+                                     directed=directed)
+        code = canonical_code(p, strategy)
+        E = code_embeddings(code, g)
+        assert E.dtype == np.int64 and E.shape[1] == p.k
+        assert [tuple(row) for row in E.tolist()] == brute_embeddings(code.pattern, g)
+        found += len(E) > 0
+        missing += not (p.layers <= g.layers and set(p.node_labels) <= set(g.attrs.values()))
+    assert found > 20 and missing > 20
 
 
 def test_mis_array_agrees_with_list_form(image_table_graph, chain_pattern):

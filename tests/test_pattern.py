@@ -96,6 +96,49 @@ def test_code_string_quotes_labels():
     assert CanonicalCode.from_string(code.to_string()) == code
 
 
+QUOTED = "a b|c;d:e-%"
+PINNED_CODES = [
+    # a 4-cycle whose BFS and DFS codes differ
+    (Pattern(False, ("x", "x", "y", "x"),
+             (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False),
+              PatternEdge(0, 3, 1, False), PatternEdge(2, 3, 0, False))),
+     "Bu|x|0-1:0:0:x;0-2:0:0:y;1-3:1:0:x;2-3:0:0:x",
+     "Du|x|0-1:0:0:x;1-2:0:0:y;2-3:0:0:x;3-0:1:0:x"),
+    # a triangle with a tail, under all-equal labels
+    (Pattern(False, ("x", "x", "x", "x"),
+             (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False),
+              PatternEdge(1, 3, 0, False), PatternEdge(2, 3, 1, False))),
+     "Bu|x|0-1:0:0:x;0-2:0:0:x;0-3:0:0:x;1-2:1:0:x",
+     "Du|x|0-1:0:0:x;0-2:0:0:x;2-3:1:0:x;3-0:0:0:x"),
+    # directed antiparallel edges in one layer
+    (Pattern(True, ("a", "b", "a"),
+             (PatternEdge(0, 1, 0, True), PatternEdge(0, 1, 0, False),
+              PatternEdge(1, 2, 1, False))),
+     "Bd|a|0-1:0:0:b;0-1:0:1:b;1-2:1:0:a",
+     "Dd|a|0-1:0:0:b;1-0:0:1:a;1-2:1:0:a"),
+    # parallel edges in three layers
+    (Pattern(False, ("y", "x", "y"),
+             (PatternEdge(0, 1, 0, False), PatternEdge(0, 1, 2, False),
+              PatternEdge(0, 1, 1, False), PatternEdge(1, 2, 1, False))),
+     "Bu|x|0-1:0:0:y;0-1:1:0:y;0-2:1:0:y;0-1:2:0:y",
+     "Du|x|0-1:0:0:y;1-0:1:0:x;1-0:2:0:x;0-2:1:0:y"),
+    # labels that need quoting
+    (Pattern(True, (QUOTED, "_", QUOTED),
+             (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, True))),
+     "Bd|_|0-1:0:1:a%20b%7Cc%3Bd%3Ae-%25;0-2:0:1:a%20b%7Cc%3Bd%3Ae-%25",
+     "Dd|_|0-1:0:1:a%20b%7Cc%3Bd%3Ae-%25;0-2:0:1:a%20b%7Cc%3Bd%3Ae-%25"),
+]
+
+
+@pytest.mark.parametrize("p, bfs, dfs", PINNED_CODES)
+def test_code_form_is_pinned(p, bfs, dfs):
+    # dumps written under CODE_SCHEME_VERSION 1 must keep reading back
+    for strategy, text in ((Strategy.BFS, bfs), (Strategy.DFS, dfs)):
+        code = canonical_code(p, strategy)
+        assert code.to_string() == text
+        assert CanonicalCode.from_string(text) == code
+
+
 def test_apply_delta_node_and_cycle():
     edge = Pattern(False, ("x", "y"), (PatternEdge(0, 1, 0, False),))
     grown = apply_delta(edge, Delta(0, None, 1, False, "z"))

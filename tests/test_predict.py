@@ -7,7 +7,7 @@ from plexmine import predict
 
 from plexmine.graph import MultiplexGraph
 from plexmine.io import ParseError
-from plexmine.matcher import match_array
+from plexmine.matcher import code_embeddings
 from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import (
     Delta,
@@ -307,8 +307,8 @@ def test_rematches_each_antecedent_once(monkeypatch):
     antecedents = {r.antecedent_code for r in rules}
     assert len(rules) > len(antecedents)  # some antecedent has several rules
     calls = []
-    monkeypatch.setattr(predict, "match_array",
-                        lambda p, g: calls.append(p) or match_array(p, g))
+    monkeypatch.setattr(predict, "code_embeddings",
+                        lambda code, g: calls.append(code) or code_embeddings(code, g))
     apply_rules(g, rules)
     assert len(calls) == len(antecedents)
 

@@ -88,11 +88,10 @@ def _out(path: str | None, text: str) -> None:
 
 
 def _emit_timings(args, timings) -> None:
-    if not getattr(args, "timings", False):
+    if not args.timings:
         return
-    stream_path = getattr(args, "timings_out", None)
-    if stream_path:
-        with open(stream_path, "w", encoding="utf-8") as fh:
+    if args.timings_out:
+        with open(args.timings_out, "w", encoding="utf-8") as fh:
             fh.write(timings.to_tsv())
     else:
         sys.stderr.write(timings.to_tsv())

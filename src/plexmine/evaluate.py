@@ -281,7 +281,7 @@ def roc_auc(
             "scored": scored,
         }
         try:
-            seg_aucs[seg], _ = auc_and_roc(seg_scores, seg_labels)
+            seg_aucs[seg] = rank_auc(seg_scores, seg_labels)
         except EvalError:
             seg_aucs[seg] = None
     return EvalReport(auc=auc, roc_points=points, segment_aucs=seg_aucs,

@@ -93,9 +93,6 @@ class MultiplexGraph:
             u, v = v, u
         return (u, v, l) in self.edges
 
-    def labels_present(self) -> frozenset[str]:
-        return frozenset(self.attrs.values())
-
     def layer_id(self, name: str) -> int:
         for lid, lname in self.layer_names.items():
             if lname == name:

@@ -34,6 +34,12 @@ def attach(idx: GraphIndex, E: np.ndarray, col: int, layer: int,
     return rows[keep], nbrs[keep]
 
 
+def fits(code: CanonicalCode, g: MultiplexGraph) -> bool:
+    """Whether ``g`` has every label and layer that ``code`` names."""
+    labels = {code.root_label} | {t.dst_label for t in code.tuples}
+    return {t.layer for t in code.tuples} <= g.layers and labels <= g.index().label_ids.keys()
+
+
 def code_embeddings(code: CanonicalCode, g: MultiplexGraph) -> np.ndarray:
     """All embeddings of ``code``'s pattern in ``g`` as an (N, k) int array.
 
@@ -42,10 +48,9 @@ def code_embeddings(code: CanonicalCode, g: MultiplexGraph) -> np.ndarray:
     """
     if code.directed != g.directed:
         raise MatchError("pattern/graph directedness mismatch")
-    idx = g.index()
-    labels = {code.root_label} | {t.dst_label for t in code.tuples}
-    if not ({t.layer for t in code.tuples} <= g.layers and labels <= idx.label_ids.keys()):
+    if not fits(code, g):
         return np.empty((0, code.pattern.k), dtype=np.int64)
+    idx = g.index()
     E = idx.nodes_by_label[code.root_label].reshape(-1, 1).copy()
     # the code may list a closure after expansions (a parallel edge in a
     # higher layer does); run it first, before they multiply the rows

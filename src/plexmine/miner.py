@@ -137,14 +137,8 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
         members = idx.nodes_by_label[label]
         if len(members) < sigma:
             continue
-        p = single_node(label, g.directed)
-        rec = MinedPattern(
-            pattern=p,
-            code=canonical_code(p, cfg.strategy, ps.memo),
-            support=len(members),
-            embeddings=members.reshape(-1, 1),
-            orderings=canonical_orderings(p, cfg.strategy, ps.memo),
-        )
+        rec = _record(single_node(label, g.directed), len(members), members.reshape(-1, 1),
+                      cfg.strategy, ps.memo)
         ps.add(rec)
         queue.append(rec)
 
@@ -160,27 +154,28 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
                 )
             if supp_c < sigma:
                 continue
-            child_pattern = apply_delta(parent.pattern, delta)
-            code_c = canonical_code(child_pattern, cfg.strategy, ps.memo)
-            rec_c = ps.get(code_c)
+            child = _record(apply_delta(parent.pattern, delta), supp_c, child_embs,
+                            cfg.strategy, ps.memo)
+            rec_c = ps.get(child.code)
             if rec_c is None:
-                rec_c = MinedPattern(
-                    pattern=child_pattern,
-                    code=code_c,
-                    support=supp_c,
-                    embeddings=child_embs,
-                    orderings=canonical_orderings(child_pattern, cfg.strategy, ps.memo),
-                )
+                rec_c = child
                 ps.add(rec_c)
                 queue.append(rec_c)
             elif rec_c.support != supp_c:
                 raise MiningInvariantError(
-                    f"support mismatch for {code_c.to_string()}: "
+                    f"support mismatch for {child.code.to_string()}: "
                     f"{rec_c.support} vs {supp_c}"
                 )
             if rule_sink is not None:
                 rule_sink.offer(parent, rec_c, delta)
     return ps
+
+
+def _record(pattern: Pattern, support: int, E: np.ndarray, strategy: Strategy,
+            memo: dict) -> MinedPattern:
+    """The record of ``pattern``, with its canonical code and orderings."""
+    return MinedPattern(pattern, canonical_code(pattern, strategy, memo), support, E,
+                        canonical_orderings(pattern, strategy, memo))
 
 
 def _extensions(
@@ -193,18 +188,15 @@ def _extensions(
     closure filters the parent's rows, and a fresh node appends each row's
     neighbors in ascending order.
 
-    Fresh-node candidates whose new-node image count provably falls below
-    ``sigma`` are pruned before the expansion join is materialized; the
-    bound is sound because the new column's images are a subset of the
-    distinct neighbors of the anchor column's distinct images. ``marks``
-    is the scratch array of ``mis_support_array``, left all False at every
-    yield.
+    A fresh-node candidate is yielded only when its new column has at
+    least ``sigma`` distinct images, counted exactly on the expansion join
+    before the child array is stacked: minimum-image support is at most
+    any one column's count. ``marks`` is the scratch array of
+    ``mis_support_array``, left all False at every yield.
     """
     p = parent.pattern
     idx = g.index()
     E = parent.embeddings
-    if E.shape[0] == 0:
-        return
     k = p.k
     existing = set(p.edges)
     dirbits = (True, False) if g.directed else (False,)
@@ -230,27 +222,16 @@ def _extensions(
         return
     n_labels = len(idx.labels_list)
     for i in range(k):
-        anchors_unique = _distinct(E[:, i], marks)
         for layer in idx.layers:
             for dirbit in dirbits:
-                incoming = not dirbit  # new -> anchor: follow the anchor's in-edges
-                _, cand_nbrs = idx.neighbors_flat(anchors_unique, layer, incoming)
-                if cand_nbrs.size == 0:
-                    continue
-                cand_labels = idx.node_label[_distinct(cand_nbrs, marks)]
-                frequent = np.bincount(cand_labels, minlength=n_labels) >= sigma
-                if not frequent.any():
-                    continue
-                rows, nbrs = attach(idx, E, i, layer, incoming)
-                if rows.size == 0:
-                    continue
+                # new -> anchor (dirbit False) follows the anchor's in-edges
+                rows, nbrs = attach(idx, E, i, layer, not dirbit)
+                images = np.bincount(idx.node_label[_distinct(nbrs, marks)], minlength=n_labels)
                 lab_ids = idx.node_label[nbrs]
-                present = np.bincount(lab_ids, minlength=n_labels) > 0
-                for lab_id in np.flatnonzero(present & frequent):
-                    label = idx.labels_list[lab_id]
+                for lab_id in np.flatnonzero(images >= sigma):
                     m = lab_ids == lab_id
-                    child_embs = np.column_stack([E[rows[m]], nbrs[m]])
-                    yield Delta(i, None, layer, dirbit, label), child_embs
+                    yield (Delta(i, None, layer, dirbit, idx.labels_list[lab_id]),
+                           np.column_stack([E[rows[m]], nbrs[m]]))
 
 
 def _distinct(values: np.ndarray, marks: np.ndarray) -> np.ndarray:

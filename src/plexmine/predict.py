@@ -42,7 +42,7 @@ import numpy as np
 
 from .graph import MultiplexGraph
 from .io import ParseError, text_lines
-from .matcher import code_embeddings
+from .matcher import code_embeddings, fits
 from .miner import PatternSet
 from .rules import AssociationRule, RuleSet
 
@@ -123,16 +123,9 @@ BATCH_FIRINGS = 8192
 def applicable_rules(g: MultiplexGraph, rules: RuleSet) -> list[tuple[int, AssociationRule]]:
     """(id, rule) of the rules whose layers and labels ``g`` has, where a
     rule's id is its position in ``sorted_rules()``; ``apply_rules`` skips
-    the others."""
-    labels_present = g.labels_present()
-    applicable = []
-    for rule_id, rule in enumerate(rules.sorted_rules()):
-        labels = set(rule.antecedent.node_labels)
-        if rule.delta.new_label is not None:
-            labels.add(rule.delta.new_label)
-        if rule.antecedent.layers | {rule.delta.layer} <= g.layers and labels <= labels_present:
-            applicable.append((rule_id, rule))
-    return applicable
+    the others. The consequent names every layer and label of the rule."""
+    return [(rule_id, rule) for rule_id, rule in enumerate(rules.sorted_rules())
+            if fits(rule.consequent_code, g)]
 
 
 def apply_rules(

@@ -201,12 +201,9 @@ class RuleBuilder:
         conf = child.support / parent.support
         if conf + CONFIDENCE_EPS < self.min_confidence:
             return None
-        delta = canonical_delta(parent.pattern, delta, parent.orderings)
-        existing = self._rules.rules.get((parent.code, delta))
-        if existing is not None:
-            return existing
         return self._rules.add(AssociationRule(
-            parent.code, child.code, delta, parent.support, child.support))
+            parent.code, child.code, canonical_delta(parent.pattern, delta, parent.orderings),
+            parent.support, child.support))
 
     def result(self) -> RuleSet:
         return self._rules

@@ -54,14 +54,18 @@ class SignMap:
 
     @classmethod
     def parse(cls, spec: str, layer_names: dict[int, str]) -> "SignMap":
-        """Parse `name:+,name:-,name:x` (x = excluded)."""
+        """Parse `name:+,name:-,name:x` (x = excluded); each layer once."""
         by_name = {name: lid for lid, name in layer_names.items()}
         signs = {}
+        seen = set()
         for item in spec.split(","):
             name, _, mark = item.partition(":")
             name, mark = name.strip(), mark.strip()
             if name not in by_name:
                 raise SignedError(f"unknown layer name {name!r}")
+            if name in seen:
+                raise SignedError(f"layer {name!r} is given more than once")
+            seen.add(name)
             if mark == "x":
                 continue
             if mark not in ("+", "-"):

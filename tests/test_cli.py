@@ -112,6 +112,21 @@ def test_predict_roundtrip(small_graph, tmp_path):
     assert scores == sorted(scores, reverse=True)
 
 
+def test_predict_timings_add_one_stderr_line(small_graph, tmp_path):
+    rules = str(tmp_path / "rules.tsv")
+    run_cli("mine", small_graph + ".edges", "--support", "25%", "--size", "3",
+            "--rules-out", rules, "--patterns-out", str(tmp_path / "p.tsv"))
+    args = ("predict", small_graph + ".edges", "--rules", rules)
+    code, plain, plain_err = run_cli(*args)
+    assert (code, plain_err) == (0, "")
+    code, out, err = run_cli(*args, "--timings")
+    assert code == 0
+    assert out == plain != ""
+    [line] = err.splitlines()
+    name, seconds = line.split("\t")
+    assert name == "apply_s" and float(seconds) >= 0
+
+
 def test_predict_that_skips_every_rule_warns_twice(small_graph, tmp_path, capsys):
     """In process, where the root logger has pytest's handlers."""
     rules = str(tmp_path / "rules.tsv")
@@ -164,6 +179,20 @@ def test_frustration_report(small_graph, tmp_path):
                            "--signs", "L0:+,L1:-")
     assert code == 0
     assert "zero_consequent" in out
+
+
+@pytest.mark.parametrize("signs, message", [
+    ("L9:+", "unknown layer name 'L9'"),
+    ("L0:+,L0:-,L1:-", "layer 'L0' is given more than once"),
+    ("L0:+,L0:x,L1:-", "layer 'L0' is given more than once"),
+])
+def test_bad_signs_spec_exits_2(small_graph, tmp_path, signs, message):
+    rules = str(tmp_path / "rules.tsv")
+    run_cli("mine", small_graph + ".edges", "--support", "25%", "--size", "3",
+            "--rules-out", rules, "--patterns-out", str(tmp_path / "p.tsv"))
+    code, out, err = run_cli("frustration", "--rules", rules,
+                             "--edges", small_graph + ".edges", "--signs", signs)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@ import functools
 import random
 from collections import Counter
 
+import pytest
+
 from plexmine.graph import MultiplexGraph
 from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import CanonicalCode, Delta, Strategy
@@ -25,6 +27,22 @@ def test_confidence_one_when_supports_equal():
     _, emb, _ = _mine_both(g, 4, 2, 0.8)
     by_conf = [r for r in emb if r.antecedent.k == 1 and r.antecedent.node_labels == ("a",)]
     assert by_conf and all(r.confidence == 1.0 for r in by_conf)
+
+
+def test_sink_rejects_a_repeated_offer_with_other_supports():
+    edges = [(i, 10 + i, 0) for i in range(3)]
+    attrs = {i: "a" for i in range(3)} | {10 + i: "b" for i in range(3)}
+    g = MultiplexGraph(list(attrs), edges, attrs=attrs, directed=False)
+    ps = mine(g, MiningConfig(1, 2))
+    parent = ps.get(CanonicalCode.from_string("Bu|a|"))
+    child = ps.get(CanonicalCode.from_string("Bu|a|0-1:0:0:b"))
+    delta = Delta(0, None, 0, False, "b")
+    sink = RuleBuilder(0.5)
+    rule = sink.offer(parent, child, delta)
+    assert (rule.support_a, rule.support_c) == (3, 3)
+    assert sink.offer(parent, child, delta) is rule
+    with pytest.raises(ValueError, match="conflicting supports"):
+        sink.offer(parent, dataclasses.replace(child, support=2), delta)
 
 
 def test_threshold_filters_rules():

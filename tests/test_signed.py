@@ -212,5 +212,9 @@ def test_signmap_parse_and_preset():
     assert parsed.signs == {0: 1, 1: -1}
     with pytest.raises(SignedError):
         SignMap.parse("nope:+", names)
+    # a repeated layer is an error whatever its marks, not last-one-wins
+    for spec in ("L0:+,L0:-,L1:-", "L0:+,L0:x,L1:-"):
+        with pytest.raises(SignedError, match="'L0' is given more than once"):
+            SignMap.parse(spec, {0: "L0", 1: "L1"})
     with pytest.raises(SignedError):
         SignMap({0: 2})

@@ -25,10 +25,11 @@ from .datagen import SynthConfig, generate
 from .evaluate import EvalError, classic_score, kfold_split, sharma_score, temporal_split
 from .graph import GraphError, flatten_monoplex
 from .io import ParseError, load_multiplex, load_temporal, save_multiplex
+from .matcher import fits
 from .miner import MiningConfig, MiningError, MiningInvariantError
 from .pattern import PatternError, Strategy
 from .pipeline import CrossValResult, evaluate_split, make_rule_scorer, run_mining
-from .predict import applicable_rules, apply_rules, load_score_dump, score_dump
+from .predict import apply_rules, load_score_dump, score_dump
 from .rules import DEFAULT_MIN_CONFIDENCE, RuleSet
 from .signed import SignMap, SignedError, frustration_report
 
@@ -150,7 +151,7 @@ def cmd_predict(args) -> int:
         raise ValueError(f"--top must be >= 1, got {args.top}")
     g = _load(args)
     rules = RuleSet.from_tsv(args.rules)
-    skipped = len(rules) - len(applicable_rules(g, rules))
+    skipped = sum(not fits(r.consequent_code, g) for r in rules.rules.values())
     if skipped:
         sys.stderr.write(f"warning: skipped {skipped} of {len(rules)} rules: they reference "
                          "a layer or label absent from the graph\n")

@@ -28,6 +28,8 @@ class MultiplexGraph:
     Undirected graphs store each triple once with u < v; (u, v, l) and
     (v, u, l) are identified at construction. Self-loops are rejected.
     Nodes missing from ``attrs`` get the shared default label ``"_"``.
+    ``source`` is the graph that ``subgraph_of_edges`` cut this one from,
+    or None; equality and hashing ignore it.
     """
 
     __slots__ = (
@@ -38,6 +40,7 @@ class MultiplexGraph:
         "attrs",
         "layer_names",
         "node_names",
+        "source",
         "_index",
     )
 
@@ -76,6 +79,7 @@ class MultiplexGraph:
         self.attrs = {n: str(a.get(n, DEFAULT_LABEL)) for n in self.nodes}
         self.layer_names = dict(layer_names) if layer_names else {l: str(l) for l in self.layers}
         self.node_names = dict(node_names) if node_names else {n: str(n) for n in self.nodes}
+        self.source: MultiplexGraph | None = None
         self._index = None
 
     # -- basic views ------------------------------------------------------
@@ -128,13 +132,18 @@ class MultiplexGraph:
         return self._index
 
     def subgraph_of_edges(self, keep: Iterable[EdgeTriple]) -> "MultiplexGraph":
-        """Graph induced by a subset of the edge set (nodes = endpoints)."""
+        """Graph induced by a subset of the edge set (nodes = endpoints).
+
+        The result keeps this graph's node ids, labels and layers, and its
+        ``source`` is this graph, so every embedding of a pattern in it is
+        an embedding in this graph too and no support grows.
+        """
         keep = set(keep)
         extra = keep - self.edges
         if extra:
             raise GraphError(f"{len(extra)} edges not in graph")
         nodes = {u for u, v, _ in keep} | {v for u, v, _ in keep}
-        return MultiplexGraph(
+        sub = MultiplexGraph(
             nodes,
             keep,
             attrs={n: self.attrs[n] for n in nodes},
@@ -143,6 +152,8 @@ class MultiplexGraph:
             layer_names=self.layer_names,
             node_names={n: self.node_names[n] for n in nodes},
         )
+        sub.source = self
+        return sub
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from .graph import MultiplexGraph
+from .graph import GraphIndex, MultiplexGraph
 from .matcher import attach, mis_support_array
 from .pattern import (
     CanonicalCode,
@@ -74,11 +74,26 @@ class MiningConfig:
 
 @dataclass
 class MinedPattern:
+    """A frequent pattern with its support and every embedding.
+
+    ``embeddings`` reads the (N, k) array of every embedding, in
+    pattern-index columns with sorted rows. A record that ``restrict``
+    derived keeps the array of the record it came from and, if it lost
+    rows, a boolean ``rows`` mask over it that selects the rows on each
+    read: copying the rows instead would hold most of the source's
+    embeddings twice.
+    """
+
     pattern: Pattern
     code: CanonicalCode
     support: int
-    embeddings: np.ndarray  # (N, k), every embedding, pattern-index columns, sorted rows
+    array: np.ndarray
     orderings: tuple[tuple[int, ...], ...]  # canonical discovery orderings
+    rows: np.ndarray | None = None
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        return self.array if self.rows is None else self.array.compress(self.rows, axis=0)
 
     def embeddings_canonical(self) -> np.ndarray:
         """Embeddings with columns permuted to canonical node indexing."""
@@ -169,6 +184,61 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
             if rule_sink is not None:
                 rule_sink.offer(parent, rec_c, delta)
     return ps
+
+
+def restrict(ps: PatternSet, g: MultiplexGraph, sigma: int) -> PatternSet:
+    """What ``mine`` returns on ``g`` at absolute support ``sigma``,
+    computed from ``ps``, which ``mine`` found on ``g.source`` with the
+    same size cap and strategy at an absolute support of at most ``sigma``.
+
+    ``g`` keeps its source's node ids and labels and loses edges, so a
+    pattern's embeddings in ``g`` are its source embeddings that use no
+    edge ``g`` lacks, and its support can only fall: ``g``'s patterns are
+    the records of ``ps`` whose recounted support stays at least
+    ``sigma``. Records keep ``ps``'s order, codes, patterns and orderings.
+    A single-node record takes ``g``'s nodes of its label, as ``mine``
+    seeds it. Any other record keeps its source array and masks the rows
+    that survive, found by one probe per row and node pair of the pair
+    index of the lacking edges; that index has the source's width, so no
+    source node id aliases another pair. A record that loses no row needs
+    no mask. The result shares ``ps``'s memo.
+    """
+    idx = g.index()
+    src = g.source
+    lacking = MultiplexGraph(src.nodes, src.edges - g.edges, directed=src.directed,
+                             layers=src.layers).index()
+    out = PatternSet(ps.memo)
+    marks = np.zeros(idx.width, dtype=bool)
+    for rec in ps:
+        p = rec.pattern
+        if p.k == 1:
+            members = idx.nodes_by_label.get(p.node_labels[0])
+            if members is not None and len(members) >= sigma:
+                out.add(MinedPattern(p, rec.code, len(members), members.reshape(-1, 1),
+                                     rec.orderings))
+            continue
+        E = rec.array
+        pairs, needs = _pair_needs(p, lacking)
+        masks = lacking.pair_masks(E[:, pairs[:, 0]].ravel(), E[:, pairs[:, 1]].ravel())
+        rows = ~(masks.reshape(len(E), len(pairs), -1) & needs).any(axis=(1, 2))
+        kept = E.compress(rows, axis=0)
+        support = mis_support_array(kept, sigma, marks)
+        if support >= sigma:
+            out.add(MinedPattern(p, rec.code, support, E, rec.orderings,
+                                 None if len(kept) == len(E) else rows))
+    return out
+
+
+def _pair_needs(p: Pattern, idx: GraphIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The node pairs (i, j) that ``p``'s edges join, as a (P, 2) array,
+    and per pair the ``pair_masks`` bits, (P, n_words), of its edges."""
+    needs: dict[tuple[int, int], int] = {}
+    for e in p.edges:
+        bit = 2 * idx.layer_pos[e.layer] + (0 if e.dirbit else 1)
+        needs[e.i, e.j] = needs.get((e.i, e.j), 0) | 1 << bit
+    words = [[need >> (64 * w) & (1 << 64) - 1 for w in range(idx.n_words)]
+             for need in needs.values()]
+    return np.array(list(needs), dtype=np.int64), np.array(words, dtype=np.uint64)
 
 
 def _record(pattern: Pattern, support: int, E: np.ndarray, strategy: Strategy,

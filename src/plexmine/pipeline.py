@@ -8,10 +8,10 @@ from typing import Sequence
 
 from .evaluate import EvalError, EvalReport, Scorer, Split, ensemble, kfold_split, roc_auc
 from .graph import MultiplexGraph
-from .miner import MiningConfig, PatternSet, mine
+from .miner import MiningConfig, PatternSet, mine, restrict
 from .pattern import Strategy
 from .predict import ScoreTable, apply_rules
-from .rules import RuleBuilder, RuleSet, derive_rules_posthoc
+from .rules import RuleBuilder, RuleSet, derive_rules_posthoc, restrict_rules
 
 
 @dataclass
@@ -75,6 +75,14 @@ def run_mining(
     return MiningRun(patterns=patterns, rules=rules, timings=timings)
 
 
+# The largest share of its source's edges that a graph may lack and still
+# be derived from the source's mine: the folds of a 7-fold or finer
+# cross-validation. Mining the source costs more than mining a fold, the
+# more so the more edges a fold lacks, and over fewer, sparser folds
+# mining each fold is cheaper (measurements in CHANGES.md).
+SOURCE_MINE_MAX_LACKING = 0.15
+
+
 def make_rule_scorer(
     support: float | int,
     max_nodes: int,
@@ -82,14 +90,48 @@ def make_rule_scorer(
     strategy: Strategy = Strategy.BFS,
 ) -> Scorer:
     """Scorer callback (graph -> ScoreTable): mine embedded rules, apply them.
+
     The graphs one scorer scores (folds, an ensemble's internal split) are
-    one run and share its memo of canonical searches."""
+    one run and share its memo of canonical searches. They may also share
+    one mine: when a second graph cut from the same ``source`` graph
+    arrives (the second fold of a cross-validation), the scorer mines the
+    source once, at that graph's resolved support, with every offer kept.
+    That graph and every later one from the source then take their
+    patterns from that mine (``miner.restrict``) and their rules from its
+    offers (``rules.restrict_rules``), which gives what mining them gives,
+    byte for byte. A graph whose support is below the source mine's mines
+    the source again at its own. A graph with no source, the first from a
+    new one, or one that lacks more than ``SOURCE_MINE_MAX_LACKING`` of
+    its source's edges is mined directly: an ensemble scores one fold and
+    its internal split, and a source mine would not pay for itself there,
+    nor over a few folds that each lack many edges. The scorer holds one
+    source and its mine at a time.
+    """
     memo = {}
+    source = None
+    source_mine = None  # (sigma, patterns, offers) of the mine of ``source``
 
     def scorer(g: MultiplexGraph) -> ScoreTable:
-        sink = RuleBuilder(min_confidence)
-        patterns = mine(g, MiningConfig(support, max_nodes, strategy), rule_sink=sink, memo=memo)
-        return apply_rules(g, sink.result(), pattern_set=patterns)
+        nonlocal source, source_mine
+        cfg = MiningConfig(support, max_nodes, strategy)
+        src = g.source
+        if src is not None and (len(src.edges) - len(g.edges)
+                                > SOURCE_MINE_MAX_LACKING * len(src.edges)):
+            src = None  # too far from its source for a source mine to pay
+        if src is None or src is not source:
+            source, source_mine = src, None
+            sink = RuleBuilder(min_confidence)
+            patterns = mine(g, cfg, rule_sink=sink, memo=memo)
+            return apply_rules(g, sink.result(), pattern_set=patterns)
+        sigma = cfg.resolve_support(g)
+        if source_mine is None or sigma < source_mine[0]:
+            offers = RuleBuilder(0.0)
+            mined = mine(source, MiningConfig(sigma, max_nodes, strategy), rule_sink=offers,
+                         memo=memo)
+            source_mine = sigma, mined, offers.result()
+        patterns = restrict(source_mine[1], g, sigma)
+        rules = restrict_rules(source_mine[2], patterns, min_confidence)
+        return apply_rules(g, rules, pattern_set=patterns)
 
     return scorer
 

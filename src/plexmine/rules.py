@@ -198,8 +198,7 @@ class RuleBuilder:
         self._rules = RuleSet()
 
     def offer(self, parent: MinedPattern, child: MinedPattern, delta: Delta) -> AssociationRule | None:
-        conf = child.support / parent.support
-        if conf + CONFIDENCE_EPS < self.min_confidence:
+        if not confident(parent.support, child.support, self.min_confidence):
             return None
         return self._rules.add(AssociationRule(
             parent.code, child.code, canonical_delta(parent.pattern, delta, parent.orderings),
@@ -207,6 +206,33 @@ class RuleBuilder:
 
     def result(self) -> RuleSet:
         return self._rules
+
+
+def confident(support_a: int, support_c: int, min_confidence: float) -> bool:
+    """Whether a rule with these supports reaches ``min_confidence``."""
+    return support_c / support_a + CONFIDENCE_EPS >= min_confidence
+
+
+def restrict_rules(offers: RuleSet, patterns: PatternSet, min_confidence: float) -> RuleSet:
+    """The rules a ``RuleBuilder(min_confidence)`` collects while ``mine``
+    finds ``patterns``, computed from ``offers``.
+
+    ``offers`` is what a ``RuleBuilder(0.0)`` collected on the mine that
+    ``patterns`` was restricted from (``miner.restrict``): every distinct
+    offer of that mine. Every offer of the smaller mine is one of these,
+    and an offer is made there exactly when its antecedent and consequent
+    are both frequent there. So each offer whose two patterns survive is
+    added again with their supports in ``patterns``, when it passes the
+    confidence test. The rules share ``offers``'s code and delta objects.
+    """
+    rules = RuleSet()
+    for offer in offers.rules.values():
+        a = patterns.get(offer.antecedent_code)
+        c = patterns.get(offer.consequent_code)
+        if a is not None and c is not None and confident(a.support, c.support, min_confidence):
+            rules.add(AssociationRule(offer.antecedent_code, offer.consequent_code, offer.delta,
+                                      a.support, c.support))
+    return rules
 
 
 def derive_rules_posthoc(
@@ -246,8 +272,7 @@ def derive_rules_posthoc(
             for code_a, ant, delta in cands:
                 if code_a != a_rec.code:
                     continue
-                conf = child.support / a_rec.support
-                if conf + CONFIDENCE_EPS < min_confidence:
+                if not confident(a_rec.support, child.support, min_confidence):
                     continue
                 orderings = canonical_orderings(ant, strategy, patterns.memo)
                 rs.add(AssociationRule(a_rec.code, child.code,

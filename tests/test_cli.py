@@ -13,8 +13,8 @@ from plexmine.evaluate import kfold_split, sharma_score, temporal_split
 from plexmine.io import load_multiplex, load_temporal
 from plexmine.pipeline import (CrossValResult, cross_validate, evaluate_split,
                                make_rule_scorer, run_mining)
-from plexmine.predict import load_score_dump, score_dump
-from plexmine.rules import DEFAULT_MIN_CONFIDENCE
+from plexmine.predict import applicable_rules, apply_rules, load_score_dump, score_dump
+from plexmine.rules import DEFAULT_MIN_CONFIDENCE, RuleSet
 
 
 def run_cli(*argv):
@@ -143,6 +143,38 @@ def test_predict_that_skips_every_rule_warns_twice(small_graph, tmp_path, capsys
         f"warning: skipped {n_rules} of {n_rules} rules: they reference a layer or label "
         "absent from the graph",
         f"warning: {n_rules} rules scored no candidate, so predict wrote no rows"]
+
+
+def test_predict_sorts_the_rule_set_once(small_graph, tmp_path, monkeypatch):
+    rules_path = str(tmp_path / "rules.tsv")
+    run_cli("mine", small_graph + ".edges", "--attrs", small_graph + ".attrs",
+            "--support", "20%", "--size", "3", "--rules-out", rules_path)
+    # the nodes of label "a" take a label no rule names, so the rules with
+    # an "a" node are skipped and the others still score
+    attrs = str(tmp_path / "relabeled.attrs")
+    with open(small_graph + ".attrs") as src, open(attrs, "w") as dst:
+        for line in src:
+            node, label = line.split()
+            dst.write(f"{node} {'zz' if label == 'a' else label}\n")
+    g = load_multiplex(small_graph + ".edges", attrs)
+    rules = RuleSet.from_tsv(rules_path)
+    n_fit = len(applicable_rules(g, rules))
+    assert 0 < n_fit < len(rules)
+    want = score_dump(apply_rules(g, rules), g.node_names, g.layer_names)
+    sorts = []
+    sorted_rules = RuleSet.sorted_rules
+
+    def counted(self):
+        sorts.append(self)
+        return sorted_rules(self)
+
+    monkeypatch.setattr(RuleSet, "sorted_rules", counted)
+    code, out, err = run_cli("predict", small_graph + ".edges", "--attrs", attrs,
+                             "--rules", rules_path)
+    assert code == 0 and len(sorts) == 1
+    assert out == want != ""
+    assert err == (f"warning: skipped {len(rules) - n_fit} of {len(rules)} rules: they "
+                   "reference a layer or label absent from the graph\n")
 
 
 def test_evaluate_kfold(small_graph):

@@ -1,0 +1,254 @@
+"""A rule scorer mines the graph its folds were cut from once and derives
+each fold from that mine; per-split ``mine`` stays the reference.
+
+Every comparison is exact: pattern dumps and supports, sorted canonical
+embedding rows, rule dumps, and score tables and provenance down to
+``float.hex``.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from plexmine import pipeline
+from plexmine.datagen import SynthConfig, generate
+from plexmine.evaluate import kfold_split, sharma_score
+from plexmine.graph import MultiplexGraph
+from plexmine.miner import MiningConfig, mine, restrict
+from plexmine.pattern import Strategy
+from plexmine.pipeline import SOURCE_MINE_MAX_LACKING, evaluate_split, make_rule_scorer
+from plexmine.predict import apply_rules
+from plexmine.rules import RuleBuilder, restrict_rules
+
+from oracles import random_multiplex
+
+CONFIDENCE = 0.5
+
+
+def _graph(directed=False, seed=4, n=30, n_labels=2):
+    g = generate(SynthConfig(n=n, layers=3, avg_degree=4, n_labels=n_labels, seed=seed))
+    return MultiplexGraph(g.nodes, g.edges, g.attrs, directed=directed) if directed else g
+
+
+def _table_text(table) -> list:
+    """Both segments in insertion order, scores as ``float.hex``, and the provenance."""
+    return [[(k, s.hex()) for k, s in table.oldold.items()],
+            [(k, s.hex()) for k, s in table.oldnew.items()],
+            table.baseline.hex(), table.provenance]
+
+
+def _rows(rec) -> list:
+    return sorted(map(tuple, rec.embeddings_canonical().tolist()))
+
+
+def _assert_same_mine(got_ps, got_rules, want_ps, want_rules):
+    assert got_ps.dump() == want_ps.dump()
+    assert {r.code: r.support for r in got_ps} == {r.code: r.support for r in want_ps}
+    for rec in want_ps:
+        assert _rows(got_ps.get(rec.code)) == _rows(rec)
+    assert got_rules.to_tsv() == want_rules.to_tsv()
+
+
+def _reference(g, support, size, strategy, min_confidence=CONFIDENCE):
+    sink = RuleBuilder(min_confidence)
+    ps = mine(g, MiningConfig(support, size, strategy), rule_sink=sink)
+    return ps, sink.result()
+
+
+def _derived(ps_src, offers, g, sigma, min_confidence=CONFIDENCE):
+    ps = restrict(ps_src, g, sigma)
+    return ps, restrict_rules(offers, ps, min_confidence)
+
+
+def _mine_source(src, sigma, size, strategy):
+    offers = RuleBuilder(0.0)
+    return mine(src, MiningConfig(sigma, size, strategy), rule_sink=offers), offers.result()
+
+
+def _assert_same_tables(g, got, want):
+    for dedupe in (False, True):
+        tables = [apply_rules(g, rules, pattern_set=ps, dedupe_rule_firings=dedupe,
+                              track_provenance=True) for ps, rules in (got, want)]
+        assert _table_text(tables[0]) == _table_text(tables[1])
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("support", [0.1, 3])
+def test_restricted_folds_equal_per_fold_mining(strategy, directed, support):
+    g = _graph(directed)
+    folds = kfold_split(g, 5, seed=1)
+    cfg = MiningConfig(support, 3, strategy)
+    sigma_src = min(cfg.resolve_support(f.train) for f in folds)
+    ps_src, offers = _mine_source(g, sigma_src, 3, strategy)
+    for split in folds:
+        got = _derived(ps_src, offers, split.train, cfg.resolve_support(split.train))
+        want = _reference(split.train, support, 3, strategy)
+        _assert_same_mine(*got, *want)
+        _assert_same_tables(split.train, got, want)
+
+
+def test_random_subgraphs_equal_their_own_mining():
+    """Tiny random graphs lose nodes, whole labels and the largest node id often."""
+    rng = random.Random(17)
+    lost = {"nodes": 0, "width": 0, "label": 0}
+    for _ in range(150):
+        src = random_multiplex(rng, max_nodes=9)
+        edges = sorted(src.edges)
+        keep = rng.sample(edges, rng.randint(1, len(edges)))
+        g = src.subgraph_of_edges(keep)
+        lost["nodes"] += g.n_nodes < src.n_nodes
+        lost["width"] += g.index().width < src.index().width
+        lost["label"] += set(g.attrs.values()) < set(src.attrs.values())
+        strategy = rng.choice(list(Strategy))
+        size = rng.randint(1, 4)
+        sigma = rng.randint(1, 3)
+        ps_src, offers = _mine_source(src, rng.randint(1, sigma), size, strategy)
+        min_confidence = rng.choice([0.0, 0.3, CONFIDENCE, 1.0])
+        got = _derived(ps_src, offers, g, sigma, min_confidence)
+        want = _reference(g, sigma, size, strategy, min_confidence)
+        _assert_same_mine(*got, *want)
+        _assert_same_tables(g, got, want)
+    assert min(lost.values()) > 10, lost
+
+
+def test_fold_that_loses_a_label_and_its_widest_node():
+    g = _graph(n=40, n_labels=3)
+    top = max(g.nodes)
+    # the top node and two more take a label of their own, then lose every edge
+    gone = {top, top - 1, top - 2}
+    attrs = {n: ("z" if n in gone else lab) for n, lab in g.attrs.items()}
+    g = MultiplexGraph(g.nodes, g.edges, attrs)
+    test = {e for e in g.edges if e[0] in gone or e[1] in gone}
+    train = g.subgraph_of_edges(g.edges - test)
+    assert "z" not in train.attrs.values() and train.index().width < g.index().width
+    ps_src, offers = _mine_source(g, 2, 3, Strategy.BFS)
+    assert any("z" in rec.pattern.node_labels for rec in ps_src)
+    got = _derived(ps_src, offers, train, 2)
+    want = _reference(train, 2, 3, Strategy.BFS)
+    _assert_same_mine(*got, *want)
+    _assert_same_tables(train, got, want)
+
+
+def _reference_table(g, support, size, strategy=Strategy.BFS):
+    ps, rules = _reference(g, support, size, strategy)
+    return apply_rules(g, rules, pattern_set=ps)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("support", [0.1, 3])
+def test_scorer_tables_equal_per_fold_mining(strategy, directed, support):
+    for seed in (2, 3):
+        g = _graph(directed, seed=seed)
+        scorer = make_rule_scorer(support, 3, CONFIDENCE, strategy)
+        for split in kfold_split(g, 10, seed=seed):
+            assert (_table_text(scorer(split.train))
+                    == _table_text(_reference_table(split.train, support, 3, strategy)))
+
+
+def _record_mines(monkeypatch) -> list:
+    mined = []
+    original = pipeline.mine
+
+    def recorded(g, *args, **kwargs):
+        mined.append(g)
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "mine", recorded)
+    return mined
+
+
+def test_support_below_the_source_mine_mines_the_source_again(monkeypatch):
+    g = _graph(n=31)
+    edges = sorted(g.edges)
+    # two graphs keep all 31 nodes, then one loses a node, so that 10 %
+    # resolves to 3 on it, below the 4 of the others
+    cut = [g.subgraph_of_edges(edges[:i] + edges[i + 1:]) for i in (0, 1)]
+    cut.append(g.subgraph_of_edges([e for e in edges if 0 not in e[:2]]))
+    cfg = MiningConfig(0.1, 3)
+    assert [cfg.resolve_support(h) for h in cut] == [4, 4, 3]
+    mined = _record_mines(monkeypatch)
+    scorer = make_rule_scorer(0.1, 3, CONFIDENCE)
+    tables = [scorer(h) for h in cut]
+    assert [h is g for h in mined] == [False, True, True]
+    assert mined[0] is cut[0]
+    for h, table in zip(cut, tables):
+        assert _table_text(table) == _table_text(_reference_table(h, 0.1, 3))
+
+
+@pytest.mark.parametrize("k", [7, 10])
+def test_scorer_mines_kfold_source_once_from_the_second_fold(monkeypatch, k):
+    g = _graph(n=60)
+    folds = kfold_split(g, k, seed=0)
+    mined = _record_mines(monkeypatch)
+    scorer = make_rule_scorer(0.1, 3, CONFIDENCE)
+    for split in folds:
+        scorer(split.train)
+    assert len(mined) == 2
+    assert mined[0] is folds[0].train and mined[1] is g
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_scorer_mines_each_fold_that_lacks_many_edges(monkeypatch, k):
+    g = _graph(n=60)
+    folds = kfold_split(g, k, seed=0)
+    assert all(len(g.edges) - len(f.train.edges) > SOURCE_MINE_MAX_LACKING * len(g.edges)
+               for f in folds)
+    mined = _record_mines(monkeypatch)
+    scorer = make_rule_scorer(0.1, 3, CONFIDENCE)
+    for split in folds:
+        scorer(split.train)
+    assert len(mined) == k and all(h is f.train for h, f in zip(mined, folds))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_ensemble_split_is_mined_directly_and_matches(monkeypatch, directed):
+    g = _graph(directed, n=40)
+    split = kfold_split(g, 10, seed=0)[0]
+    want = evaluate_split(split, [lambda h: _reference_table(h, 0.2, 3), sharma_score],
+                          optimize=True)
+    mined = _record_mines(monkeypatch)
+    got = evaluate_split(split, [make_rule_scorer(0.2, 3, CONFIDENCE), sharma_score],
+                         optimize=True)
+    assert len(mined) == 2 and all(h is not g for h in mined)
+    assert mined[0] is split.train and mined[1].source is split.train
+    assert got.auc.hex() == want.auc.hex()
+    # the internal split's patterns derived from its source's mine match too
+    inner = mined[1]
+    ps_src, offers = _mine_source(split.train, 8, 3, Strategy.BFS)
+    got_mine = _derived(ps_src, offers, inner, 8)
+    want_mine = _reference(inner, 8, 3, Strategy.BFS)
+    _assert_same_mine(*got_mine, *want_mine)
+    _assert_same_tables(inner, got_mine, want_mine)
+
+
+def test_source_link_is_the_immediate_parent_and_ignored_by_equality():
+    g = _graph()
+    edges = sorted(g.edges)
+    sub = g.subgraph_of_edges(edges[1:])
+    subsub = sub.subgraph_of_edges(edges[2:])
+    assert g.source is None and sub.source is g and subsub.source is sub
+    same = MultiplexGraph(sub.nodes, sub.edges, sub.attrs, layers=sub.layers)
+    assert same == sub and hash(same) == hash(sub)
+
+
+def test_restricted_record_masks_its_source_array_when_it_loses_rows():
+    g = _graph()
+    ps_src, _ = _mine_source(g, 3, 3, Strategy.BFS)
+    split = kfold_split(g, 10, seed=0)[0]
+    unmasked = 0
+    for rec in restrict(ps_src, split.train, 3):
+        src = ps_src.get(rec.code)
+        if rec.pattern.k == 1:
+            assert rec.rows is None
+            continue
+        assert rec.array is src.array
+        if rec.rows is None:
+            unmasked += 1
+            assert rec.embeddings is src.array
+        else:
+            assert rec.rows.dtype == np.bool_ and not rec.rows.all()
+            assert np.array_equal(rec.embeddings, src.array[rec.rows])
+    assert unmasked > 0

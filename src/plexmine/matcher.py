@@ -1,4 +1,4 @@
-"""Embedding enumeration and minimum-image support.
+"""Embedding enumeration, minimum-image support and node-set ids.
 
 An embedding is an injective map from pattern nodes to graph nodes that
 preserves node labels, edge layers, and (for directed graphs) edge
@@ -98,3 +98,37 @@ def mis_support_array(E: np.ndarray, sigma: int, marks: np.ndarray) -> int:
         if support < sigma:
             break
     return support
+
+
+def node_set_ids(E: np.ndarray, width: int) -> np.ndarray:
+    """One int32 id per row of an (N, k) embedding array whose node ids
+    lie in ``[0, width)``, equal exactly for rows with the same node set;
+    the ids lie in ``[0, N)``, and ids of different arrays are unrelated.
+
+    A row's sorted nodes pack into one int64 as digits base ``width``,
+    ranked once at the end, or sooner where another digit could overflow.
+    """
+    rows = np.sort(E, axis=1)
+    ids, bound = rows[:, 0], width
+    for col in rows.T[1:]:
+        if bound > ((1 << 63) - 1) // width:
+            ids, bound = ranks(ids)[0], len(E)
+        ids, bound = ids * width + col, bound * width
+    return ranks(ids)[0].astype(np.int32)
+
+
+def firsts(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal sorted values."""
+    first = np.ones(len(sorted_values), dtype=bool)
+    first[1:] = sorted_values[1:] != sorted_values[:-1]
+    return first
+
+
+def ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's position among the distinct values, and those, ascending."""
+    order = np.argsort(values)
+    sorted_values = values[order]
+    first = firsts(sorted_values)
+    positions = np.empty(len(values), dtype=np.int64)
+    positions[order] = np.cumsum(first) - 1
+    return positions, sorted_values[first]

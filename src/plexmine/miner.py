@@ -20,7 +20,7 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from .graph import GraphIndex, MultiplexGraph
-from .matcher import attach, mis_support_array
+from .matcher import attach, mis_support_array, node_set_ids
 from .pattern import (
     CanonicalCode,
     Delta,
@@ -81,7 +81,9 @@ class MinedPattern:
     derived keeps the array of the record it came from and, if it lost
     rows, a boolean ``rows`` mask over it that selects the rows on each
     read: copying the rows instead would hold most of the source's
-    embeddings twice.
+    embeddings twice. ``node_sets`` holds the node-set id of each row of
+    ``array`` once ``node_set_ids`` has computed them; a derived record
+    shares its source's.
     """
 
     pattern: Pattern
@@ -90,22 +92,29 @@ class MinedPattern:
     array: np.ndarray
     orderings: tuple[tuple[int, ...], ...]  # canonical discovery orderings
     rows: np.ndarray | None = None
+    node_sets: np.ndarray | None = None
 
     @property
     def embeddings(self) -> np.ndarray:
         return self.array if self.rows is None else self.array.compress(self.rows, axis=0)
 
-    def embeddings_canonical(self) -> np.ndarray:
-        """Embeddings with columns permuted to canonical node indexing."""
-        return self.embeddings[:, list(self.orderings[0])]
+    def node_set_ids(self, width: int) -> np.ndarray:
+        """``matcher.node_set_ids`` of ``embeddings`` (node ids below
+        ``width``), computed on ``array`` on the first call and kept."""
+        if self.node_sets is None:
+            self.node_sets = node_set_ids(self.array, width)
+        return self.node_sets if self.rows is None else self.node_sets.compress(self.rows)
 
 
 class PatternSet:
-    """Mining output: insertion-ordered records by canonical code, and the run's search memo."""
+    """Mining output: insertion-ordered records by canonical code, and the
+    run's search memo. ``row_facts`` is what ``restrict`` computes of the
+    records' rows once, on its first call."""
 
     def __init__(self, memo: dict):
         self.records: dict[CanonicalCode, MinedPattern] = {}
         self.memo = memo
+        self.row_facts: _RowFacts | None = None
 
     def add(self, rec: MinedPattern) -> None:
         self.records[rec.code] = rec
@@ -197,48 +206,122 @@ def restrict(ps: PatternSet, g: MultiplexGraph, sigma: int) -> PatternSet:
     the records of ``ps`` whose recounted support stays at least
     ``sigma``. Records keep ``ps``'s order, codes, patterns and orderings.
     A single-node record takes ``g``'s nodes of its label, as ``mine``
-    seeds it. Any other record keeps its source array and masks the rows
-    that survive, found by one probe per row and node pair of the pair
-    index of the lacking edges; that index has the source's width, so no
-    source node id aliases another pair. A record that loses no row needs
-    no mask. The result shares ``ps``'s memo.
+    seeds it. Any other record keeps its source array and node-set ids and
+    masks the rows that survive (``_RowFacts.survivors``); a record that
+    loses no row needs no mask and keeps its support. The result shares
+    ``ps``'s memo.
     """
     idx = g.index()
-    src = g.source
-    lacking = MultiplexGraph(src.nodes, src.edges - g.edges, directed=src.directed,
-                             layers=src.layers).index()
+    if ps.row_facts is None:
+        ps.row_facts = _RowFacts(ps, g.source.index())
+    facts = ps.row_facts
+    keep, lost = facts.survivors(idx)
     out = PatternSet(ps.memo)
     marks = np.zeros(idx.width, dtype=bool)
-    for rec in ps:
+    for rec, slot in zip(ps, facts.slots):
         p = rec.pattern
-        if p.k == 1:
+        if slot is None:
             members = idx.nodes_by_label.get(p.node_labels[0])
             if members is not None and len(members) >= sigma:
                 out.add(MinedPattern(p, rec.code, len(members), members.reshape(-1, 1),
                                      rec.orderings))
             continue
-        E = rec.array
-        pairs, needs = _pair_needs(p, lacking)
-        masks = lacking.pair_masks(E[:, pairs[:, 0]].ravel(), E[:, pairs[:, 1]].ravel())
-        rows = ~(masks.reshape(len(E), len(pairs), -1) & needs).any(axis=(1, 2))
-        kept = E.compress(rows, axis=0)
-        support = mis_support_array(kept, sigma, marks)
+        n_pairs, i, start, stop = slot
+        rows, support = None, rec.support
+        if lost[n_pairs][i]:
+            rows = keep[n_pairs][start:stop]
+            support = mis_support_array(rec.array.compress(rows, axis=0), sigma, marks)
         if support >= sigma:
-            out.add(MinedPattern(p, rec.code, support, E, rec.orderings,
-                                 None if len(kept) == len(E) else rows))
+            out.add(MinedPattern(p, rec.code, support, rec.array, rec.orderings, rows,
+                                 rec.node_sets))
     return out
 
 
-def _pair_needs(p: Pattern, idx: GraphIndex) -> tuple[np.ndarray, np.ndarray]:
+class _RowFacts:
+    """The facts of a source mine's rows that ``restrict`` reads for every
+    graph cut from the source, computed once.
+
+    Records of two or more nodes are grouped by the number P of node pairs
+    that their pattern's edges join. ``pairs[P]`` stacks the group's rows
+    in ``ps`` order as an int32 (P, rows) array: for each node pair, the
+    position of the row's image of the pair in the source's
+    ``GraphIndex.pair_keys``, plus ``len(pair_keys)`` times the id of the
+    pair's edge bits among ``needs`` (``len(needs) * len(pair_keys)``
+    stays below 2**31 for any graph this package can hold). ``slots[r]``
+    is record r's P, its index in the group and its row range, or None for
+    a single-node record, and ``starts[P]`` is each record's first row.
+    Every record also gets its node-set ids (``MinedPattern.node_set_ids``)
+    here, for the records derived from it to share.
+    """
+
+    def __init__(self, ps: PatternSet, src: GraphIndex):
+        self.src = src
+        self.slots: list[tuple[int, int, int, int] | None] = []
+        self.starts: dict[int, list[int]] = {}
+        rows: dict[int, int] = {}
+        planned = []
+        for rec in ps:
+            if rec.pattern.k == 1:
+                self.slots.append(None)
+                continue
+            pairs, needs = _pair_needs(rec.pattern, src)
+            P = len(pairs)
+            starts = self.starts.setdefault(P, [])
+            start = rows.get(P, 0)
+            rows[P] = start + len(rec.array)
+            self.slots.append((P, len(starts), start, rows[P]))
+            starts.append(start)
+            planned.append((rec, start, pairs, needs))
+        # filled in place: stacking per-record blocks would hold them twice
+        self.pairs = {P: np.empty((P, n), dtype=np.int32) for P, n in rows.items()}
+        need_ids: dict[int, int] = {}
+        for rec, start, pairs, needs in planned:
+            E = rec.array
+            need = [need_ids.setdefault(n, len(need_ids)) for n in needs]
+            positions = np.searchsorted(src.pair_keys,
+                                        E[:, pairs[:, 0]] * src.width + E[:, pairs[:, 1]])
+            self.pairs[len(pairs)][:, start:start + len(E)] = (
+                positions + np.multiply(need, len(src.pair_keys))).T
+            rec.node_set_ids(src.width)
+        self.needs = np.array([[n >> (64 * w) & (1 << 64) - 1 for w in range(src.n_words)]
+                               for n in need_ids], dtype=np.uint64).reshape(-1, src.n_words)
+
+    def survivors(self, idx: GraphIndex) -> tuple[dict[int, np.ndarray], dict[int, list[bool]]]:
+        """For a graph with index ``idx`` cut from the source, per group:
+        the mask of the rows that use no edge the graph lacks, and for each
+        record of the group whether it lost a row."""
+        src = self.src
+        # the layer and direction bits of each source pair that the graph lacks
+        u, v = np.divmod(src.pair_keys[:-1], src.width)
+        inside = np.flatnonzero((u < idx.width) & (v < idx.width))
+        kept = np.zeros_like(src.pair_bits)
+        kept[inside] = idx.pair_masks(u[inside], v[inside])
+        lacking = (src.pair_bits & ~kept).T
+        # per edge bits and source pair: does the graph lack one of the bits
+        broken = np.zeros((len(self.needs), lacking.shape[1]), dtype=bool)
+        for need, row in zip(self.needs, broken):
+            for word, bits in zip(lacking, need):
+                row |= word & bits != 0
+        broken = broken.ravel()
+        keep, lost = {}, {}
+        for P, pairs in self.pairs.items():
+            gone = broken[pairs[0]]
+            for pair in pairs[1:]:
+                gone |= broken[pair]
+            keep[P] = ~gone
+            lost[P] = np.logical_or.reduceat(gone, self.starts[P]).tolist()
+        return keep, lost
+
+
+def _pair_needs(p: Pattern, idx: GraphIndex) -> tuple[np.ndarray, list[int]]:
     """The node pairs (i, j) that ``p``'s edges join, as a (P, 2) array,
-    and per pair the ``pair_masks`` bits, (P, n_words), of its edges."""
+    and per pair the ``GraphIndex.pair_masks`` bits of its edges, as one
+    integer."""
     needs: dict[tuple[int, int], int] = {}
     for e in p.edges:
         bit = 2 * idx.layer_pos[e.layer] + (0 if e.dirbit else 1)
         needs[e.i, e.j] = needs.get((e.i, e.j), 0) | 1 << bit
-    words = [[need >> (64 * w) & (1 << 64) - 1 for w in range(idx.n_words)]
-             for need in needs.values()]
-    return np.array(list(needs), dtype=np.int64), np.array(words, dtype=np.uint64)
+    return np.array(list(needs), dtype=np.int64), list(needs.values())
 
 
 def _record(pattern: Pattern, support: int, E: np.ndarray, strategy: Strategy,

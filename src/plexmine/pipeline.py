@@ -93,44 +93,47 @@ def make_rule_scorer(
 
     The graphs one scorer scores (folds, an ensemble's internal split) are
     one run and share its memo of canonical searches. They may also share
-    one mine: when a second graph cut from the same ``source`` graph
-    arrives (the second fold of a cross-validation), the scorer mines the
+    one mine: when a graph arrives whose ``source`` the scorer has seen
+    before (the second fold of a cross-validation), the scorer mines that
     source once, at that graph's resolved support, with every offer kept.
     That graph and every later one from the source then take their
     patterns from that mine (``miner.restrict``) and their rules from its
     offers (``rules.restrict_rules``), which gives what mining them gives,
     byte for byte. A graph whose support is below the source mine's mines
     the source again at its own. A graph with no source, the first from a
-    new one, or one that lacks more than ``SOURCE_MINE_MAX_LACKING`` of
-    its source's edges is mined directly: an ensemble scores one fold and
-    its internal split, and a source mine would not pay for itself there,
-    nor over a few folds that each lack many edges. The scorer holds one
-    source and its mine at a time.
+    source, or one that lacks more than ``SOURCE_MINE_MAX_LACKING`` of its
+    source's edges is mined directly: a source mine would not pay for
+    itself over a few folds that each lack many edges. The scorer
+    remembers the last two sources it has seen and holds one mine, so the
+    internal split an ensemble scores after each fold, whose source is
+    that fold, does not make it forget the folds' source.
     """
     memo = {}
-    source = None
-    source_mine = None  # (sigma, patterns, offers) of the mine of ``source``
+    recent = []  # the last two distinct sources seen, most recent first
+    source_mine = None  # (source, sigma, patterns, offers)
 
     def scorer(g: MultiplexGraph) -> ScoreTable:
-        nonlocal source, source_mine
+        nonlocal recent, source_mine
         cfg = MiningConfig(support, max_nodes, strategy)
         src = g.source
         if src is not None and (len(src.edges) - len(g.edges)
                                 > SOURCE_MINE_MAX_LACKING * len(src.edges)):
             src = None  # too far from its source for a source mine to pay
-        if src is None or src is not source:
-            source, source_mine = src, None
+        seen = any(s is src for s in recent)
+        if src is not None:
+            recent = [src] + [s for s in recent if s is not src][:1]
+        if not seen:
             sink = RuleBuilder(min_confidence)
             patterns = mine(g, cfg, rule_sink=sink, memo=memo)
             return apply_rules(g, sink.result(), pattern_set=patterns)
         sigma = cfg.resolve_support(g)
-        if source_mine is None or sigma < source_mine[0]:
+        if source_mine is None or source_mine[0] is not src or sigma < source_mine[1]:
             offers = RuleBuilder(0.0)
-            mined = mine(source, MiningConfig(sigma, max_nodes, strategy), rule_sink=offers,
+            mined = mine(src, MiningConfig(sigma, max_nodes, strategy), rule_sink=offers,
                          memo=memo)
-            source_mine = sigma, mined, offers.result()
-        patterns = restrict(source_mine[1], g, sigma)
-        rules = restrict_rules(source_mine[2], patterns, min_confidence)
+            source_mine = src, sigma, mined, offers.result()
+        patterns = restrict(source_mine[2], g, sigma)
+        rules = restrict_rules(source_mine[3], patterns, min_confidence)
         return apply_rules(g, rules, pattern_set=patterns)
 
     return scorer

@@ -17,18 +17,24 @@ candidate universe and the ensemble share this one encoding.
 
 Accumulation works on arrays. Rules are visited in sorted order, which
 groups them by antecedent, and each antecedent's embeddings are fetched
-once: from the mined pattern set when it holds them, or by walking the
-antecedent's canonical code, which doubles as the join plan and yields
-columns already in canonical node indexing. Whole antecedents are gathered into batches of about
-``BATCH_FIRINGS`` firings (embedding rows x rules), and each batch costs a
-few dozen numpy calls: every (rule, row) firing is encoded as a
-candidate key at once, one pair-index probe drops the firings that land on
-a training edge, and one sort of packed (rule, key, node set) values counts
-the distinct node sets per (rule, key). A batch yields (key, confidence x
-count) parts ascending by rule and then by key, so one ``np.unique`` and
-one weighted ``np.bincount`` over all batches sum every score's
-contributions in sorted-rule order, exactly as adding them one by one to
-0.0 would.
+once: from the mined pattern set when it holds them, in the record's
+pattern-index columns, to which its canonical ordering maps a rule's
+node indices, or by walking the antecedent's canonical code, which
+doubles as the join plan and yields columns in canonical node indexing.
+Each embedding row also has a node-set id (``matcher.node_set_ids``),
+equal for rows of one antecedent with the same node set. A mined record
+computes its ids once, on its source array, and every record
+``miner.restrict`` derives from it shares them, masked by its rows;
+re-matched embeddings get theirs when fetched. Whole antecedents are
+gathered into batches of about ``BATCH_FIRINGS`` firings (embedding rows
+x rules), and each batch costs a few dozen numpy calls: every (rule, row)
+firing is encoded as a candidate key at once, one pair-index probe drops
+the firings that land on a training edge, and one sort of packed (rule,
+key, node-set id) values counts the distinct node sets per (rule, key).
+A batch yields (key, confidence x count) parts ascending by rule and then
+by key, so one ``np.unique`` and one weighted ``np.bincount`` over all
+batches sum every score's contributions in sorted-rule order, exactly as
+adding them one by one to 0.0 would.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import numpy as np
 
 from .graph import MultiplexGraph
 from .io import ParseError, text_lines
-from .matcher import code_embeddings, fits
+from .matcher import code_embeddings, firsts, fits, node_set_ids, ranks
 from .miner import PatternSet
 from .rules import AssociationRule, RuleSet
 
@@ -154,12 +160,13 @@ def apply_rules(
     # rule set firing nothing concatenate
     parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
     batch, firings = [], 0
-    for E, group in _antecedent_groups(g_train, applicable_rules(g_train, rules), pattern_set):
+    for E, cols, sets, group in _antecedent_groups(g_train, applicable_rules(g_train, rules),
+                                                   pattern_set):
         n = len(E) * len(group)
         if batch and firings + n > BATCH_FIRINGS:
             parts.append(_apply_batch(idx, g_train.directed, batch, dedupe_rule_firings))
             batch, firings = [], 0
-        batch.append((E, group))
+        batch.append((E, cols, sets, group))
         firings += n
     if batch:
         parts.append(_apply_batch(idx, g_train.directed, batch, dedupe_rule_firings))
@@ -181,11 +188,18 @@ def apply_rules(
 
 def _antecedent_groups(g: MultiplexGraph, rules: list[tuple[int, AssociationRule]],
                        pattern_set: PatternSet | None):
-    """(embeddings, [(id, rule), ...]) per run of ``rules`` sharing an antecedent."""
+    """(embeddings, the column of each canonical node index, their
+    node-set ids, [(id, rule), ...]) per run of ``rules`` sharing an
+    antecedent. A mined record keeps its ids, which the records
+    ``restrict`` derives from it share."""
+    width = g.index().width
     for code, group in groupby(rules, key=lambda item: item[1].antecedent_code):
         rec = pattern_set.get(code) if pattern_set is not None else None
-        E = rec.embeddings_canonical() if rec is not None else code_embeddings(code, g)
-        yield E, list(group)
+        if rec is not None:
+            yield rec.embeddings, rec.orderings[0], rec.node_set_ids(width), list(group)
+        else:
+            E = code_embeddings(code, g)
+            yield E, range(E.shape[1]), node_set_ids(E, width), list(group)
 
 
 def _apply_batch(idx, directed: bool, batch, dedupe: bool
@@ -193,24 +207,28 @@ def _apply_batch(idx, directed: bool, batch, dedupe: bool
     """(keys, weights, rule ids) of every rule in ``batch``, a list of
     ``_antecedent_groups`` items, ascending by rule id and then by key."""
     W = idx.width
-    # every embedding row of the batch, padded with -1 to the widest antecedent
-    sizes = [len(E) for E, _ in batch]
+    # every embedding row of the batch, padded with -1 to the widest
+    # antecedent, and its node-set id, equal only within one antecedent
+    sizes = [len(E) for E, *_ in batch]
     starts = np.cumsum([0] + sizes)
-    rows = np.full((starts[-1], max(E.shape[1] for E, _ in batch)), -1, dtype=np.int64)
-    for (E, _), s in zip(batch, starts):
+    rows = np.full((starts[-1], max(E.shape[1] for E, *_ in batch)), -1, dtype=np.int64)
+    for (E, *_), s in zip(batch, starts):
         rows[s:s + len(E), :E.shape[1]] = E
-    sets = _node_set_ids(rows, W)
+    sets = np.concatenate([ids for _, _, ids, _ in batch])
 
-    # per rule: first row, row count, id, confidence and delta fields; a
+    # per rule: first row, row count, id, confidence and delta fields, the
+    # delta's node indices read through its antecedent's columns; a
     # fresh-node delta reads its anchor column twice
-    group_sizes = [len(group) for _, group in batch]
+    group_sizes = [len(group) for *_, group in batch]
     first, count = np.repeat(starts[:-1], group_sizes), np.repeat(sizes, group_sizes)
-    rule_id = np.array([rid for _, group in batch for rid, _ in group], dtype=np.int64)
-    rules = [r for _, group in batch for _, r in group]
+    rule_id = np.array([rid for *_, group in batch for rid, _ in group], dtype=np.int64)
+    rules = [r for *_, group in batch for _, r in group]
+    cols = [c for _, c, _, group in batch for _ in group]
     deltas = [r.delta for r in rules]
     conf = np.array([r.confidence for r in rules])
-    col_a = np.array([d.i for d in deltas], dtype=np.int64)
-    col_b = np.array([d.i if d.j is None else d.j for d in deltas], dtype=np.int64)
+    col_a = np.array([c[d.i] for c, d in zip(cols, deltas)], dtype=np.int64)
+    col_b = np.array([c[d.i if d.j is None else d.j] for c, d in zip(cols, deltas)],
+                     dtype=np.int64)
     fresh_node = np.array([d.j is None for d in deltas])
     forward = np.array([d.dirbit for d in deltas])
     layer = np.array([d.layer for d in deltas], dtype=np.int64)
@@ -225,7 +243,7 @@ def _apply_batch(idx, directed: bool, batch, dedupe: bool
     else:
         tail, head = np.minimum(a, b), np.maximum(a, b)
     head[fresh_node[fr]] = W
-    key_pos, keys = _ranks(encode_keys(W, layer[fr], tail, head))
+    key_pos, keys = ranks(encode_keys(W, layer[fr], tail, head))
 
     # firings on a training edge contribute nothing; the distinct keys come
     # ascending, so the pair index is probed in nearly sorted order
@@ -242,42 +260,15 @@ def _apply_batch(idx, directed: bool, batch, dedupe: bool
         return np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64)
 
     # distinct (rule, key, node set) values, then node sets per (rule, key);
-    # packed values stay below len(rules) * len(keys) * n_sets
+    # a rule reads one antecedent's rows, so ids need only be equal within
+    # one, and packed values stay below len(rules) * len(keys) * n_sets
     n_sets = int(sets.max()) + 1
     packed = np.sort((fr * len(keys) + key_pos) * n_sets + sets[row])
-    rule_key = packed[_firsts(packed)] // n_sets
-    bounds = np.flatnonzero(_firsts(rule_key))
+    rule_key = packed[firsts(packed)] // n_sets
+    bounds = np.flatnonzero(firsts(rule_key))
     rule, key = np.divmod(rule_key[bounds], len(keys))
     weights = conf[rule] if dedupe else conf[rule] * np.diff(np.append(bounds, len(rule_key)))
     return keys[key], weights, rule_id[rule]
-
-
-def _firsts(sorted_values: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal sorted values."""
-    first = np.ones(len(sorted_values), dtype=bool)
-    first[1:] = sorted_values[1:] != sorted_values[:-1]
-    return first
-
-
-def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's position among the distinct values, and those, ascending."""
-    order = np.argsort(values)
-    sorted_values = values[order]
-    first = _firsts(sorted_values)
-    ranks = np.empty(len(values), dtype=np.int64)
-    ranks[order] = np.cumsum(first) - 1
-    return ranks, sorted_values[first]
-
-
-def _node_set_ids(E: np.ndarray, width: int) -> np.ndarray:
-    """One id per row of ``E``, equal for rows with the same node set; node
-    ids lie in ``[-1, width)``. Each column folds into the ids of the
-    columns before it, so no value outgrows ``len(E) * (width + 1)``."""
-    rows = np.sort(E, axis=1)
-    ids = rows[:, 0] + 1
-    for col in rows.T[1:]:
-        ids = _ranks(ids * (width + 1) + col + 1)[0]
-    return ids
 
 
 def top_k(table: ScoreTable, k: int) -> list[tuple[tuple, float]]:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from plexmine.graph import MultiplexGraph
-from plexmine.matcher import MatchError, code_embeddings, match_array, mis_support_array
+from plexmine.matcher import (
+    MatchError,
+    code_embeddings,
+    match_array,
+    mis_support_array,
+    node_set_ids,
+)
+from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import Pattern, PatternEdge, Strategy, canonical_code
 
 from oracles import (
@@ -132,3 +139,40 @@ def test_sigma_bounded_support_matches_set_oracle():
             else:
                 assert got < sigma
             assert not marks.any()
+
+
+def _assert_ids_follow_node_sets(E, ids):
+    """Equal ids exactly for equal node sets: each determines the other."""
+    sets = [frozenset(row) for row in E.tolist()]
+    ids = ids.tolist()
+    assert all(0 <= i < len(E) for i in ids)
+    assert len(set(zip(ids, sets))) == len(set(ids)) == len(set(sets))
+
+
+@pytest.mark.parametrize("width", [9, 2**40])
+def test_node_set_ids_are_equal_exactly_for_equal_node_sets(width):
+    """Rows are injective, as embeddings are; at width 2**40 three nodes
+    no longer pack into one int64, so the ids are ranked on the way."""
+    rng = random.Random(width)
+    for k in (1, 2, 3, 4):
+        nodes = rng.sample(range(width), 6)
+        rows = [rng.sample(nodes, k) for _ in range(40)]
+        E = np.array(rows, dtype=np.int64)
+        ids = node_set_ids(E, width)
+        assert ids.dtype == np.int32
+        _assert_ids_follow_node_sets(E, ids)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_node_set_ids_of_mined_embeddings(directed):
+    """Symmetric patterns map one node set several ways, so ids repeat."""
+    rng = random.Random(8)
+    repeated = 0
+    for _ in range(10):
+        g = random_multiplex(rng, max_nodes=7, directed=directed)
+        for rec in mine(g, MiningConfig(1, 3)):
+            E = rec.embeddings
+            ids = rec.node_set_ids(g.index().width)
+            _assert_ids_follow_node_sets(E, ids)
+            repeated += len(set(ids.tolist())) < len(E)
+    assert repeated >= 10

@@ -21,7 +21,7 @@ from plexmine.pipeline import SOURCE_MINE_MAX_LACKING, evaluate_split, make_rule
 from plexmine.predict import apply_rules
 from plexmine.rules import RuleBuilder, restrict_rules
 
-from oracles import random_multiplex
+from oracles import brute_apply_rules, random_multiplex
 
 CONFIDENCE = 0.5
 
@@ -39,7 +39,8 @@ def _table_text(table) -> list:
 
 
 def _rows(rec) -> list:
-    return sorted(map(tuple, rec.embeddings_canonical().tolist()))
+    """The embedding rows, columns in canonical node indexing, sorted."""
+    return sorted(map(tuple, rec.embeddings[:, list(rec.orderings[0])].tolist()))
 
 
 def _assert_same_mine(got_ps, got_rules, want_ps, want_rules):
@@ -66,11 +67,21 @@ def _mine_source(src, sigma, size, strategy):
     return mine(src, MiningConfig(sigma, size, strategy), rule_sink=offers), offers.result()
 
 
-def _assert_same_tables(g, got, want):
+def _assert_same_tables(g, got, want, brute=False):
+    """Tables with provenance, dedupe off and on, of the derived and the
+    reference mine are equal, and with ``brute`` equal to the oracle's."""
     for dedupe in (False, True):
         tables = [apply_rules(g, rules, pattern_set=ps, dedupe_rule_firings=dedupe,
                               track_provenance=True) for ps, rules in (got, want)]
         assert _table_text(tables[0]) == _table_text(tables[1])
+        if brute:
+            oldold, oldnew = brute_apply_rules(g, got[1], dedupe_rule_firings=dedupe)
+            assert _hex_sorted(tables[0].oldold) == _hex_sorted(oldold)
+            assert _hex_sorted(tables[0].oldnew) == _hex_sorted(oldnew)
+
+
+def _hex_sorted(scores: dict) -> list:
+    return sorted((k, s.hex()) for k, s in scores.items())
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -87,6 +98,19 @@ def test_restricted_folds_equal_per_fold_mining(strategy, directed, support):
         want = _reference(split.train, support, 3, strategy)
         _assert_same_mine(*got, *want)
         _assert_same_tables(split.train, got, want)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("directed", [False, True])
+def test_derived_fold_tables_equal_per_fold_mining_and_brute_force(strategy, directed):
+    g = _graph(directed, n=16)
+    folds = kfold_split(g, 10, seed=1)
+    ps_src, offers = _mine_source(g, 3, 3, strategy)
+    for split in folds:
+        got = _derived(ps_src, offers, split.train, 3)
+        want = _reference(split.train, 3, 3, strategy)
+        _assert_same_mine(*got, *want)
+        _assert_same_tables(split.train, got, want, brute=True)
 
 
 def test_random_subgraphs_equal_their_own_mining():
@@ -109,7 +133,7 @@ def test_random_subgraphs_equal_their_own_mining():
         got = _derived(ps_src, offers, g, sigma, min_confidence)
         want = _reference(g, sigma, size, strategy, min_confidence)
         _assert_same_mine(*got, *want)
-        _assert_same_tables(g, got, want)
+        _assert_same_tables(g, got, want, brute=True)
     assert min(lost.values()) > 10, lost
 
 
@@ -222,6 +246,51 @@ def test_ensemble_split_is_mined_directly_and_matches(monkeypatch, directed):
     want_mine = _reference(inner, 8, 3, Strategy.BFS)
     _assert_same_mine(*got_mine, *want_mine)
     _assert_same_tables(inner, got_mine, want_mine)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_ensemble_over_kfold_mines_the_folds_source_once(monkeypatch, directed):
+    """Each fold's internal split has the fold as its source; scoring it
+    between two folds does not make the scorer forget the folds' source."""
+    g = _graph(directed, n=40)
+    folds = kfold_split(g, 10, seed=0)
+    want_tables, tables = [], []
+
+    def reference(h):
+        want_tables.append(_reference_table(h, 0.2, 3))
+        return want_tables[-1]
+
+    want = [evaluate_split(split, [reference, sharma_score], optimize=True) for split in folds]
+    mined = _record_mines(monkeypatch)
+    rule_scorer = make_rule_scorer(0.2, 3, CONFIDENCE)
+
+    def scorer(h):
+        tables.append(rule_scorer(h))
+        return tables[-1]
+
+    got = [evaluate_split(split, [scorer, sharma_score], optimize=True) for split in folds]
+    assert len(mined) == 12 and sum(h is g for h in mined) == 1
+    assert mined[2] is g and all(h.source is f.train for h, f in zip(mined[3:], folds[1:]))
+    assert [r.auc.hex() for r in got] == [r.auc.hex() for r in want]
+    assert len(tables) == 20
+    assert [_table_text(t) for t in tables] == [_table_text(t) for t in want_tables]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_derived_records_share_their_source_node_set_ids(directed):
+    g = _graph(directed)
+    ps_src, _ = _mine_source(g, 3, 3, Strategy.BFS)
+    for split in kfold_split(g, 10, seed=0)[:3]:
+        width = split.train.index().width
+        for rec in restrict(ps_src, split.train, 3):
+            if rec.pattern.k == 1:
+                continue
+            src = ps_src.get(rec.code)
+            assert rec.node_sets is src.node_sets
+            assert np.shares_memory(rec.node_sets, src.node_sets)
+            ids = rec.node_set_ids(width).tolist()
+            sets = [frozenset(row) for row in rec.embeddings.tolist()]
+            assert len(set(zip(ids, sets))) == len(set(ids)) == len(set(sets))
 
 
 def test_source_link_is_the_immediate_parent_and_ignored_by_equality():

@@ -215,6 +215,8 @@ def cmd_evaluate(args) -> int:
         raise EvalError("--temporal replaces --kfold; give one of them")
     n_neg = _n_neg_arg(args)
     methods = args.ensemble.split(",") if args.ensemble else [args.method or "rules"]
+    if args.ensemble_mode == "opt" and len(methods) < 2:
+        raise EvalError("--ensemble-mode opt needs --ensemble with two or more methods")
     if args.temporal:
         tg = load_temporal(args.edges, args.attrs, args.directed)
         g = tg.base

@@ -28,8 +28,8 @@ class MultiplexGraph:
     Undirected graphs store each triple once with u < v; (u, v, l) and
     (v, u, l) are identified at construction. Self-loops are rejected.
     Nodes missing from ``attrs`` get the shared default label ``"_"``.
-    ``source`` is the graph that ``subgraph_of_edges`` cut this one from,
-    or None; equality and hashing ignore it.
+    ``source`` is the root of the ``subgraph_of_edges`` chain that cut
+    this graph, or None; equality and hashing ignore it.
     """
 
     __slots__ = (
@@ -135,8 +135,9 @@ class MultiplexGraph:
         """Graph induced by a subset of the edge set (nodes = endpoints).
 
         The result keeps this graph's node ids, labels and layers, and its
-        ``source`` is this graph, so every embedding of a pattern in it is
-        an embedding in this graph too and no support grows.
+        ``source`` is this graph's root (its ``source``, or itself), so
+        every embedding of a pattern in the result is an embedding in the
+        root too and no support grows.
         """
         keep = set(keep)
         extra = keep - self.edges
@@ -152,7 +153,7 @@ class MultiplexGraph:
             layer_names=self.layer_names,
             node_names={n: self.node_names[n] for n in nodes},
         )
-        sub.source = self
+        sub.source = self if self.source is None else self.source
         return sub
 
 

@@ -75,11 +75,10 @@ def run_mining(
     return MiningRun(patterns=patterns, rules=rules, timings=timings)
 
 
-# The largest share of its source's edges that a graph may lack and still
-# be derived from the source's mine: the folds of a 7-fold or finer
-# cross-validation. Mining the source costs more than mining a fold, the
-# more so the more edges a fold lacks, and over fewer, sparser folds
-# mining each fold is cheaper (measurements in CHANGES.md).
+# The largest share of its root's edges that a graph may lack for the
+# scorer to mine the root for it: a fold of 7 or more. Mining each fold
+# is cheaper over 2 or 3 folds; the break-even lies near 4, but no
+# benchmark workload runs fewer than 7 folds yet (ROADMAP.md, item 2).
 SOURCE_MINE_MAX_LACKING = 0.15
 
 
@@ -91,49 +90,40 @@ def make_rule_scorer(
 ) -> Scorer:
     """Scorer callback (graph -> ScoreTable): mine embedded rules, apply them.
 
-    The graphs one scorer scores (folds, an ensemble's internal split) are
-    one run and share its memo of canonical searches. They may also share
-    one mine: when a graph arrives whose ``source`` the scorer has seen
-    before (the second fold of a cross-validation), the scorer mines that
-    source once, at that graph's resolved support, with every offer kept.
-    That graph and every later one from the source then take their
-    patterns from that mine (``miner.restrict``) and their rules from its
-    offers (``rules.restrict_rules``), which gives what mining them gives,
-    byte for byte. A graph whose support is below the source mine's mines
-    the source again at its own. A graph with no source, the first from a
-    source, or one that lacks more than ``SOURCE_MINE_MAX_LACKING`` of its
-    source's edges is mined directly: a source mine would not pay for
-    itself over a few folds that each lack many edges. The scorer
-    remembers the last two sources it has seen and holds one mine, so the
-    internal split an ensemble scores after each fold, whose source is
-    that fold, does not make it forget the folds' source.
+    The graphs one scorer scores (folds, an ensemble's internal splits) are
+    one run and share its memo of canonical searches. The scorer also holds
+    one mine of a root (``g.source``) at some support, with every offer
+    kept, and decides each graph from the graph, its root and that mine: a
+    graph whose root the held mine is, at a support no higher than its own,
+    takes its patterns from that mine (``miner.restrict``) and its rules
+    from its offers (``rules.restrict_rules``), byte for byte what mining
+    it gives. Otherwise a graph that lacks at most
+    ``SOURCE_MINE_MAX_LACKING`` of its root's edges has the root mined at
+    its own support, held in place of the last mine, and is derived from
+    it. A graph with no root, or one further from it, is mined directly.
     """
     memo = {}
-    recent = []  # the last two distinct sources seen, most recent first
-    source_mine = None  # (source, sigma, patterns, offers)
+    held = None  # (root, sigma, patterns, offers)
 
     def scorer(g: MultiplexGraph) -> ScoreTable:
-        nonlocal recent, source_mine
+        nonlocal held
         cfg = MiningConfig(support, max_nodes, strategy)
-        src = g.source
-        if src is not None and (len(src.edges) - len(g.edges)
-                                > SOURCE_MINE_MAX_LACKING * len(src.edges)):
-            src = None  # too far from its source for a source mine to pay
-        seen = any(s is src for s in recent)
-        if src is not None:
-            recent = [src] + [s for s in recent if s is not src][:1]
-        if not seen:
+        root = g.source
+        sigma = cfg.resolve_support(g)
+        held_serves = held is not None and held[0] is root and held[1] <= sigma
+        near = root is not None and (len(root.edges) - len(g.edges)
+                                     <= SOURCE_MINE_MAX_LACKING * len(root.edges))
+        if not (held_serves or near):
             sink = RuleBuilder(min_confidence)
             patterns = mine(g, cfg, rule_sink=sink, memo=memo)
             return apply_rules(g, sink.result(), pattern_set=patterns)
-        sigma = cfg.resolve_support(g)
-        if source_mine is None or source_mine[0] is not src or sigma < source_mine[1]:
+        if not held_serves:
             offers = RuleBuilder(0.0)
-            mined = mine(src, MiningConfig(sigma, max_nodes, strategy), rule_sink=offers,
+            mined = mine(root, MiningConfig(sigma, max_nodes, strategy), rule_sink=offers,
                          memo=memo)
-            source_mine = src, sigma, mined, offers.result()
-        patterns = restrict(source_mine[2], g, sigma)
-        rules = restrict_rules(source_mine[3], patterns, min_confidence)
+            held = root, sigma, mined, offers.result()
+        patterns = restrict(held[2], g, sigma)
+        rules = restrict_rules(held[3], patterns, min_confidence)
         return apply_rules(g, rules, pattern_set=patterns)
 
     return scorer

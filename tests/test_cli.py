@@ -518,6 +518,12 @@ def test_frustration_takes_no_flag_that_layer_names_ignore(small_graph, tmp_path
      "--ensemble replaces --method; give one of them"),
     (["evaluate", "{g}.edges", "--temporal", "10", "3", "--kfold", "2"],
      "--temporal replaces --kfold; give one of them"),
+    (["evaluate", "{g}.edges", "--kfold", "3", "--ensemble-mode", "opt"],
+     "--ensemble-mode opt needs --ensemble with two or more methods"),
+    (["evaluate", "{g}.edges", "--kfold", "3", "--method", "sharma", "--ensemble-mode", "opt"],
+     "--ensemble-mode opt needs --ensemble with two or more methods"),
+    (["evaluate", "{g}.edges", "--kfold", "3", "--ensemble", "sharma", "--ensemble-mode", "opt"],
+     "--ensemble-mode opt needs --ensemble with two or more methods"),
 ])
 def test_flag_that_would_do_nothing_is_invalid(small_graph, tmp_path, args, message):
     out_dir = tmp_path / "out"

@@ -1,5 +1,6 @@
-"""A rule scorer mines the graph its folds were cut from once and derives
-each fold from that mine; per-split ``mine`` stays the reference.
+"""A rule scorer mines the root its folds (and their internal splits) were
+cut from once and derives each of them from that mine; per-split ``mine``
+stays the reference.
 
 Every comparison is exact: pattern dumps and supports, sorted canonical
 embedding rows, rule dumps, and score tables and provenance down to
@@ -13,7 +14,7 @@ import pytest
 
 from plexmine import pipeline
 from plexmine.datagen import SynthConfig, generate
-from plexmine.evaluate import kfold_split, sharma_score
+from plexmine.evaluate import Split, kfold_split, sharma_score
 from plexmine.graph import MultiplexGraph
 from plexmine.miner import MiningConfig, mine, restrict
 from plexmine.pattern import Strategy
@@ -114,7 +115,8 @@ def test_derived_fold_tables_equal_per_fold_mining_and_brute_force(strategy, dir
 
 
 def test_random_subgraphs_equal_their_own_mining():
-    """Tiny random graphs lose nodes, whole labels and the largest node id often."""
+    """Tiny random graphs lose nodes, whole labels and the largest node id
+    often; each is cut a second time and derived from its root's mine."""
     rng = random.Random(17)
     lost = {"nodes": 0, "width": 0, "label": 0}
     for _ in range(150):
@@ -134,6 +136,12 @@ def test_random_subgraphs_equal_their_own_mining():
         want = _reference(g, sigma, size, strategy, min_confidence)
         _assert_same_mine(*got, *want)
         _assert_same_tables(g, got, want, brute=True)
+        twice = g.subgraph_of_edges(rng.sample(keep, rng.randint(1, len(keep))))
+        assert twice.source is src
+        got = _derived(ps_src, offers, twice, sigma, min_confidence)
+        want = _reference(twice, sigma, size, strategy, min_confidence)
+        _assert_same_mine(*got, *want)
+        _assert_same_tables(twice, got, want, brute=True)
     assert min(lost.values()) > 10, lost
 
 
@@ -196,22 +204,21 @@ def test_support_below_the_source_mine_mines_the_source_again(monkeypatch):
     mined = _record_mines(monkeypatch)
     scorer = make_rule_scorer(0.1, 3, CONFIDENCE)
     tables = [scorer(h) for h in cut]
-    assert [h is g for h in mined] == [False, True, True]
-    assert mined[0] is cut[0]
+    # the first graph has its root mined at 4, the third at 3
+    assert len(mined) == 2 and all(h is g for h in mined)
     for h, table in zip(cut, tables):
         assert _table_text(table) == _table_text(_reference_table(h, 0.1, 3))
 
 
 @pytest.mark.parametrize("k", [7, 10])
-def test_scorer_mines_kfold_source_once_from_the_second_fold(monkeypatch, k):
+def test_scorer_mines_the_kfold_root_once(monkeypatch, k):
     g = _graph(n=60)
     folds = kfold_split(g, k, seed=0)
     mined = _record_mines(monkeypatch)
     scorer = make_rule_scorer(0.1, 3, CONFIDENCE)
     for split in folds:
         scorer(split.train)
-    assert len(mined) == 2
-    assert mined[0] is folds[0].train and mined[1] is g
+    assert len(mined) == 1 and mined[0] is g
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])
@@ -227,50 +234,51 @@ def test_scorer_mines_each_fold_that_lacks_many_edges(monkeypatch, k):
     assert len(mined) == k and all(h is f.train for h, f in zip(mined, folds))
 
 
+def _recorded(scorer, tables):
+    def recorded(h):
+        tables.append(scorer(h))
+        return tables[-1]
+    return recorded
+
+
 @pytest.mark.parametrize("directed", [False, True])
-def test_ensemble_split_is_mined_directly_and_matches(monkeypatch, directed):
+@pytest.mark.parametrize("rootless", [False, True], ids=["fold", "rootless"])
+def test_ensemble_split_is_derived_from_its_root_and_matches(monkeypatch, rootless, directed):
+    """A fold and its internal split name the same root, the one graph
+    mined. A training graph with no root (as a temporal split's) is mined
+    directly, then again as the root of its internal split."""
     g = _graph(directed, n=40)
     split = kfold_split(g, 10, seed=0)[0]
-    want = evaluate_split(split, [lambda h: _reference_table(h, 0.2, 3), sharma_score],
-                          optimize=True)
+    root = g
+    if rootless:
+        root = MultiplexGraph(split.train.nodes, split.train.edges, split.train.attrs,
+                              directed=directed, layers=split.train.layers)
+        split = Split(root, split.test_edges)
+    want_tables, tables = [], []
+    want = evaluate_split(split, [_recorded(lambda h: _reference_table(h, 0.2, 3), want_tables),
+                                  sharma_score], optimize=True)
     mined = _record_mines(monkeypatch)
-    got = evaluate_split(split, [make_rule_scorer(0.2, 3, CONFIDENCE), sharma_score],
-                         optimize=True)
-    assert len(mined) == 2 and all(h is not g for h in mined)
-    assert mined[0] is split.train and mined[1].source is split.train
+    got = evaluate_split(split, [_recorded(make_rule_scorer(0.2, 3, CONFIDENCE), tables),
+                                 sharma_score], optimize=True)
+    assert [h is root for h in mined] == [True] * (1 + rootless)
     assert got.auc.hex() == want.auc.hex()
-    # the internal split's patterns derived from its source's mine match too
-    inner = mined[1]
-    ps_src, offers = _mine_source(split.train, 8, 3, Strategy.BFS)
-    got_mine = _derived(ps_src, offers, inner, 8)
-    want_mine = _reference(inner, 8, 3, Strategy.BFS)
-    _assert_same_mine(*got_mine, *want_mine)
-    _assert_same_tables(inner, got_mine, want_mine)
+    assert len(tables) == 2
+    assert [_table_text(t) for t in tables] == [_table_text(t) for t in want_tables]
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_ensemble_over_kfold_mines_the_folds_source_once(monkeypatch, directed):
-    """Each fold's internal split has the fold as its source; scoring it
-    between two folds does not make the scorer forget the folds' source."""
+    """Each fold's internal split has the folds' root as its source, so the
+    folds and their internal splits are all derived from one mine."""
     g = _graph(directed, n=40)
     folds = kfold_split(g, 10, seed=0)
     want_tables, tables = [], []
-
-    def reference(h):
-        want_tables.append(_reference_table(h, 0.2, 3))
-        return want_tables[-1]
-
+    reference = _recorded(lambda h: _reference_table(h, 0.2, 3), want_tables)
     want = [evaluate_split(split, [reference, sharma_score], optimize=True) for split in folds]
     mined = _record_mines(monkeypatch)
-    rule_scorer = make_rule_scorer(0.2, 3, CONFIDENCE)
-
-    def scorer(h):
-        tables.append(rule_scorer(h))
-        return tables[-1]
-
+    scorer = _recorded(make_rule_scorer(0.2, 3, CONFIDENCE), tables)
     got = [evaluate_split(split, [scorer, sharma_score], optimize=True) for split in folds]
-    assert len(mined) == 12 and sum(h is g for h in mined) == 1
-    assert mined[2] is g and all(h.source is f.train for h, f in zip(mined[3:], folds[1:]))
+    assert len(mined) == 1 and mined[0] is g
     assert [r.auc.hex() for r in got] == [r.auc.hex() for r in want]
     assert len(tables) == 20
     assert [_table_text(t) for t in tables] == [_table_text(t) for t in want_tables]
@@ -293,12 +301,12 @@ def test_derived_records_share_their_source_node_set_ids(directed):
             assert len(set(zip(ids, sets))) == len(set(ids)) == len(set(sets))
 
 
-def test_source_link_is_the_immediate_parent_and_ignored_by_equality():
+def test_source_link_is_the_root_and_ignored_by_equality():
     g = _graph()
     edges = sorted(g.edges)
     sub = g.subgraph_of_edges(edges[1:])
     subsub = sub.subgraph_of_edges(edges[2:])
-    assert g.source is None and sub.source is g and subsub.source is sub
+    assert g.source is None and sub.source is g and subsub.source is g
     same = MultiplexGraph(sub.nodes, sub.edges, sub.attrs, layers=sub.layers)
     assert same == sub and hash(same) == hash(sub)
 

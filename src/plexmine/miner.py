@@ -107,14 +107,24 @@ class MinedPattern:
 
 
 class PatternSet:
-    """Mining output: insertion-ordered records by canonical code, and the
-    run's search memo. ``row_facts`` is what ``restrict`` computes of the
-    records' rows once, on its first call."""
+    """Mining output: insertion-ordered records by canonical code, the
+    graph object they were found in, the absolute support ``sigma`` they
+    were found at, and the run's search memo. ``row_facts`` is what
+    ``restrict`` computes of the records' rows once, on its first call."""
 
-    def __init__(self, memo: dict):
+    def __init__(self, graph: MultiplexGraph, sigma: int, memo: dict):
         self.records: dict[CanonicalCode, MinedPattern] = {}
+        self.graph = graph
+        self.sigma = sigma
         self.memo = memo
         self.row_facts: _RowFacts | None = None
+
+    def serves(self, g: MultiplexGraph, sigma: int) -> bool:
+        """Whether ``restrict`` can derive ``g`` at absolute support
+        ``sigma`` from this mine: ``g`` is ``graph`` or was cut from it
+        (``g.source is graph``; identity, since equality ignores
+        ``source``), and ``sigma`` is at least ``self.sigma``."""
+        return (g is self.graph or g.source is self.graph) and sigma >= self.sigma
 
     def add(self, rec: MinedPattern) -> None:
         self.records[rec.code] = rec
@@ -154,7 +164,7 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
     cfg.validate()
     sigma = cfg.resolve_support(g)
     idx = g.index()
-    ps = PatternSet({} if memo is None else memo)
+    ps = PatternSet(g, sigma, {} if memo is None else memo)
     queue: deque[MinedPattern] = deque()
 
     for label in sorted(set(g.attrs.values())):
@@ -197,26 +207,31 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
 
 def restrict(ps: PatternSet, g: MultiplexGraph, sigma: int) -> PatternSet:
     """What ``mine`` returns on ``g`` at absolute support ``sigma``,
-    computed from ``ps``, which ``mine`` found on ``g.source`` with the
-    same size cap and strategy at an absolute support of at most ``sigma``.
+    computed from ``ps``, which ``mine`` found on ``ps.graph`` with the
+    same size cap and strategy: ``ps`` itself for ``ps.graph`` at
+    ``ps.sigma``.
 
-    ``g`` keeps its source's node ids and labels and loses edges, so a
-    pattern's embeddings in ``g`` are its source embeddings that use no
-    edge ``g`` lacks, and its support can only fall: ``g``'s patterns are
-    the records of ``ps`` whose recounted support stays at least
-    ``sigma``. Records keep ``ps``'s order, codes, patterns and orderings.
-    A single-node record takes ``g``'s nodes of its label, as ``mine``
-    seeds it. Any other record keeps its source array and node-set ids and
-    masks the rows that survive (``_RowFacts.survivors``); a record that
-    loses no row needs no mask and keeps its support. The result shares
-    ``ps``'s memo.
+    ``ps`` must serve ``g`` at ``sigma`` (``PatternSet.serves``: ``g`` is
+    ``ps.graph`` or cut from it, at ``sigma`` no lower than ``ps.sigma``),
+    else ``MiningInvariantError`` is raised. ``g`` keeps ``ps.graph``'s
+    node ids and labels and loses edges, so a pattern's embeddings in
+    ``g`` are its source embeddings that use no edge ``g`` lacks, and its
+    support can only fall: ``g``'s patterns are the records of ``ps`` whose recounted
+    support stays at least ``sigma``. Records keep ``ps``'s order, codes,
+    patterns and orderings. A single-node record takes ``g``'s nodes of
+    its label, as ``mine`` seeds it. Any other record keeps its source
+    array and node-set ids and masks the rows that survive
+    (``_RowFacts.survivors``); a record that loses no row needs no mask
+    and keeps its support. The result shares ``ps``'s memo.
     """
+    if not ps.serves(g, sigma):
+        raise MiningInvariantError(f"mine at support {ps.sigma} cannot serve the graph at {sigma}")
+    if g is ps.graph and sigma == ps.sigma:
+        return ps
     idx = g.index()
-    if ps.row_facts is None:
-        ps.row_facts = _RowFacts(ps, g.source.index())
-    facts = ps.row_facts
+    facts = ps.row_facts = ps.row_facts or _RowFacts(ps)
     keep, lost = facts.survivors(idx)
-    out = PatternSet(ps.memo)
+    out = PatternSet(g, sigma, ps.memo)
     marks = np.zeros(idx.width, dtype=bool)
     for rec, slot in zip(ps, facts.slots):
         p = rec.pattern
@@ -254,8 +269,8 @@ class _RowFacts:
     here, for the records derived from it to share.
     """
 
-    def __init__(self, ps: PatternSet, src: GraphIndex):
-        self.src = src
+    def __init__(self, ps: PatternSet):
+        self.src = src = ps.graph.index()
         self.slots: list[tuple[int, int, int, int] | None] = []
         self.starts: dict[int, list[int]] = {}
         rows: dict[int, int] = {}

@@ -91,40 +91,33 @@ def make_rule_scorer(
     """Scorer callback (graph -> ScoreTable): mine embedded rules, apply them.
 
     The graphs one scorer scores (folds, an ensemble's internal splits) are
-    one run and share its memo of canonical searches. The scorer also holds
-    one mine of a root (``g.source``) at some support, with every offer
-    kept, and decides each graph from the graph, its root and that mine: a
-    graph whose root the held mine is, at a support no higher than its own,
-    takes its patterns from that mine (``miner.restrict``) and its rules
-    from its offers (``rules.restrict_rules``), byte for byte what mining
-    it gives. Otherwise a graph that lacks at most
-    ``SOURCE_MINE_MAX_LACKING`` of its root's edges has the root mined at
-    its own support, held in place of the last mine, and is derived from
-    it. A graph with no root, or one further from it, is mined directly.
+    one run and share its memo of canonical searches. The scorer holds one
+    mine, made with every offer kept (``RuleBuilder(0.0)``), and makes
+    every table from it: the patterns by ``miner.restrict``, the rules by
+    ``rules.restrict_rules``, then ``apply_rules``, byte for byte what
+    mining the graph gives. The held mine serves a graph that is its graph
+    or cut from it, at a support no lower than the mine's
+    (``PatternSet.serves``). For any other graph the scorer drops the held
+    mine, then mines at the graph's own support either the graph's root
+    (``g.source``), when the graph lacks at most
+    ``SOURCE_MINE_MAX_LACKING`` of the root's edges, or else the graph
+    itself (a graph with no root is its own root), and holds that mine.
     """
     memo = {}
-    held = None  # (root, sigma, patterns, offers)
+    held = None  # (patterns, offers)
 
     def scorer(g: MultiplexGraph) -> ScoreTable:
         nonlocal held
-        cfg = MiningConfig(support, max_nodes, strategy)
-        root = g.source
-        sigma = cfg.resolve_support(g)
-        held_serves = held is not None and held[0] is root and held[1] <= sigma
-        near = root is not None and (len(root.edges) - len(g.edges)
-                                     <= SOURCE_MINE_MAX_LACKING * len(root.edges))
-        if not (held_serves or near):
-            sink = RuleBuilder(min_confidence)
-            patterns = mine(g, cfg, rule_sink=sink, memo=memo)
-            return apply_rules(g, sink.result(), pattern_set=patterns)
-        if not held_serves:
+        sigma = MiningConfig(support, max_nodes, strategy).resolve_support(g)
+        if held is None or not held[0].serves(g, sigma):
+            root = g if g.source is None else g.source
+            near = len(root.edges) - len(g.edges) <= SOURCE_MINE_MAX_LACKING * len(root.edges)
+            held = None  # dropped before the next mine, which would otherwise hold both
             offers = RuleBuilder(0.0)
-            mined = mine(root, MiningConfig(sigma, max_nodes, strategy), rule_sink=offers,
-                         memo=memo)
-            held = root, sigma, mined, offers.result()
-        patterns = restrict(held[2], g, sigma)
-        rules = restrict_rules(held[3], patterns, min_confidence)
-        return apply_rules(g, rules, pattern_set=patterns)
+            held = (mine(root if near else g, MiningConfig(sigma, max_nodes, strategy),
+                         rule_sink=offers, memo=memo), offers.result())
+        ps = restrict(held[0], g, sigma)
+        return apply_rules(g, restrict_rules(held[1], ps, min_confidence), pattern_set=ps)
 
     return scorer
 

@@ -223,15 +223,18 @@ def restrict_rules(offers: RuleSet, patterns: PatternSet, min_confidence: float)
     and an offer is made there exactly when its antecedent and consequent
     are both frequent there. So each offer whose two patterns survive is
     added again with their supports in ``patterns``, when it passes the
-    confidence test. The rules share ``offers``'s code and delta objects.
+    confidence test: as the offer itself where those supports are the
+    offer's, so that a mine restricted to itself adds no rule objects.
+    The rules share ``offers``'s keys, codes and deltas.
     """
     rules = RuleSet()
-    for offer in offers.rules.values():
+    for key, offer in offers.rules.items():
         a = patterns.get(offer.antecedent_code)
         c = patterns.get(offer.consequent_code)
         if a is not None and c is not None and confident(a.support, c.support, min_confidence):
-            rules.add(AssociationRule(offer.antecedent_code, offer.consequent_code, offer.delta,
-                                      a.support, c.support))
+            same = (a.support, c.support) == (offer.support_a, offer.support_c)
+            rules.rules[key] = offer if same else AssociationRule(
+                offer.antecedent_code, offer.consequent_code, offer.delta, a.support, c.support)
     return rules
 
 

@@ -14,9 +14,9 @@ import pytest
 
 from plexmine import pipeline
 from plexmine.datagen import SynthConfig, generate
-from plexmine.evaluate import Split, kfold_split, sharma_score
-from plexmine.graph import MultiplexGraph
-from plexmine.miner import MiningConfig, mine, restrict
+from plexmine.evaluate import Split, kfold_split, sharma_score, temporal_split
+from plexmine.graph import MultiplexGraph, TemporalMultiplexGraph
+from plexmine.miner import MiningConfig, MiningInvariantError, mine, restrict
 from plexmine.pattern import Strategy
 from plexmine.pipeline import SOURCE_MINE_MAX_LACKING, evaluate_split, make_rule_scorer
 from plexmine.predict import apply_rules
@@ -170,12 +170,15 @@ def _reference_table(g, support, size, strategy=Strategy.BFS):
 
 @pytest.mark.parametrize("strategy", list(Strategy))
 @pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("support", [0.1, 3])
-def test_scorer_tables_equal_per_fold_mining(strategy, directed, support):
+@pytest.mark.parametrize(("support", "k"), [(0.1, 10), (3, 10), (0.1, 3), (3, 3)],
+                         ids=["0.1", "3", "0.1-3fold", "3-3fold"])
+def test_scorer_tables_equal_per_fold_mining(strategy, directed, support, k):
+    """Over 3 folds each fold is mined, over 10 the root is; both pass
+    through ``restrict_rules``."""
     for seed in (2, 3):
         g = _graph(directed, seed=seed)
         scorer = make_rule_scorer(support, 3, CONFIDENCE, strategy)
-        for split in kfold_split(g, 10, seed=seed):
+        for split in kfold_split(g, k, seed=seed):
             assert (_table_text(scorer(split.train))
                     == _table_text(_reference_table(split.train, support, 3, strategy)))
 
@@ -234,19 +237,36 @@ def test_scorer_mines_each_fold_that_lacks_many_edges(monkeypatch, k):
     assert len(mined) == k and all(h is f.train for h, f in zip(mined, folds))
 
 
-def _recorded(scorer, tables):
+def _recorded(scorer, tables, graphs=None):
     def recorded(h):
+        if graphs is not None:
+            graphs.append(h)
         tables.append(scorer(h))
         return tables[-1]
     return recorded
+
+
+def _assert_ensemble_split_matches(monkeypatch, split):
+    """Scores ``split`` with ``--ensemble-mode opt`` against per-graph
+    mining; returns the graphs mined and the graphs scored."""
+    want_tables, tables, scored = [], [], []
+    want = evaluate_split(split, [_recorded(lambda h: _reference_table(h, 0.2, 3), want_tables),
+                                  sharma_score], optimize=True)
+    mined = _record_mines(monkeypatch)
+    got = evaluate_split(split, [_recorded(make_rule_scorer(0.2, 3, CONFIDENCE), tables, scored),
+                                 sharma_score], optimize=True)
+    assert got.auc.hex() == want.auc.hex()
+    assert len(tables) == 2
+    assert [_table_text(t) for t in tables] == [_table_text(t) for t in want_tables]
+    return mined, scored
 
 
 @pytest.mark.parametrize("directed", [False, True])
 @pytest.mark.parametrize("rootless", [False, True], ids=["fold", "rootless"])
 def test_ensemble_split_is_derived_from_its_root_and_matches(monkeypatch, rootless, directed):
     """A fold and its internal split name the same root, the one graph
-    mined. A training graph with no root (as a temporal split's) is mined
-    directly, then again as the root of its internal split."""
+    mined. A training graph with no root (as a temporal split's) is its
+    own root: its mine serves its internal split too."""
     g = _graph(directed, n=40)
     split = kfold_split(g, 10, seed=0)[0]
     root = g
@@ -254,16 +274,30 @@ def test_ensemble_split_is_derived_from_its_root_and_matches(monkeypatch, rootle
         root = MultiplexGraph(split.train.nodes, split.train.edges, split.train.attrs,
                               directed=directed, layers=split.train.layers)
         split = Split(root, split.test_edges)
-    want_tables, tables = [], []
-    want = evaluate_split(split, [_recorded(lambda h: _reference_table(h, 0.2, 3), want_tables),
-                                  sharma_score], optimize=True)
-    mined = _record_mines(monkeypatch)
-    got = evaluate_split(split, [_recorded(make_rule_scorer(0.2, 3, CONFIDENCE), tables),
-                                 sharma_score], optimize=True)
-    assert [h is root for h in mined] == [True] * (1 + rootless)
-    assert got.auc.hex() == want.auc.hex()
-    assert len(tables) == 2
-    assert [_table_text(t) for t in tables] == [_table_text(t) for t in want_tables]
+    mined, scored = _assert_ensemble_split_matches(monkeypatch, split)
+    assert len(mined) == 1 and mined[0] is root
+    if rootless:
+        assert scored[0] is root and scored[1].source is root
+        assert [MiningConfig(0.2, 3).resolve_support(h) for h in scored] == [8, 8]
+
+
+def test_temporal_split_with_early_nodes_mines_its_training_graph_twice(monkeypatch):
+    """Nodes that arrived before any of their edges sit isolated in the
+    training graph and leave its internal split, whose fractional support
+    then resolves lower than the training graph's held mine."""
+    g = _graph(n=40)
+    rng = random.Random(5)
+    late = set(range(6))  # nodes seen at day 0 whose edges all come at day 6
+    edge_times = {e: 6 if late & set(e[:2]) else rng.randint(0, 6) for e in sorted(g.edges)}
+    node_times = {n: 0 for n in g.nodes}
+    split = temporal_split(TemporalMultiplexGraph(g, edge_times, node_times), 4, 2)
+    train = split.train
+    assert train.source is None and {n for e in train.edges for n in e[:2]} < train.nodes
+    mined, scored = _assert_ensemble_split_matches(monkeypatch, split)
+    cfg = MiningConfig(0.2, 3)
+    assert scored[0] is train and scored[1].source is train
+    assert cfg.resolve_support(scored[1]) < cfg.resolve_support(train)
+    assert len(mined) == 2 and all(h is train for h in mined)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -299,6 +333,38 @@ def test_derived_records_share_their_source_node_set_ids(directed):
             ids = rec.node_set_ids(width).tolist()
             sets = [frozenset(row) for row in rec.embeddings.tolist()]
             assert len(set(zip(ids, sets))) == len(set(ids)) == len(set(sets))
+
+
+def test_restrict_returns_its_own_mine_for_its_graph_and_support():
+    g = _graph()
+    ps = mine(g, MiningConfig(0.1, 3))
+    assert ps.graph is g and ps.sigma == 3
+    assert restrict(ps, g, 3) is ps
+    higher = restrict(ps, g, 4)
+    assert higher is not ps and higher.graph is g and higher.sigma == 4
+    assert higher.dump() == mine(g, MiningConfig(4, 3)).dump()
+
+
+def test_restrict_refuses_a_graph_not_cut_from_the_mined_one():
+    """An equal copy of the root is a different graph: equality ignores
+    ``source``, so only identity tells a graph cut from the mined one."""
+    g = _graph()
+    copy = MultiplexGraph(g.nodes, g.edges, g.attrs, layers=g.layers)
+    assert copy == g and copy is not g
+    ps = mine(copy, MiningConfig(3, 3))
+    fold = g.subgraph_of_edges(sorted(g.edges)[1:])
+    for h in (g, fold):
+        with pytest.raises(MiningInvariantError):
+            restrict(ps, h, 3)
+
+
+def test_restrict_refuses_a_support_below_the_mine():
+    g = _graph()
+    ps = mine(g, MiningConfig(3, 3))
+    fold = g.subgraph_of_edges(sorted(g.edges)[1:])
+    for h in (g, fold):
+        with pytest.raises(MiningInvariantError):
+            restrict(ps, h, 2)
 
 
 def test_source_link_is_the_root_and_ignored_by_equality():

@@ -18,8 +18,8 @@ from .rules import RuleBuilder, RuleSet, derive_rules_posthoc, restrict_rules
 class PhaseTimings:
     """Wall-clock seconds per mining phase.
 
-    ``mining_s`` includes embedded rule generation; ``rule_posthoc_s`` is
-    only filled by the legacy mode.
+    ``mining_s`` includes embedded rule generation and its confidence
+    filter; ``rule_posthoc_s`` is only filled by the legacy mode.
     """
 
     preprocess_s: float = 0.0
@@ -50,7 +50,12 @@ def run_mining(
     strategy: Strategy = Strategy.BFS,
     rule_mode: str = "embedded",
 ) -> MiningRun:
-    """Mine patterns and build the rule set in the requested mode, as one run that starts cold."""
+    """Mine patterns and build the rule set in the requested mode, as one run that starts cold.
+
+    The embedded mode keeps every offer while mining and then the rules
+    that reach ``min_confidence`` (``restrict_rules``), both inside
+    ``mining_s``.
+    """
     if rule_mode not in ("embedded", "posthoc"):
         raise ValueError(f"unknown rule mode {rule_mode!r}")
     cfg = MiningConfig(support=support, max_nodes=max_nodes, strategy=strategy)
@@ -60,11 +65,11 @@ def run_mining(
     timings.preprocess_s = time.perf_counter() - t0
 
     if rule_mode == "embedded":
-        sink = RuleBuilder(min_confidence)
+        sink = RuleBuilder()
         t0 = time.perf_counter()
         patterns = mine(g, cfg, rule_sink=sink)
+        rules = restrict_rules(sink.result(), patterns, min_confidence)
         timings.mining_s = time.perf_counter() - t0
-        rules = sink.result()
     else:
         t0 = time.perf_counter()
         patterns = mine(g, cfg, rule_sink=None)
@@ -78,7 +83,7 @@ def run_mining(
 # The largest share of its root's edges that a graph may lack for the
 # scorer to mine the root for it: a fold of 7 or more. Mining each fold
 # is cheaper over 2 or 3 folds; the break-even lies near 4, but no
-# benchmark workload runs fewer than 7 folds yet (ROADMAP.md, item 2).
+# benchmark workload runs fewer than 7 folds yet (ROADMAP.md, item 1).
 SOURCE_MINE_MAX_LACKING = 0.15
 
 
@@ -92,7 +97,7 @@ def make_rule_scorer(
 
     The graphs one scorer scores (folds, an ensemble's internal splits) are
     one run and share its memo of canonical searches. The scorer holds one
-    mine, made with every offer kept (``RuleBuilder(0.0)``), and makes
+    mine, made with every offer kept (``RuleBuilder``), and makes
     every table from it: the patterns by ``miner.restrict``, the rules by
     ``rules.restrict_rules``, then ``apply_rules``, byte for byte what
     mining the graph gives. The held mine serves a graph that is its graph
@@ -113,7 +118,7 @@ def make_rule_scorer(
             root = g if g.source is None else g.source
             near = len(root.edges) - len(g.edges) <= SOURCE_MINE_MAX_LACKING * len(root.edges)
             held = None  # dropped before the next mine, which would otherwise hold both
-            offers = RuleBuilder(0.0)
+            offers = RuleBuilder()
             held = (mine(root if near else g, MiningConfig(sigma, max_nodes, strategy),
                          rule_sink=offers, memo=memo), offers.result())
         ps = restrict(held[0], g, sigma)

@@ -7,10 +7,11 @@ canonical code, canonical delta), so extensions that are isomorphic as
 (antecedent, consequent, delta) triples merge into one rule no matter
 which search branch produced them. Two rule sets are equal when their
 ``to_tsv`` dumps are: codes and deltas print injectively.
-Two construction modes exist with identical output: the embedded sink
-collects rules while the miner runs, and the legacy post-hoc derivation
-rebuilds them from a finished pattern set by testing single-edge
-containment between patterns of adjacent size.
+Two construction modes exist with identical output. The embedded path
+collects every offer while the miner runs (``RuleBuilder``) and keeps those
+that reach the confidence (``restrict_rules``); the legacy post-hoc
+derivation rebuilds the rules from a finished pattern set by testing
+single-edge containment between patterns of adjacent size.
 """
 
 from __future__ import annotations
@@ -186,20 +187,19 @@ def _rule_from_fields(parts: list[str], memo: dict) -> AssociationRule:
 
 
 class RuleBuilder:
-    """Embedded rule sink: feed it to ``mine`` and read ``result()``.
+    """Embedded rule sink: feed it to ``mine`` and read ``result()``, every
+    distinct offer of the mine; ``restrict_rules`` keeps those that reach a
+    confidence.
 
     Offers arrive in search order and may repeat for automorphic
     placements; merging by canonical key is associative and commutative,
     so arrival order never changes the outcome.
     """
 
-    def __init__(self, min_confidence: float = DEFAULT_MIN_CONFIDENCE):
-        self.min_confidence = min_confidence
+    def __init__(self):
         self._rules = RuleSet()
 
-    def offer(self, parent: MinedPattern, child: MinedPattern, delta: Delta) -> AssociationRule | None:
-        if not confident(parent.support, child.support, self.min_confidence):
-            return None
+    def offer(self, parent: MinedPattern, child: MinedPattern, delta: Delta) -> AssociationRule:
         return self._rules.add(AssociationRule(
             parent.code, child.code, canonical_delta(parent.pattern, delta, parent.orderings),
             parent.support, child.support))
@@ -214,18 +214,19 @@ def confident(support_a: int, support_c: int, min_confidence: float) -> bool:
 
 
 def restrict_rules(offers: RuleSet, patterns: PatternSet, min_confidence: float) -> RuleSet:
-    """The rules a ``RuleBuilder(min_confidence)`` collects while ``mine``
-    finds ``patterns``, computed from ``offers``.
+    """The rules of ``patterns`` that reach ``min_confidence``: the offers
+    the mine of ``patterns`` makes, kept when they pass the confidence
+    test. This is the embedded path's one confidence filter.
 
-    ``offers`` is what a ``RuleBuilder(0.0)`` collected on the mine that
-    ``patterns`` was restricted from (``miner.restrict``): every distinct
-    offer of that mine. Every offer of the smaller mine is one of these,
+    ``offers`` is what a ``RuleBuilder`` collected on ``patterns``'s own
+    mine, or on the mine that ``patterns`` was restricted from
+    (``miner.restrict``). Every offer of the smaller mine is one of these,
     and an offer is made there exactly when its antecedent and consequent
     are both frequent there. So each offer whose two patterns survive is
     added again with their supports in ``patterns``, when it passes the
     confidence test: as the offer itself where those supports are the
-    offer's, so that a mine restricted to itself adds no rule objects.
-    The rules share ``offers``'s keys, codes and deltas.
+    offer's, so that a mine filtered on its own patterns adds no rule
+    objects. The rules share ``offers``'s keys, codes and deltas.
     """
     rules = RuleSet()
     for key, offer in offers.rules.items():

@@ -23,7 +23,7 @@ from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import Strategy, canonical_code
 from plexmine.pipeline import cross_validate, make_rule_scorer, run_mining
 from plexmine.predict import LinkClass, apply_rules
-from plexmine.rules import RuleBuilder
+from plexmine.rules import RuleBuilder, restrict_rules
 from plexmine.signed import SignMap, frustrated_count, frustration
 
 from oracles import (
@@ -223,9 +223,10 @@ def test_criterion_7_scorer_oracle():
     while graphs_checked < 100:
         g = random_multiplex(rng, max_nodes=7, max_layers=2, max_labels=2,
                              n_edges=rng.randint(4, 9))
-        sink = RuleBuilder(rng.choice((0.0, 0.4, 0.7)))
+        min_confidence = rng.choice((0.0, 0.4, 0.7))
+        sink = RuleBuilder()
         ps = mine(g, MiningConfig(rng.choice((1, 2)), 3), rule_sink=sink)
-        rules = sink.result()
+        rules = restrict_rules(sink.result(), ps, min_confidence)
         if not len(rules):
             continue
         graphs_checked += 1
@@ -282,9 +283,9 @@ def _planted_oldnew_instance():
 
 def test_criterion_8_oldnew_capability():
     split = _planted_oldnew_instance()
-    sink = RuleBuilder(0.5)
+    sink = RuleBuilder()
     ps = mine(split.train, MiningConfig(10, 3), rule_sink=sink)
-    table = apply_rules(split.train, sink.result(), pattern_set=ps)
+    table = apply_rules(split.train, restrict_rules(sink.result(), ps, 0.5), pattern_set=ps)
     report = roc_auc(table, split)
     ours = report.segment_aucs[LinkClass.OLD_NEW]
     assert ours is not None and ours >= 0.9, f"old-new AUC {ours}"

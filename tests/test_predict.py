@@ -87,7 +87,7 @@ def test_existing_triples_never_scored():
 def test_additivity_and_monotonicity():
     rng = random.Random(21)
     g = random_multiplex(rng, max_nodes=8, directed=False)
-    sink = RuleBuilder(0.0)
+    sink = RuleBuilder()
     ps = mine(g, MiningConfig(1, 3), rule_sink=sink)
     rules = sink.result().sorted_rules()
     if len(rules) < 4:
@@ -108,7 +108,7 @@ def test_additivity_and_monotonicity():
 def test_rule_order_independence():
     rng = random.Random(33)
     g = random_multiplex(rng, max_nodes=8, directed=True)
-    sink = RuleBuilder(0.0)
+    sink = RuleBuilder()
     mine(g, MiningConfig(1, 3), rule_sink=sink)
     rules = sink.result().sorted_rules()
     if not rules:
@@ -148,7 +148,7 @@ def test_scorer_matches_bruteforce_sample():
         layer_ids = ((0, 1, 2), (3, 7, 100), (-2, 5))[case % 3]
         g = _relayer(random_multiplex(rng, max_nodes=7, max_layers=len(layer_ids),
                                       directed=case % 2 == 0), layer_ids)
-        sink = RuleBuilder(0.0)
+        sink = RuleBuilder()
         ps = mine(g, MiningConfig(1, 3), rule_sink=sink)
         rules = sink.result()
         if not len(rules):
@@ -301,7 +301,7 @@ def test_provenance_lists_every_firing_rule_in_sorted_order():
 def test_rematches_each_antecedent_once(monkeypatch):
     rng = random.Random(8)
     g = random_multiplex(rng, max_nodes=8, directed=False)
-    sink = RuleBuilder(0.0)
+    sink = RuleBuilder()
     mine(g, MiningConfig(1, 3), rule_sink=sink)
     rules = sink.result()
     antecedents = {r.antecedent_code for r in rules}
@@ -333,7 +333,7 @@ def test_provenance_matches_one_rule_oracles(directed):
     checked = 0
     for _ in range(25):
         g = random_multiplex(rng, max_nodes=8, directed=directed)
-        sink = RuleBuilder(0.0)
+        sink = RuleBuilder()
         mine(g, MiningConfig(1, 3), rule_sink=sink)
         rules = sink.result()
         fired: dict = {}
@@ -356,7 +356,7 @@ def test_batch_size_changes_no_table(monkeypatch, budget):
     for directed in (False, True):
         for _ in range(6):
             g = random_multiplex(rng, max_nodes=9, directed=directed)
-            sink = RuleBuilder(0.0)
+            sink = RuleBuilder()
             cases.append((g, sink.result(), mine(g, MiningConfig(1, 3), rule_sink=sink)))
     for dedupe in (False, True):
         want = [_table_hex(apply_rules(g, rules, pattern_set=ps, dedupe_rule_firings=dedupe,
@@ -390,7 +390,7 @@ def test_firings_all_on_training_edges_give_empty_table():
     # every layer of a complete graph: each cycle rule closes an existing edge
     g = MultiplexGraph(range(4), [(u, v, l) for u in range(4) for v in range(u + 1, 4)
                                   for l in (0, 1)], directed=False)
-    sink = RuleBuilder(0.0)
+    sink = RuleBuilder()
     mine(g, MiningConfig(1, 3), rule_sink=sink)
     cycles = [r for r in sink.result().sorted_rules() if r.delta.j is not None]
     assert len(cycles) > 5

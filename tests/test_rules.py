@@ -8,15 +8,21 @@ import pytest
 from plexmine.graph import MultiplexGraph
 from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import CanonicalCode, Delta, Strategy
-from plexmine.rules import RuleBuilder, RuleSet, derive_rules_posthoc
+from plexmine.rules import RuleBuilder, RuleSet, derive_rules_posthoc, restrict_rules
 
 from oracles import random_multiplex
 
 
-def _mine_both(g, sigma, size, conf, strategy=Strategy.BFS):
-    sink = RuleBuilder(conf)
+def _offers(g, sigma, size, strategy=Strategy.BFS):
+    """The pattern set and every offer of one mine."""
+    sink = RuleBuilder()
     ps = mine(g, MiningConfig(sigma, size, strategy), rule_sink=sink)
-    return ps, sink.result(), derive_rules_posthoc(ps, conf, strategy)
+    return ps, sink.result()
+
+
+def _mine_both(g, sigma, size, conf, strategy=Strategy.BFS):
+    ps, offers = _offers(g, sigma, size, strategy)
+    return ps, restrict_rules(offers, ps, conf), derive_rules_posthoc(ps, conf, strategy)
 
 
 def test_confidence_one_when_supports_equal():
@@ -37,7 +43,7 @@ def test_sink_rejects_a_repeated_offer_with_other_supports():
     parent = ps.get(CanonicalCode.from_string("Bu|a|"))
     child = ps.get(CanonicalCode.from_string("Bu|a|0-1:0:0:b"))
     delta = Delta(0, None, 0, False, "b")
-    sink = RuleBuilder(0.5)
+    sink = RuleBuilder()
     rule = sink.offer(parent, child, delta)
     assert (rule.support_a, rule.support_c) == (3, 3)
     assert sink.offer(parent, child, delta) is rule
@@ -90,13 +96,24 @@ def test_rule_structural_invariants():
 
 
 def test_mode_equivalence_random_graphs():
+    """The sink keeps every offer, and filtering them on the mine's own
+    patterns gives the post-hoc rules, each rule the offer object itself."""
     rng = random.Random(11)
+    directed = set()
     for trial in range(20):
         g = random_multiplex(rng, max_nodes=8)
+        directed.add(g.directed)
         conf = rng.choice((0.3, 0.5, 0.8, 1.0))
         for strategy in (Strategy.BFS, Strategy.DFS):
-            _, emb, post = _mine_both(g, rng.choice((1, 2)), 3, conf, strategy)
-            assert emb.to_tsv() == post.to_tsv(), f"trial {trial} strategy {strategy}"
+            ps, offers = _offers(g, rng.choice((1, 2)), 3, strategy)
+            where = f"trial {trial} strategy {strategy}"
+            assert offers.to_tsv() == derive_rules_posthoc(ps, 0.0, strategy).to_tsv(), where
+            emb = restrict_rules(offers, ps, conf)
+            assert emb.to_tsv() == derive_rules_posthoc(ps, conf, strategy).to_tsv(), where
+            for c in (0.0, 0.3, 0.5, 1.0):
+                kept = restrict_rules(offers, ps, c).rules
+                assert all(rule is offers.rules[key] for key, rule in kept.items()), where
+    assert directed == {False, True}
 
 
 def test_posthoc_no_containment_pairs_empty():

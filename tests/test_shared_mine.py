@@ -20,7 +20,7 @@ from plexmine.miner import MiningConfig, MiningInvariantError, mine, restrict
 from plexmine.pattern import Strategy
 from plexmine.pipeline import SOURCE_MINE_MAX_LACKING, evaluate_split, make_rule_scorer
 from plexmine.predict import apply_rules
-from plexmine.rules import RuleBuilder, restrict_rules
+from plexmine.rules import RuleBuilder, derive_rules_posthoc, restrict_rules
 
 from oracles import brute_apply_rules, random_multiplex
 
@@ -53,9 +53,8 @@ def _assert_same_mine(got_ps, got_rules, want_ps, want_rules):
 
 
 def _reference(g, support, size, strategy, min_confidence=CONFIDENCE):
-    sink = RuleBuilder(min_confidence)
-    ps = mine(g, MiningConfig(support, size, strategy), rule_sink=sink)
-    return ps, sink.result()
+    ps = mine(g, MiningConfig(support, size, strategy))
+    return ps, derive_rules_posthoc(ps, min_confidence, strategy)
 
 
 def _derived(ps_src, offers, g, sigma, min_confidence=CONFIDENCE):
@@ -64,7 +63,7 @@ def _derived(ps_src, offers, g, sigma, min_confidence=CONFIDENCE):
 
 
 def _mine_source(src, sigma, size, strategy):
-    offers = RuleBuilder(0.0)
+    offers = RuleBuilder()
     return mine(src, MiningConfig(sigma, size, strategy), rule_sink=offers), offers.result()
 
 

@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 CODE_SCHEME_VERSION = 1
 
 from .graph import MultiplexGraph, TemporalMultiplexGraph, flatten_monoplex
-from .coupled import CoupledSimpleGraph, MultilayerInstance, from_coupled, to_coupled
+from .coupled import MultilayerInstance, from_coupled, to_coupled
 from .io import load_multiplex, load_temporal, save_multiplex
 from .pattern import CanonicalCode, Delta, Pattern, PatternEdge, Strategy, canonical_code
 from .miner import MinedPattern, MiningConfig, PatternSet, mine
@@ -31,7 +31,6 @@ __all__ = [
     "MultiplexGraph",
     "TemporalMultiplexGraph",
     "flatten_monoplex",
-    "CoupledSimpleGraph",
     "MultilayerInstance",
     "to_coupled",
     "from_coupled",

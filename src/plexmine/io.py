@@ -145,7 +145,10 @@ def canonical_edge_text(g: MultiplexGraph) -> str:
 
 
 def canonical_attr_text(g: MultiplexGraph) -> str:
-    lines = [f"{g.node_names[n]}\t{g.attrs[n]}" for n in sorted(g.nodes)]
+    """One label line per node that an edge touches, in node order: the edge
+    file holds no other node, so the loader would reject a line for one."""
+    touched = sorted({n for u, v, _ in g.edges for n in (u, v)})
+    lines = [f"{g.node_names[n]}\t{g.attrs[n]}" for n in touched]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -340,8 +340,11 @@ def brute_universe(split, n_neg=None, seed: int = 0):
 
 
 # -- baseline scorers ------------------------------------------------------------
-# The set-based scorers the array versions in ``plexmine.evaluate`` replaced,
-# kept as they were, renamed; the array versions must agree bit for bit.
+# Earlier set-based versions of ``plexmine.evaluate.sharma_score`` and
+# ``classic_score``, kept as they were and renamed; the engine's scorers must
+# agree with them bit for bit. Only ``sharma_score`` has been replaced by an
+# array version. ``classic_score`` is still set-based and differs from its
+# old form only in how it writes each orientation of a pair.
 
 
 def set_sharma_score(train: MultiplexGraph) -> ScoreTable:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from plexmine.graph import MultiplexGraph
 from plexmine.io import (
     ParseError,
     canonical_edge_text,
@@ -128,6 +129,17 @@ def test_serialize_load_idempotent(tmp_path):
     out2 = tmp_path / "round2.edges"
     save_multiplex(g2, str(out2))
     assert out1.read_text() == out2.read_text()
+
+
+def test_save_lists_only_nodes_an_edge_touches(tmp_path):
+    # the edge file cannot hold an edgeless node, and the loader rejects an
+    # attribute line for a node its edge file lacks
+    g = MultiplexGraph([0, 1, 2], [(0, 1, 0)], {0: "a", 1: "b", 2: "c"})
+    edges, attrs = tmp_path / "g.edges", tmp_path / "g.attrs"
+    save_multiplex(g, str(edges), str(attrs))
+    assert attrs.read_text(encoding="utf-8") == "0\ta\n1\tb\n"
+    h = load_multiplex(str(edges), str(attrs))
+    assert {h.node_names[n]: h.attrs[n] for n in h.nodes} == {"0": "a", "1": "b"}
 
 
 def test_temporal_load_and_node_times(tmp_path):

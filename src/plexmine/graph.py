@@ -213,6 +213,13 @@ def flatten_monoplex(g: MultiplexGraph, keep_layers: Iterable[int] | None = None
 class GraphIndex:
     """Array adjacency built once per graph for the vectorized matcher.
 
+    Node ids are int32 from here down: ``node_arr``, ``nodes_by_label``
+    and the neighbor arrays hold them, so every embedding built from them
+    is int32 and takes half the bytes of int64. Row positions and
+    ``indptr`` stay int64, and every product of a node id and ``width``
+    is taken in int64 (``pair_masks`` does so), since it passes 2**31
+    from node id 46,341 on.
+
     For directed graphs ``out_[l]`` / ``in_[l]`` are CSR-style neighbor
     arrays per layer, neighbors ascending; undirected graphs expose a
     single symmetric table in ``out_`` (and ``in_`` aliases it).
@@ -225,13 +232,16 @@ class GraphIndex:
     position ``p`` of ``layers``, bit ``2p`` of pair ``(u, v)`` says u->v is
     an edge and bit ``2p+1`` says v->u is. Undirected edges set both bits on
     both orientations. Node ids passed to the probes must lie in
-    ``[0, width)``.
+    ``[0, width)``, and ``width`` must fit in int32.
     """
 
     def __init__(self, g: MultiplexGraph):
         self.width = (max(g.nodes) + 1) if g.nodes else 1
         W = self.width
-        self.node_arr = np.array(sorted(g.nodes), dtype=np.int64)
+        if W > np.iinfo(np.int32).max:
+            raise GraphError(f"node id {W - 1} is above the index's largest, "
+                             f"{np.iinfo(np.int32).max - 1}")
+        self.node_arr = np.array(sorted(g.nodes), dtype=np.int32)
         labels = sorted({g.attrs[n] for n in g.nodes}) if g.nodes else []
         self.labels_list = labels
         self.label_ids = {lab: i for i, lab in enumerate(labels)}
@@ -281,12 +291,12 @@ class GraphIndex:
             lo, hi = bounds[p], bounds[p + 1]
             indptr = np.zeros(self.width + 1, dtype=np.int64)
             np.cumsum(np.bincount(src[lo:hi], minlength=self.width), out=indptr[1:])
-            table[l] = indptr, dst[lo:hi].copy()
+            table[l] = indptr, dst[lo:hi].astype(np.int32)
 
     def pair_masks(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Bitmask rows (len(us), n_words) of the pairs (us, vs); zero rows
         for pairs with no edge. Bit layout as in the class docstring."""
-        probe = us * self.width + vs
+        probe = np.multiply(us, self.width, dtype=np.int64) + vs
         pos = np.searchsorted(self.pair_keys, probe)
         pos[self.pair_keys[pos] != probe] = len(self.pair_keys) - 1
         return self.pair_bits.take(pos, axis=0)
@@ -305,15 +315,15 @@ class GraphIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Gather all (row, neighbor) expansions of the anchor column.
 
-        Returns (rows, nbrs): row indices into ``anchors`` repeated per
-        neighbor, and the flattened neighbor ids.
+        Returns (rows, nbrs): int64 row indices into ``anchors`` repeated
+        per neighbor, and the flattened int32 neighbor ids.
         """
         indptr, indices = (self.in_ if incoming else self.out_)[layer]
         starts = indptr[anchors]
         counts = indptr[anchors + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
         rows = np.repeat(np.arange(len(anchors), dtype=np.int64), counts)
         shift = np.repeat(np.cumsum(counts) - counts, counts)
         pos = np.arange(total, dtype=np.int64) - shift + np.repeat(starts, counts)

@@ -41,7 +41,8 @@ def fits(code: CanonicalCode, g: MultiplexGraph) -> bool:
 
 
 def code_embeddings(code: CanonicalCode, g: MultiplexGraph) -> np.ndarray:
-    """All embeddings of ``code``'s pattern in ``g`` as an (N, k) int array.
+    """All embeddings of ``code``'s pattern in ``g`` as an (N, k) int32
+    array of node ids (``GraphIndex``).
 
     Columns follow code indices and rows come sorted. Direction bits are
     ignored when the graph is undirected.
@@ -49,7 +50,7 @@ def code_embeddings(code: CanonicalCode, g: MultiplexGraph) -> np.ndarray:
     if code.directed != g.directed:
         raise MatchError("pattern/graph directedness mismatch")
     if not fits(code, g):
-        return np.empty((0, code.pattern.k), dtype=np.int64)
+        return np.empty((0, code.pattern.k), dtype=np.int32)
     idx = g.index()
     E = idx.nodes_by_label[code.root_label].reshape(-1, 1).copy()
     # the code may list a closure after expansions (a parallel edge in a
@@ -67,7 +68,8 @@ def code_embeddings(code: CanonicalCode, g: MultiplexGraph) -> np.ndarray:
 
 
 def match_array(p: Pattern, g: MultiplexGraph) -> np.ndarray:
-    """All embeddings of ``p`` in ``g`` as an (N, k) int array, sorted rows.
+    """All embeddings of ``p`` in ``g`` as an (N, k) int32 array of node
+    ids, sorted rows.
 
     Columns follow pattern node indices. Direction bits are ignored when
     the graph is undirected.
@@ -91,10 +93,12 @@ def mis_support_array(E: np.ndarray, sigma: int, marks: np.ndarray) -> int:
         return 0
     support = E.shape[0]
     for c in reversed(range(E.shape[1])):
-        col = E[:, c]
-        marks[col] = True
+        # numpy scatters an int32 index far slower than an intp one, and
+        # counting already reads all of ``marks``, so clearing it all costs
+        # no more than clearing the column
+        marks[E[:, c].astype(np.intp)] = True
         support = min(support, int(np.count_nonzero(marks)))
-        marks[col] = False
+        marks.fill(False)
         if support < sigma:
             break
     return support
@@ -107,9 +111,10 @@ def node_set_ids(E: np.ndarray, width: int) -> np.ndarray:
 
     A row's sorted nodes pack into one int64 as digits base ``width``,
     ranked once at the end, or sooner where another digit could overflow.
+    The first digit is promoted to int64, so int32 node ids pack too.
     """
     rows = np.sort(E, axis=1)
-    ids, bound = rows[:, 0], width
+    ids, bound = rows[:, 0].astype(np.int64), width
     for col in rows.T[1:]:
         if bound > ((1 << 63) - 1) // width:
             ids, bound = ranks(ids)[0], len(E)

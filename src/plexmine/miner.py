@@ -76,14 +76,14 @@ class MiningConfig:
 class MinedPattern:
     """A frequent pattern with its support and every embedding.
 
-    ``embeddings`` reads the (N, k) array of every embedding, in
-    pattern-index columns with sorted rows. A record that ``restrict``
-    derived keeps the array of the record it came from and, if it lost
-    rows, a boolean ``rows`` mask over it that selects the rows on each
-    read: copying the rows instead would hold most of the source's
-    embeddings twice. ``node_sets`` holds the node-set id of each row of
-    ``array`` once ``node_set_ids`` has computed them; a derived record
-    shares its source's.
+    ``embeddings`` reads the (N, k) int32 array of every embedding's node
+    ids (``GraphIndex``), in pattern-index columns with sorted rows. A
+    record that ``restrict`` derived keeps the array of the record it came
+    from and, if it lost rows, a boolean ``rows`` mask over it that
+    selects the rows on each read: copying the rows instead would hold
+    most of the source's embeddings twice. ``node_sets`` holds the node-set
+    id of each row of ``array`` once ``node_set_ids`` has computed them; a
+    derived record shares its source's.
     """
 
     pattern: Pattern
@@ -262,7 +262,9 @@ class _RowFacts:
     position of the row's image of the pair in the source's
     ``GraphIndex.pair_keys``, plus ``len(pair_keys)`` times the id of the
     pair's edge bits among ``needs`` (``len(needs) * len(pair_keys)``
-    stays below 2**31 for any graph this package can hold). ``slots[r]``
+    stays below 2**31 for any graph this package can hold). A pair's image
+    is keyed ``u * width + v`` in int64: node ids are int32, and the
+    product passes 2**31 from node id 46,341 on. ``slots[r]``
     is record r's P, its index in the group and its row range, or None for
     a single-node record, and ``starts[P]`` is each record's first row.
     Every record also gets its node-set ids (``MinedPattern.node_set_ids``)
@@ -293,8 +295,8 @@ class _RowFacts:
         for rec, start, pairs, needs in planned:
             E = rec.array
             need = [need_ids.setdefault(n, len(need_ids)) for n in needs]
-            positions = np.searchsorted(src.pair_keys,
-                                        E[:, pairs[:, 0]] * src.width + E[:, pairs[:, 1]])
+            keys = np.multiply(E[:, pairs[:, 0]], src.width, dtype=np.int64) + E[:, pairs[:, 1]]
+            positions = np.searchsorted(src.pair_keys, keys)
             self.pairs[len(pairs)][:, start:start + len(E)] = (
                 positions + np.multiply(need, len(src.pair_keys))).T
             rec.node_set_ids(src.width)
@@ -403,8 +405,9 @@ def _extensions(
 
 
 def _distinct(values: np.ndarray, marks: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending; ``marks`` as in ``mis_support_array``."""
-    marks[values] = True
+    """The distinct values, ascending; ``marks`` as in ``mis_support_array``,
+    which also says why the scatter indexes with intp."""
+    marks[values.astype(np.intp)] = True
     distinct = np.flatnonzero(marks)
-    marks[distinct] = False
+    marks.fill(False)
     return distinct

@@ -59,9 +59,13 @@ class LinkClass(str, Enum):
 
 
 def encode_keys(width: int, l, u, v) -> np.ndarray:
-    """Candidate keys of (layer, u, v); ``v == width`` stands for NEW."""
+    """Candidate keys of (layer, u, v); ``v == width`` stands for NEW.
+
+    ``l * base + u`` is taken in int64 however ``l`` and ``u`` come: numpy
+    1.x would keep a scalar ``l`` plus int32 node ids in int32.
+    """
     base = width + 1
-    return (np.asarray(l, dtype=np.int64) * base + u) * base + v
+    return np.add(np.multiply(l, base, dtype=np.int64), u, dtype=np.int64) * base + v
 
 
 def decode_keys(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,10 +212,12 @@ def _apply_batch(idx, directed: bool, batch, dedupe: bool
     ``_antecedent_groups`` items, ascending by rule id and then by key."""
     W = idx.width
     # every embedding row of the batch, padded with -1 to the widest
-    # antecedent, and its node-set id, equal only within one antecedent
+    # antecedent, in the embeddings' dtype (``encode_keys`` promotes), and
+    # its node-set id, equal only within one antecedent
     sizes = [len(E) for E, *_ in batch]
     starts = np.cumsum([0] + sizes)
-    rows = np.full((starts[-1], max(E.shape[1] for E, *_ in batch)), -1, dtype=np.int64)
+    rows = np.full((starts[-1], max(E.shape[1] for E, *_ in batch)), -1,
+                   dtype=np.result_type(*(E.dtype for E, *_ in batch)))
     for (E, *_), s in zip(batch, starts):
         rows[s:s + len(E), :E.shape[1]] = E
     sets = np.concatenate([ids for _, _, ids, _ in batch])

@@ -66,9 +66,12 @@ def test_index_adjacency_matches_edges():
     for _ in range(20):
         g = random_multiplex(rng)
         idx = g.index()
+        assert idx.node_arr.dtype == np.int32
+        assert all(members.dtype == np.int32 for members in idx.nodes_by_label.values())
         for l in g.layers:
             for table, flip in ((idx.out_, False), (idx.in_, g.directed)):
                 indptr, indices = table[l]
+                assert indptr.dtype == np.int64 and indices.dtype == np.int32
                 listed = set()
                 for u in g.nodes:
                     row = indices[indptr[u]:indptr[u + 1]]
@@ -82,6 +85,24 @@ def test_index_adjacency_matches_edges():
                     if not g.directed:
                         expected.add((b, a))
                 assert listed == expected
+
+
+def test_neighbor_expansion_holds_int32_node_ids():
+    """Row positions stay int64; the neighbor ids are int32, also when no
+    anchor has a neighbor."""
+    g = MultiplexGraph(range(4), [(0, 1, 0), (0, 2, 0)], directed=True, layers=[0, 1])
+    idx = g.index()
+    for layer, anchors in ((0, [0, 3, 0]), (1, [0, 1])):
+        rows, nbrs = idx.neighbors_flat(idx.node_arr[anchors], layer, incoming=False)
+        assert rows.dtype == np.int64 and nbrs.dtype == np.int32
+    assert nbrs.size == 0
+
+
+def test_index_refuses_node_ids_past_int32():
+    # raised before any width-sized array is allocated
+    g = MultiplexGraph([0, np.iinfo(np.int32).max], [])
+    with pytest.raises(GraphError, match="largest"):
+        g.index()
 
 
 @pytest.mark.parametrize("directed", [False, True])

@@ -109,7 +109,7 @@ def test_code_walk_matches_bruteforce(strategy, directed):
                                      directed=directed)
         code = canonical_code(p, strategy)
         E = code_embeddings(code, g)
-        assert E.dtype == np.int64 and E.shape[1] == p.k
+        assert E.dtype == np.int32 and E.shape[1] == p.k
         assert [tuple(row) for row in E.tolist()] == brute_embeddings(code.pattern, g)
         found += len(E) > 0
         missing += not (p.layers <= g.layers and set(p.node_labels) <= set(g.attrs.values()))
@@ -152,15 +152,25 @@ def _assert_ids_follow_node_sets(E, ids):
 @pytest.mark.parametrize("width", [9, 2**40])
 def test_node_set_ids_are_equal_exactly_for_equal_node_sets(width):
     """Rows are injective, as embeddings are; at width 2**40 three nodes
-    no longer pack into one int64, so the ids are ranked on the way."""
+    no longer pack into one int64, so the ids are ranked on the way. int32
+    rows, as mined embeddings are, take node ids that fit them."""
     rng = random.Random(width)
-    for k in (1, 2, 3, 4):
-        nodes = rng.sample(range(width), 6)
-        rows = [rng.sample(nodes, k) for _ in range(40)]
-        E = np.array(rows, dtype=np.int64)
-        ids = node_set_ids(E, width)
-        assert ids.dtype == np.int32
-        _assert_ids_follow_node_sets(E, ids)
+    for dtype in (np.int64, np.int32):
+        for k in (1, 2, 3, 4):
+            nodes = rng.sample(range(min(width, np.iinfo(dtype).max)), 6)
+            rows = [rng.sample(nodes, k) for _ in range(40)]
+            E = np.array(rows, dtype=dtype)
+            ids = node_set_ids(E, width)
+            assert ids.dtype == np.int32
+            _assert_ids_follow_node_sets(E, ids)
+
+
+def test_node_set_ids_of_int32_rows_pack_in_int64():
+    """At width 2**20, 1 * width and 4097 * width agree modulo 2**32, so
+    packing int32 rows without promoting them would give these two node
+    sets one id."""
+    E = np.array([[1, 10_000], [4097, 10_000]], dtype=np.int32)
+    _assert_ids_follow_node_sets(E, node_set_ids(E, 2**20))
 
 
 @pytest.mark.parametrize("directed", [False, True])

@@ -1,0 +1,117 @@
+"""Graphs whose node ids start at 46,341, the smallest id whose product
+with itself passes 2**31.
+
+Node ids are int32, so every product of a node id and the graph width
+must be taken in int64: the pair-index probe (``GraphIndex.pair_masks``),
+the first digit of ``matcher.node_set_ids`` and the pair keys of
+``miner._RowFacts``. Each graph here is a small random graph with every
+node id shifted up by ``OFFSET``. Mining it, deriving its folds from that
+mine, scoring them and enumerating their candidates must agree with the
+brute-force oracles and, ids shifted back, with the unshifted graph.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from plexmine.evaluate import candidate_universe, kfold_split
+from plexmine.graph import MultiplexGraph
+from plexmine.miner import MiningConfig, mine, restrict
+from plexmine.pattern import Strategy
+from plexmine.pipeline import run_mining
+from plexmine.predict import apply_rules
+from plexmine.rules import RuleBuilder, derive_rules_posthoc, restrict_rules
+
+from oracles import (
+    brute_apply_rules,
+    brute_canonical_key,
+    brute_mine,
+    brute_universe,
+    random_multiplex,
+)
+from test_evaluate import _decoded
+from test_shared_mine import _hex_sorted, _table_text
+
+OFFSET = 46_341
+CONFIDENCE = 0.5
+
+
+def _shift(g: MultiplexGraph, by: int) -> MultiplexGraph:
+    return MultiplexGraph([n + by for n in g.nodes],
+                          [(u + by, v + by, l) for u, v, l in g.edges],
+                          attrs={n + by: a for n, a in g.attrs.items()},
+                          directed=g.directed, layers=g.layers)
+
+
+def _graphs(seed: int, directed: bool, count: int):
+    """(rng, graph, graph shifted by ``OFFSET``) for ``count`` random graphs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_multiplex(rng, max_nodes=8, directed=directed)
+        yield rng, g, _shift(g, OFFSET)
+
+
+def _shift_keys(scores: dict, by: int) -> dict:
+    """``scores`` with the node ids of each (u, v, l) or (u, l) key shifted."""
+    return {(*(n + by for n in key[:-1]), key[-1]): s for key, s in scores.items()}
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_mine_matches_brute_force_and_the_unshifted_graph(directed):
+    for rng, g, wide in _graphs(23 + directed, directed, 25):
+        sigma, size = rng.choice((1, 2)), rng.choice((2, 3))
+        strategy = rng.choice(list(Strategy))
+        got = run_mining(wide, sigma, size, CONFIDENCE, strategy)
+        want = run_mining(g, sigma, size, CONFIDENCE, strategy)
+        assert {brute_canonical_key(r.pattern): r.support for r in got.patterns} \
+            == brute_mine(wide, sigma, size)
+        assert got.patterns.dump() == want.patterns.dump()
+        assert got.rules.to_tsv() == want.rules.to_tsv()
+        for rec in got.patterns:
+            assert rec.array.dtype == np.int32
+            assert (rec.embeddings - OFFSET).tolist() \
+                == want.patterns.get(rec.code).embeddings.tolist()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_derived_fold_tables_match_fold_mining_and_brute_force(directed):
+    """A fold derived from the shifted graph's mine scores as mining the
+    fold does, and as the oracle scores the unshifted fold."""
+    lost = 0
+    for rng, _, wide in _graphs(5 + directed, directed, 12):
+        sigma, size = rng.choice((1, 2)), 3
+        strategy = rng.choice(list(Strategy))
+        offers = RuleBuilder()
+        ps_src = mine(wide, MiningConfig(sigma, size, strategy), rule_sink=offers)
+        k = min(4, wide.n_edges)
+        for split in kfold_split(wide, k, seed=rng.randrange(100)):
+            fold = split.train
+            derived = restrict(ps_src, fold, sigma)
+            rules = restrict_rules(offers.result(), derived, CONFIDENCE)
+            direct = mine(fold, MiningConfig(sigma, size, strategy))
+            assert derived.dump() == direct.dump()
+            assert rules.to_tsv() == derive_rules_posthoc(direct, CONFIDENCE, strategy).to_tsv()
+            for rec in derived:
+                assert rec.array.dtype == np.int32
+                lost += rec.rows is not None
+            for dedupe in (False, True):
+                got = apply_rules(fold, rules, pattern_set=derived,
+                                  dedupe_rule_firings=dedupe, track_provenance=True)
+                want = apply_rules(fold, rules, pattern_set=direct,
+                                   dedupe_rule_firings=dedupe, track_provenance=True)
+                assert _table_text(got) == _table_text(want)
+                oldold, oldnew = brute_apply_rules(_shift(fold, -OFFSET), rules, dedupe)
+                assert _hex_sorted(got.oldold) == _hex_sorted(_shift_keys(oldold, OFFSET))
+                assert _hex_sorted(got.oldnew) == _hex_sorted(_shift_keys(oldnew, OFFSET))
+    assert lost > 20
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_candidate_universe_matches_brute_force(directed):
+    for rng, _, wide in _graphs(71 + directed, directed, 15):
+        k = rng.randint(2, min(4, wide.n_edges))
+        split = kfold_split(wide, k, seed=rng.randrange(100))[rng.randrange(k)]
+        for n_neg in (None, rng.randint(1, 20)):
+            assert _decoded(candidate_universe(split, n_neg, seed=3)) \
+                == brute_universe(split, n_neg, seed=3)

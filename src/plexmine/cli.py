@@ -9,8 +9,8 @@ each --kfold fold: ``pipeline.evaluate_split`` scores the training graph
 with each method, adds the --scores-tsv dumps, and combines the tables in
 an ensemble whenever there are two or more of them.
 
-Exit codes: 1 input parse error, 2 invalid parameters, 3 internal
-assertion failure.
+Exit codes: 1 input parse error or a file that cannot be read or
+written, 2 invalid parameters, 3 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from .datagen import SynthConfig, generate
 from .evaluate import EvalError, classic_score, kfold_split, sharma_score, temporal_split
 from .graph import GraphError, flatten_monoplex
 from .io import ParseError, load_multiplex, load_temporal, save_multiplex
-from .matcher import fits
 from .miner import MiningConfig, MiningError, MiningInvariantError
 from .pattern import PatternError, Strategy
 from .pipeline import CrossValResult, evaluate_split, make_rule_scorer, run_mining
-from .predict import apply_rules, load_score_dump, score_dump
+from .predict import apply_rules, explain_dump, load_score_dump, score_dump, select_rules
 from .rules import DEFAULT_MIN_CONFIDENCE, RuleSet
 from .signed import SignMap, SignedError, frustration_report
 
@@ -80,10 +79,14 @@ def _add_mining_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", choices=["bfs", "dfs"], default="bfs")
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _out(path: str | None, text: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -151,13 +154,18 @@ def cmd_predict(args) -> int:
         raise ValueError(f"--top must be >= 1, got {args.top}")
     g = _load(args)
     rules = RuleSet.from_tsv(args.rules)
-    skipped = sum(not fits(r.consequent_code, g) for r in rules.rules.values())
+    t0 = time.perf_counter()
+    selected = select_rules(g, rules)
+    skipped = len(rules) - len(selected)
     if skipped:
         sys.stderr.write(f"warning: skipped {skipped} of {len(rules)} rules: they reference "
                          "a layer or label absent from the graph\n")
-    t0 = time.perf_counter()
-    table = apply_rules(g, rules, dedupe_rule_firings=args.dedupe_rule_firings)
+    table = apply_rules(g, selected, dedupe_rule_firings=args.dedupe_rule_firings,
+                        track_provenance=args.explain is not None)
     apply_s = time.perf_counter() - t0
+    if args.explain is not None:
+        _write(args.explain, explain_dump(table, selected.rules(), g.node_names,
+                                          g.layer_names, args.top))
     text = score_dump(table, g.node_names, g.layer_names)
     if args.top is not None:
         lines = text.splitlines(keepends=True)[: args.top]
@@ -312,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--top", type=int)
     p.add_argument("--dedupe-rule-firings", action="store_true")
+    p.add_argument("--explain", metavar="PATH",
+                   help="write the rules that fired each written triple to PATH (TSV)")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_predict)
 
@@ -362,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except (MiningInvariantError, AssertionError) as exc:

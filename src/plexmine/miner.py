@@ -110,7 +110,11 @@ class PatternSet:
     """Mining output: insertion-ordered records by canonical code, the
     graph object they were found in, the absolute support ``sigma`` they
     were found at, and the run's search memo. ``row_facts`` is what
-    ``restrict`` computes of the records' rows once, on its first call."""
+    ``restrict`` computes of the records' rows once, on its first call.
+    A set that ``restrict`` derived names the set it read as ``source``
+    and keeps ``source_records``: per record of ``source``, in its order,
+    the record derived from it, or None where that pattern is not
+    frequent here."""
 
     def __init__(self, graph: MultiplexGraph, sigma: int, memo: dict):
         self.records: dict[CanonicalCode, MinedPattern] = {}
@@ -118,6 +122,8 @@ class PatternSet:
         self.sigma = sigma
         self.memo = memo
         self.row_facts: _RowFacts | None = None
+        self.source: PatternSet | None = None
+        self.source_records: list[MinedPattern | None] = []
 
     def serves(self, g: MultiplexGraph, sigma: int) -> bool:
         """Whether ``restrict`` can derive ``g`` at absolute support
@@ -131,6 +137,17 @@ class PatternSet:
 
     def get(self, code: CanonicalCode) -> MinedPattern | None:
         return self.records.get(code)
+
+    def records_of(self, src: PatternSet) -> list[MinedPattern | None]:
+        """The records of ``src`` as they stand here, in ``src``'s order
+        (None where one is not frequent here): this set's own records when
+        it is ``src``, else ``source_records``. Raises
+        ``MiningInvariantError`` unless ``restrict`` derived it from ``src``."""
+        if self is src:
+            return list(self.records.values())
+        if self.source is not src:
+            raise MiningInvariantError("the pattern set was not derived from this mine")
+        return self.source_records
 
     def __iter__(self):
         return iter(self.records.values())
@@ -222,7 +239,8 @@ def restrict(ps: PatternSet, g: MultiplexGraph, sigma: int) -> PatternSet:
     its label, as ``mine`` seeds it. Any other record keeps its source
     array and node-set ids and masks the rows that survive
     (``_RowFacts.survivors``); a record that loses no row needs no mask
-    and keeps its support. The result shares ``ps``'s memo.
+    and keeps its support. The result shares ``ps``'s memo and names
+    ``ps`` as its ``source``.
     """
     if not ps.serves(g, sigma):
         raise MiningInvariantError(f"mine at support {ps.sigma} cannot serve the graph at {sigma}")
@@ -232,23 +250,28 @@ def restrict(ps: PatternSet, g: MultiplexGraph, sigma: int) -> PatternSet:
     facts = ps.row_facts = ps.row_facts or _RowFacts(ps)
     keep, lost = facts.survivors(idx)
     out = PatternSet(g, sigma, ps.memo)
+    out.source = ps
     marks = np.zeros(idx.width, dtype=bool)
     for rec, slot in zip(ps, facts.slots):
         p = rec.pattern
+        derived = None
         if slot is None:
             members = idx.nodes_by_label.get(p.node_labels[0])
             if members is not None and len(members) >= sigma:
-                out.add(MinedPattern(p, rec.code, len(members), members.reshape(-1, 1),
-                                     rec.orderings))
-            continue
-        n_pairs, i, start, stop = slot
-        rows, support = None, rec.support
-        if lost[n_pairs][i]:
-            rows = keep[n_pairs][start:stop]
-            support = mis_support_array(rec.array.compress(rows, axis=0), sigma, marks)
-        if support >= sigma:
-            out.add(MinedPattern(p, rec.code, support, rec.array, rec.orderings, rows,
-                                 rec.node_sets))
+                derived = MinedPattern(p, rec.code, len(members), members.reshape(-1, 1),
+                                       rec.orderings)
+        else:
+            n_pairs, i, start, stop = slot
+            rows, support = None, rec.support
+            if lost[n_pairs][i]:
+                rows = keep[n_pairs][start:stop]
+                support = mis_support_array(rec.array.compress(rows, axis=0), sigma, marks)
+            if support >= sigma:
+                derived = MinedPattern(p, rec.code, support, rec.array, rec.orderings, rows,
+                                       rec.node_sets)
+        if derived is not None:
+            out.add(derived)
+        out.source_records.append(derived)
     return out
 
 

@@ -11,7 +11,7 @@ from .graph import MultiplexGraph
 from .miner import MiningConfig, PatternSet, mine, restrict
 from .pattern import Strategy
 from .predict import ScoreTable, apply_rules
-from .rules import RuleBuilder, RuleSet, derive_rules_posthoc, restrict_rules
+from .rules import OfferTable, RuleBuilder, RuleSet, derive_rules_posthoc, restrict_rules
 
 
 @dataclass
@@ -53,8 +53,8 @@ def run_mining(
     """Mine patterns and build the rule set in the requested mode, as one run that starts cold.
 
     The embedded mode keeps every offer while mining and then the rules
-    that reach ``min_confidence`` (``restrict_rules``), both inside
-    ``mining_s``.
+    that reach ``min_confidence``, the mask of the offer table
+    (``restrict_rules``), both inside ``mining_s``.
     """
     if rule_mode not in ("embedded", "posthoc"):
         raise ValueError(f"unknown rule mode {rule_mode!r}")
@@ -97,10 +97,12 @@ def make_rule_scorer(
 
     The graphs one scorer scores (folds, an ensemble's internal splits) are
     one run and share its memo of canonical searches. The scorer holds one
-    mine, made with every offer kept (``RuleBuilder``), and makes
-    every table from it: the patterns by ``miner.restrict``, the rules by
-    ``rules.restrict_rules``, then ``apply_rules``, byte for byte what
-    mining the graph gives. The held mine serves a graph that is its graph
+    mine, made with every offer kept (``RuleBuilder``), and the table of
+    those offers (``rules.OfferTable``), built once. It makes every table
+    from them: the patterns by ``miner.restrict``, the rules as the table's
+    mask on those patterns (``OfferTable.select``), then ``apply_rules`` on
+    that selection, byte for byte what mining the graph and applying its
+    rule set gives. The held mine serves a graph that is its graph
     or cut from it, at a support no lower than the mine's
     (``PatternSet.serves``). For any other graph the scorer drops the held
     mine, then mines at the graph's own support either the graph's root
@@ -109,20 +111,20 @@ def make_rule_scorer(
     itself (a graph with no root is its own root), and holds that mine.
     """
     memo = {}
-    held = None  # (patterns, offers)
+    held = None  # the offer table of the held mine
 
     def scorer(g: MultiplexGraph) -> ScoreTable:
         nonlocal held
         sigma = MiningConfig(support, max_nodes, strategy).resolve_support(g)
-        if held is None or not held[0].serves(g, sigma):
+        if held is None or not held.mine.serves(g, sigma):
             root = g if g.source is None else g.source
             near = len(root.edges) - len(g.edges) <= SOURCE_MINE_MAX_LACKING * len(root.edges)
             held = None  # dropped before the next mine, which would otherwise hold both
             offers = RuleBuilder()
-            held = (mine(root if near else g, MiningConfig(sigma, max_nodes, strategy),
-                         rule_sink=offers, memo=memo), offers.result())
-        ps = restrict(held[0], g, sigma)
-        return apply_rules(g, restrict_rules(held[1], ps, min_confidence), pattern_set=ps)
+            ps = mine(root if near else g, MiningConfig(sigma, max_nodes, strategy),
+                      rule_sink=offers, memo=memo)
+            held = OfferTable(offers.result(), ps)
+        return apply_rules(g, held.select(restrict(held.mine, g, sigma), min_confidence))
 
     return scorer
 

@@ -15,25 +15,32 @@ in ``[0, W)``. ``ScoreTable.from_keys`` writes a table from keys and
 ``ScoreTable.key_arrays`` reads one back as keys, so score tables, the
 candidate universe and the ensemble share this one encoding.
 
-Accumulation works on arrays. Rules are visited in sorted order, which
-groups them by antecedent, and each antecedent's embeddings are fetched
-once: from the mined pattern set when it holds them, in the record's
-pattern-index columns, to which its canonical ordering maps a rule's
-node indices, or by walking the antecedent's canonical code, which
-doubles as the join plan and yields columns in canonical node indexing.
-Each embedding row also has a node-set id (``matcher.node_set_ids``),
-equal for rows of one antecedent with the same node set. A mined record
-computes its ids once, on its source array, and every record
-``miner.restrict`` derives from it shares them, masked by its rows;
-re-matched embeddings get theirs when fetched. Whole antecedents are
-gathered into batches of about ``BATCH_FIRINGS`` firings (embedding rows
-x rules), and each batch costs a few dozen numpy calls: every (rule, row)
-firing is encoded as a candidate key at once, one pair-index probe drops
-the firings that land on a training edge, and one sort of packed (rule,
-key, node-set id) values counts the distinct node sets per (rule, key).
-A batch yields (key, confidence x count) parts ascending by rule and then
-by key, so one ``np.unique`` and one weighted ``np.bincount`` over all
-batches sum every score's contributions in sorted-rule order, exactly as
+Rules are applied from a table (``rules.RuleTable``): numpy arrays in
+``sorted_rules()`` order, and a mask of the rules to apply. A rule set
+becomes one by ``select_rules``, which masks the rules that do not fit the
+graph; the rule scorer builds one ``rules.OfferTable`` per held mine and
+masks it per fold. A selected rule's id is its rank among the selected
+rules. Each antecedent's embeddings are fetched once: from its mined record,
+in the record's own columns, or by walking its canonical code on the
+graph, in canonical node indexing. Each embedding row also has a
+node-set id (``matcher.node_set_ids``), equal for rows of one antecedent
+with the same node set; a record ``miner.restrict`` derives shares its
+source record's ids, masked by its rows.
+
+The rules of one antecedent whose deltas join the same two columns, or
+anchor a fresh node at the same column, form a group: they fire from the
+same node pairs of the same rows and differ only in layer and direction.
+Whole antecedents are gathered into batches of about ``BATCH_FIRINGS``
+group rows. Per batch, every group row becomes its node pair, in (min,
+max) order when undirected, so automorphic rows collapse, or (anchor,
+NEW); one sort of packed (group, pair, node-set id) values counts the
+distinct node sets per (group, pair), and one pair-index probe reads each
+distinct pair's edges in every layer and direction. Each kept rule of a
+group then fires on the group's distinct pairs, oriented by its ``flip``
+flag, except where its edge is already a training edge, with weight
+confidence x node-set count. A batch yields (key, weight, rule id) parts
+in rule order, so one ``np.unique`` and one weighted ``np.bincount`` over
+all batches sum every score's contributions in rule order, exactly as
 adding them one by one to 0.0 would.
 """
 
@@ -42,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 
 import numpy as np
 
@@ -50,7 +57,7 @@ from .graph import MultiplexGraph
 from .io import ParseError, text_lines
 from .matcher import code_embeddings, firsts, fits, node_set_ids, ranks
 from .miner import PatternSet
-from .rules import AssociationRule, RuleSet
+from .rules import AssociationRule, RuleSelection, RuleSet, RuleTable
 
 
 class LinkClass(str, Enum):
@@ -121,59 +128,86 @@ class ScoreTable:
         return encode_keys(width, l[ok], u[ok], v[ok]), scores[ok]
 
 
-# Firings (antecedent rows x rules) gathered before a batch is scored. A
-# batch costs a few dozen numpy calls however many rules it holds, so small
-# batches pay mostly call overhead: with one batch per antecedent, a 10-fold
-# run on a 150-node graph took 1.70 s against 1.35 s. One batch for the
-# whole rule set raised that run's peak RSS from 46 to 57 MB; with 8192
-# firings it stays at the 47 MB of per-rule application.
+# Group rows (antecedent rows x the groups that read them) gathered before
+# a batch is scored. A batch costs a few dozen numpy calls however many
+# groups it holds, so small batches pay mostly call overhead, and large
+# ones hold more arrays at once. At 8 k, 32 k and 128 k the 10-fold
+# cv-overlap benchmark read op_s medians of 0.324, 0.325 and 0.360 s at
+# peak RSS 46.7, 47.8 and 52.1 MB, and the same CV at size 4 spent
+# 3.3-3.5, 3.0-3.4 and 3.3-3.8 s in rule application at 180, 180-181 and
+# 186 MB: bigger batches buy nothing and cost memory.
 BATCH_FIRINGS = 8192
 
 
-def applicable_rules(g: MultiplexGraph, rules: RuleSet) -> list[tuple[int, AssociationRule]]:
-    """(id, rule) of the rules whose layers and labels ``g`` has, where a
-    rule's id is its position in ``sorted_rules()``; ``apply_rules`` skips
-    the others. The consequent names every layer and label of the rule."""
-    return [(rule_id, rule) for rule_id, rule in enumerate(rules.sorted_rules())
-            if fits(rule.consequent_code, g)]
+def select_rules(g: MultiplexGraph, rules: RuleSet,
+                 pattern_set: PatternSet | None = None) -> RuleSelection:
+    """The table of ``rules`` with the rules that fit ``g`` selected: those
+    whose consequent names only layers and labels ``g`` has (``fits``). An
+    antecedent reads its embeddings from ``pattern_set`` when that holds
+    it, else from walking its code on ``g``, once, when it is applied."""
+    ordered = rules.sorted_rules()
+    codes, ant = [], []
+    for code, group in groupby(ordered, key=lambda r: r.antecedent_code):
+        ant += [len(codes)] * len(list(group))
+        codes.append(code)
+    records = [None if pattern_set is None else pattern_set.get(code) for code in codes]
+    columns = [range(code.pattern.k) if rec is None else rec.orderings[0]
+               for code, rec in zip(codes, records)]
+    table = RuleTable(ordered, codes, np.array(ant, dtype=np.int64), columns)
+    keep = np.array([fits(r.consequent_code, g) for r in ordered], dtype=bool)
+    support_a, support_c = (np.array([getattr(r, f) for r in ordered], dtype=np.int64)
+                            for f in ("support_a", "support_c"))
+    return RuleSelection(table, keep, support_a, support_c, records)
 
 
 def apply_rules(
     g_train: MultiplexGraph,
-    rules: RuleSet,
+    rules: RuleSet | RuleSelection,
     pattern_set: PatternSet | None = None,
     dedupe_rule_firings: bool = False,
     track_provenance: bool = False,
 ) -> ScoreTable:
     """Accumulate confidence-weighted rule firings into a score table.
 
-    Antecedent embeddings are reused from ``pattern_set`` when it holds the
-    antecedent and re-matched on the graph otherwise, once per antecedent.
-    A rule adds, to each key it fires, its confidence times the number of
-    distinct node sets firing that key (times 1 with
-    ``dedupe_rule_firings``). Every score is the sum of its rules'
-    contributions in ``sorted_rules()`` order, starting from 0.0, whatever
-    order the rules were added in. Rules outside ``applicable_rules`` are
-    skipped. With ``track_provenance`` the table maps each scored
-    ``("oldold", (u, v, l))`` or ``("oldnew", (u, l))`` to the ids
-    (positions in ``sorted_rules()``) of the rules that fired it, ascending.
+    ``rules`` is a rule set, applied as ``select_rules(g_train, rules,
+    pattern_set)`` selects it, or a selection of a table, which names its
+    own records (``pattern_set`` is then not read). A rule adds, to
+    each key it fires, its confidence times the number of distinct node
+    sets firing that key (times 1 with ``dedupe_rule_firings``). Every
+    score is the sum of its rules' contributions in rule id order, which is
+    ``sorted_rules()`` order, starting from 0.0, whatever order the rules
+    were added in. With ``track_provenance`` the table maps each scored
+    ``("oldold", (u, v, l))`` or ``("oldnew", (u, l))`` to the ids of the
+    rules that fired it, ascending: each rule's rank among the selected
+    rules, its position in ``RuleSelection.rules()``.
     """
+    sel = select_rules(g_train, rules, pattern_set) if isinstance(rules, RuleSet) else rules
     idx = g_train.index()
     W = idx.width
+    kept = np.flatnonzero(sel.keep)
     # (keys, weights, rule ids) per batch, after an empty part that lets a
-    # rule set firing nothing concatenate
+    # selection firing nothing concatenate
     parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
-    batch, firings = [], 0
-    for E, cols, sets, group in _antecedent_groups(g_train, applicable_rules(g_train, rules),
-                                                   pattern_set):
-        n = len(E) * len(group)
-        if batch and firings + n > BATCH_FIRINGS:
-            parts.append(_apply_batch(idx, g_train.directed, batch, dedupe_rule_firings))
-            batch, firings = [], 0
-        batch.append((E, cols, sets, group))
-        firings += n
+    t = sel.table
+    rule_group = t.group[kept]
+    groups = rule_group[firsts(rule_group)]
+    ants = t.group_ant[groups]
+    runs = np.append(np.flatnonzero(firsts(ants)), len(groups)).tolist()
+    layer = t.layer[kept]
+    kept_rules = _KeptRules(t, groups, np.searchsorted(rule_group, groups), rule_group,
+                            t.flip[kept], layer, 2 * np.searchsorted(idx.layers, layer),
+                            sel.support_c[kept] / sel.support_a[kept], dedupe_rule_firings)
+    batch, rows, g0 = [], 0, 0  # batch: (embeddings, node-set ids) per group from g0 on
+    for a, ga, gb in zip(ants[runs[:-1]].tolist(), runs[:-1], runs[1:]):
+        E, sets = _embeddings(sel, a, g_train, W)
+        n = len(E) * (gb - ga)
+        if batch and rows + n > BATCH_FIRINGS:
+            parts.append(_apply_batch(idx, g_train.directed, kept_rules, g0, batch))
+            g0, batch, rows = ga, [], 0
+        batch += [(E, sets)] * (gb - ga)
+        rows += n
     if batch:
-        parts.append(_apply_batch(idx, g_train.directed, batch, dedupe_rule_firings))
+        parts.append(_apply_batch(idx, g_train.directed, kept_rules, g0, batch))
 
     keys, inverse = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
     scores = np.bincount(inverse, weights=np.concatenate([p[1] for p in parts]),
@@ -190,91 +224,103 @@ def apply_rules(
     return table
 
 
-def _antecedent_groups(g: MultiplexGraph, rules: list[tuple[int, AssociationRule]],
-                       pattern_set: PatternSet | None):
-    """(embeddings, the column of each canonical node index, their
-    node-set ids, [(id, rule), ...]) per run of ``rules`` sharing an
-    antecedent. A mined record keeps its ids, which the records
-    ``restrict`` derives from it share."""
-    width = g.index().width
-    for code, group in groupby(rules, key=lambda item: item[1].antecedent_code):
-        rec = pattern_set.get(code) if pattern_set is not None else None
-        if rec is not None:
-            yield rec.embeddings, rec.orderings[0], rec.node_set_ids(width), list(group)
-        else:
-            E = code_embeddings(code, g)
-            yield E, range(E.shape[1]), node_set_ids(E, width), list(group)
+@dataclass
+class _KeptRules:
+    """What ``_apply_batch`` reads of a selection's kept rules, whose ids
+    are their positions here: the table, the groups that hold a kept rule
+    (ascending) and the first kept rule of each, and per kept rule its
+    group, orientation flag, layer, the ``pair_masks`` bit of its layer in
+    the forward direction, and its confidence."""
+
+    table: RuleTable
+    groups: np.ndarray
+    group_first: np.ndarray
+    rule_group: np.ndarray
+    flip: np.ndarray
+    layer: np.ndarray
+    bit: np.ndarray
+    conf: np.ndarray
+    dedupe: bool
 
 
-def _apply_batch(idx, directed: bool, batch, dedupe: bool
+def _embeddings(sel: RuleSelection, a: int, g: MultiplexGraph,
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Record ``a``'s embeddings and node-set ids: the selection's record,
+    whose ids its source record computed once and shares, or the code
+    walked on ``g``."""
+    rec = sel.records[a]
+    if rec is not None:
+        return rec.embeddings, rec.node_set_ids(width)
+    E = code_embeddings(sel.table.codes[a], g)
+    return E, node_set_ids(E, width)
+
+
+def _apply_batch(idx, directed: bool, kr: _KeptRules, g0: int, batch
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keys, weights, rule ids) of every rule in ``batch``, a list of
-    ``_antecedent_groups`` items, ascending by rule id and then by key."""
+    """(keys, weights, rule ids) of the kept rules of the groups from
+    ``kr.groups[g0]`` on, one group per ``batch`` item, which is the
+    (embeddings, node-set ids) of its antecedent; ascending by rule id."""
     W = idx.width
-    # every embedding row of the batch, padded with -1 to the widest
-    # antecedent, in the embeddings' dtype (``encode_keys`` promotes), and
-    # its node-set id, equal only within one antecedent
-    sizes = [len(E) for E, *_ in batch]
-    starts = np.cumsum([0] + sizes)
-    rows = np.full((starts[-1], max(E.shape[1] for E, *_ in batch)), -1,
-                   dtype=np.result_type(*(E.dtype for E, *_ in batch)))
-    for (E, *_), s in zip(batch, starts):
-        rows[s:s + len(E), :E.shape[1]] = E
-    sets = np.concatenate([ids for _, _, ids, _ in batch])
-
-    # per rule: first row, row count, id, confidence and delta fields, the
-    # delta's node indices read through its antecedent's columns; a
-    # fresh-node delta reads its anchor column twice
-    group_sizes = [len(group) for *_, group in batch]
-    first, count = np.repeat(starts[:-1], group_sizes), np.repeat(sizes, group_sizes)
-    rule_id = np.array([rid for *_, group in batch for rid, _ in group], dtype=np.int64)
-    rules = [r for *_, group in batch for _, r in group]
-    cols = [c for _, c, _, group in batch for _ in group]
-    deltas = [r.delta for r in rules]
-    conf = np.array([r.confidence for r in rules])
-    col_a = np.array([c[d.i] for c, d in zip(cols, deltas)], dtype=np.int64)
-    col_b = np.array([c[d.i if d.j is None else d.j] for c, d in zip(cols, deltas)],
-                     dtype=np.int64)
-    fresh_node = np.array([d.j is None for d in deltas])
-    forward = np.array([d.dirbit for d in deltas])
-    layer = np.array([d.layer for d in deltas], dtype=np.int64)
-
-    # every (rule, row) firing, as the candidate it instantiates
-    fr = np.repeat(np.arange(len(rules)), count)
-    row = np.arange(len(fr)) + np.repeat(first - (np.cumsum(count) - count), count)
-    a, b = rows[row, col_a[fr]], rows[row, col_b[fr]]
-    if directed:
-        fwd = forward[fr]
-        tail, head = np.where(fwd, a, b), np.where(fwd, b, a)
-    else:
-        tail, head = np.minimum(a, b), np.maximum(a, b)
-    head[fresh_node[fr]] = W
-    key_pos, keys = ranks(encode_keys(W, layer[fr], tail, head))
-
-    # firings on a training edge contribute nothing; the distinct keys come
-    # ascending, so the pair index is probed in nearly sorted order
-    l, u, v = decode_keys(keys, W)
-    cyc = np.flatnonzero(v != W)
-    bit = 2 * np.searchsorted(idx.layers, l[cyc])
-    masks = idx.pair_masks(u[cyc], v[cyc])
-    on_edge = np.zeros(len(keys), dtype=bool)
-    on_edge[cyc] = masks[np.arange(len(cyc)), bit >> 6] \
-        & (np.uint64(1) << (bit & 63).astype(np.uint64)) != 0
-    keep = ~on_edge[key_pos]
-    fr, row, key_pos = fr[keep], row[keep], key_pos[keep]
-    if not len(fr):
+    t, g1 = kr.table, g0 + len(batch)
+    gs = kr.groups[g0:g1]
+    fresh = t.group_fresh[gs]
+    # every row of every group as the node pair its delta columns read,
+    # (low, high) or (anchor, NEW), in (min, max) order when undirected so
+    # that automorphic rows collapse, and the row's node-set id
+    sizes = [len(E) for E, _ in batch]
+    gr = np.repeat(np.arange(len(batch)), sizes)
+    u = np.concatenate([E[:, c] for (E, _), c in zip(batch, t.group_lo[gs].tolist())])
+    v = np.concatenate([E[:, c] for (E, _), c in zip(batch, t.group_hi[gs].tolist())])
+    sets = np.concatenate([ids for _, ids in batch])
+    if not len(gr):
         return np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64)
+    v = np.where(fresh[gr], W, v)
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
 
-    # distinct (rule, key, node set) values, then node sets per (rule, key);
-    # a rule reads one antecedent's rows, so ids need only be equal within
-    # one, and packed values stay below len(rules) * len(keys) * n_sets
+    # distinct (group, pair, node set) values, then node sets per (group,
+    # pair): a group reads one antecedent's rows, so ids need only be equal
+    # within one, and packed values stay below groups * pairs * n_sets
+    pair_pos, pairs = ranks(encode_keys(W, 0, u, v))
     n_sets = int(sets.max()) + 1
-    packed = np.sort((fr * len(keys) + key_pos) * n_sets + sets[row])
-    rule_key = packed[firsts(packed)] // n_sets
-    bounds = np.flatnonzero(firsts(rule_key))
-    rule, key = np.divmod(rule_key[bounds], len(keys))
-    weights = conf[rule] if dedupe else conf[rule] * np.diff(np.append(bounds, len(rule_key)))
-    return keys[key], weights, rule_id[rule]
+    packed = np.sort((gr * len(pairs) + pair_pos) * n_sets + sets)
+    group_pair = packed[firsts(packed)] // n_sets
+    bounds = np.flatnonzero(firsts(group_pair))
+    count = np.diff(np.append(bounds, len(group_pair)))
+    pg, pp = np.divmod(group_pair[bounds], len(pairs))
+    pu, pv = np.divmod(pairs[pp], W + 1)
+    # every layer and direction bit of each distinct cycle pair, probed
+    # once for all the rules of its group
+    cyc = ~fresh[pg]
+    masks = idx.pair_masks(pu[cyc], pv[cyc])
+    mask_row = np.cumsum(cyc) - 1
+    first = np.searchsorted(pg, np.arange(len(batch)))
+    n_pairs = np.diff(np.append(first, len(pg)))
+
+    # each kept rule of these groups over its group's distinct pairs, in
+    # rule order; a flipped rule's edge runs from the high column's node
+    r0 = kr.group_first[g0]
+    r1 = kr.group_first[g1] if g1 < len(kr.groups) else len(kr.rule_group)
+    local = np.searchsorted(gs, kr.rule_group[r0:r1])
+    n = n_pairs[local]
+    fr = np.repeat(np.arange(r0, r1), n)
+    pair = np.arange(len(fr)) + np.repeat(first[local] - (np.cumsum(n) - n), n)
+    flip = kr.flip[fr]
+    tail = np.where(flip, pv[pair], pu[pair])
+    head = np.where(flip, pu[pair], pv[pair])
+    # a firing on a training edge contributes nothing; bit 2p of pair
+    # (u, v) is the edge u -> v in the layer at position p, bit 2p + 1 the
+    # edge v -> u
+    on_cycle = cyc[pair]
+    bit = kr.bit[fr[on_cycle]] + flip[on_cycle]
+    on_edge = np.zeros(len(fr), dtype=bool)
+    on_edge[on_cycle] = masks[mask_row[pair[on_cycle]], bit >> 6] \
+        & (np.uint64(1) << (bit & 63).astype(np.uint64)) != 0
+    live = ~on_edge
+    fr, pair = fr[live], pair[live]
+    keys = encode_keys(W, kr.layer[fr], tail[live], head[live])
+    weights = kr.conf[fr] if kr.dedupe else kr.conf[fr] * count[pair]
+    return keys, weights, fr
 
 
 def top_k(table: ScoreTable, k: int) -> list[tuple[tuple, float]]:
@@ -293,20 +339,45 @@ def _entry_order(key: tuple):
     return (u, v is None, -1 if v is None else v, l)
 
 
+def _named_entries(table: ScoreTable, node_names: dict[int, str] | None,
+                   layer_names: dict[int, str] | None):
+    """(provenance key, score, ``u  v-or-NEW  layer`` text) of every entry,
+    sorted by score descending as ``top_k`` sorts them."""
+    nn = node_names or {}
+    ln = layer_names or {}
+    rows = top_k(table, k=max(1, len(table.oldold) + len(table.oldnew))) \
+        if (table.oldold or table.oldnew) else []
+    for (u, v, l), s in rows:
+        key = ("oldnew", (u, l)) if v is None else ("oldold", (u, v, l))
+        vs = "NEW" if v is None else str(nn.get(v, v))
+        yield key, s, f"{nn.get(u, u)}\t{vs}\t{ln.get(l, l)}"
+
+
 def score_dump(
     table: ScoreTable,
     node_names: dict[int, str] | None = None,
     layer_names: dict[int, str] | None = None,
 ) -> str:
     """TSV dump `u  v-or-NEW  layer  score`, sorted by score descending."""
-    nn = node_names or {}
-    ln = layer_names or {}
-    rows = top_k(table, k=max(1, len(table.oldold) + len(table.oldnew))) \
-        if (table.oldold or table.oldnew) else []
-    lines = []
-    for (u, v, l), s in rows:
-        vs = "NEW" if v is None else str(nn.get(v, v))
-        lines.append(f"{nn.get(u, u)}\t{vs}\t{ln.get(l, l)}\t{s:.6f}")
+    lines = [f"{name}\t{s:.6f}" for _, s, name in _named_entries(table, node_names, layer_names)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def explain_dump(
+    table: ScoreTable,
+    rules: list[AssociationRule],
+    node_names: dict[int, str] | None = None,
+    layer_names: dict[int, str] | None = None,
+    top: int | None = None,
+) -> str:
+    """TSV `u  v-or-NEW  layer  <rule line>`: for each of the first ``top``
+    entries of ``score_dump`` (all by default), in its order, one line per
+    rule that fired the entry (``AssociationRule.to_line``), in rule id
+    order. ``table`` tracks provenance, and ``rules`` lists the rules by id
+    (``RuleSelection.rules()``)."""
+    lines = [f"{name}\t{rules[rule_id].to_line()}"
+             for key, _, name in islice(_named_entries(table, node_names, layer_names), top)
+             for rule_id in table.provenance[key]]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -8,15 +8,19 @@ canonical code, canonical delta), so extensions that are isomorphic as
 which search branch produced them. Two rule sets are equal when their
 ``to_tsv`` dumps are: codes and deltas print injectively.
 Two construction modes exist with identical output. The embedded path
-collects every offer while the miner runs (``RuleBuilder``) and keeps those
-that reach the confidence (``restrict_rules``); the legacy post-hoc
-derivation rebuilds the rules from a finished pattern set by testing
-single-edge containment between patterns of adjacent size.
+collects every offer while the miner runs (``RuleBuilder``), holds them
+as one table (``OfferTable``) and keeps, as a mask of it, those that reach
+the confidence on the mine or on any pattern set derived from it
+(``OfferTable.select``; ``restrict_rules`` gives that as a ``RuleSet``);
+the legacy post-hoc derivation rebuilds the rules from a finished pattern
+set by testing single-edge containment between patterns of adjacent size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .io import ParseError, text_lines
 from .miner import MinedPattern, PatternSet
@@ -188,8 +192,8 @@ def _rule_from_fields(parts: list[str], memo: dict) -> AssociationRule:
 
 class RuleBuilder:
     """Embedded rule sink: feed it to ``mine`` and read ``result()``, every
-    distinct offer of the mine; ``restrict_rules`` keeps those that reach a
-    confidence.
+    distinct offer of the mine; ``OfferTable.select`` keeps those that
+    reach a confidence.
 
     Offers arrive in search order and may repeat for automorphic
     placements; merging by canonical key is associative and commutative,
@@ -208,35 +212,151 @@ class RuleBuilder:
         return self._rules
 
 
-def confident(support_a: int, support_c: int, min_confidence: float) -> bool:
-    """Whether a rule with these supports reaches ``min_confidence``."""
+def confident(support_a, support_c, min_confidence: float):
+    """Whether a rule with these supports reaches ``min_confidence``; on
+    arrays of supports, the mask of the rules that do."""
     return support_c / support_a + CONFIDENCE_EPS >= min_confidence
 
 
-def restrict_rules(offers: RuleSet, patterns: PatternSet, min_confidence: float) -> RuleSet:
-    """The rules of ``patterns`` that reach ``min_confidence``: the offers
-    the mine of ``patterns`` makes, kept when they pass the confidence
-    test. This is the embedded path's one confidence filter.
+class RuleTable:
+    """Rules as arrays, in ``sorted_rules()`` order, built once for masking
+    and rule application.
 
-    ``offers`` is what a ``RuleBuilder`` collected on ``patterns``'s own
-    mine, or on the mine that ``patterns`` was restricted from
-    (``miner.restrict``). Every offer of the smaller mine is one of these,
-    and an offer is made there exactly when its antecedent and consequent
-    are both frequent there. So each offer whose two patterns survive is
-    added again with their supports in ``patterns``, when it passes the
-    confidence test: as the offer itself where those supports are the
-    offer's, so that a mine filtered on its own patterns adds no rule
-    objects. The rules share ``offers``'s keys, codes and deltas.
+    ``codes`` names the records the rules read: rule ``r`` reads its
+    antecedent's embeddings from record ``ant[r]``, in that record's own
+    columns, and ``columns[n]`` maps the canonical node indices of record
+    ``n``'s pattern to them (``MinedPattern.orderings[0]``, or the
+    identity for embeddings walked off the code). Per rule the table also
+    holds its delta's ``layer``, a ``group`` and ``flip``.
+
+    A group is an antecedent record and the two columns its delta joins,
+    low then high, or the column that anchors its fresh node, twice
+    (``group_ant``, ``group_lo``, ``group_hi``; ``group_fresh`` where they
+    are equal). The rules of a group fire from the same node pairs of the
+    same rows and differ only in layer and direction, so rule application
+    counts each group's node pairs once. Rules of one antecedent are
+    consecutive in sorted order, and so are those of one group, whose delta
+    strings share the prefix ``C:i-j:`` or ``N:i:``; groups are numbered in
+    rule order, so ``group`` never decreases. ``flip`` marks a directed
+    rule whose delta edge runs from the high column to the low one.
     """
-    rules = RuleSet()
-    for key, offer in offers.rules.items():
-        a = patterns.get(offer.antecedent_code)
-        c = patterns.get(offer.consequent_code)
-        if a is not None and c is not None and confident(a.support, c.support, min_confidence):
-            same = (a.support, c.support) == (offer.support_a, offer.support_c)
-            rules.rules[key] = offer if same else AssociationRule(
-                offer.antecedent_code, offer.consequent_code, offer.delta, a.support, c.support)
-    return rules
+
+    def __init__(self, rules: list[AssociationRule], codes: list[CanonicalCode],
+                 ant: np.ndarray, columns: list):
+        self.rules = rules
+        self.codes = codes
+        self.ant = ant
+        n = len(rules)
+        i, j, layer, dirbit, directed = (np.fromiter(values, dtype, n) for values, dtype in (
+            ((r.delta.i for r in rules), np.int64),
+            ((r.delta.i if r.delta.j is None else r.delta.j for r in rules), np.int64),
+            ((r.delta.layer for r in rules), np.int64),
+            ((r.delta.dirbit for r in rules), bool),
+            ((r.antecedent_code.directed for r in rules), bool)))
+        self.layer = layer
+        # each record's column of each canonical node index, padded
+        cols = np.zeros((len(columns), max(map(len, columns), default=0)), dtype=np.int64)
+        for row, c in zip(cols, columns):
+            row[:len(c)] = c
+        ci, cj = cols[ant, i], cols[ant, j]
+        lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
+        self.flip = directed & (ci != cj) & (dirbit != (ci < cj))
+        first = np.ones(n, dtype=bool)
+        first[1:] = (ant[1:] != ant[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        self.group = np.cumsum(first) - 1
+        self.group_ant, self.group_lo, self.group_hi = ant[first], lo[first], hi[first]
+        self.group_fresh = self.group_lo == self.group_hi
+
+
+class OfferTable(RuleTable):
+    """The table of every offer one mine made (``RuleBuilder``), read off
+    the mine's records: ``codes`` are the mine's record codes, and
+    ``cons[r]`` is the record of offer ``r``'s consequent.
+
+    ``select`` gives the rules of any pattern set ``restrict`` derives from
+    the mine as a mask of the table, so one table serves every fold.
+    """
+
+    def __init__(self, offers: RuleSet, mine: PatternSet):
+        records = list(mine)
+        index = {rec.code: n for n, rec in enumerate(records)}
+        rules = offers.sorted_rules()
+        super().__init__(rules, [rec.code for rec in records],
+                         np.fromiter((index[r.antecedent_code] for r in rules), np.int64,
+                                     len(rules)),
+                         [rec.orderings[0] for rec in records])
+        self.mine = mine
+        self.cons = np.fromiter((index[r.consequent_code] for r in rules), np.int64, len(rules))
+
+    def select(self, patterns: PatternSet, min_confidence: float) -> RuleSelection:
+        """The rules of ``patterns``, which is the mine or ``restrict``
+        derived it from the mine, at ``min_confidence``.
+
+        Every offer ``patterns``'s own mine would make is an offer of the
+        mine, made there exactly when its antecedent and consequent are
+        both frequent there. So an offer is kept when its consequent record
+        survives in ``patterns`` (its antecedent then does too) and the
+        records' supports there pass ``confident``: the embedded path's one
+        confidence test.
+        """
+        records = patterns.records_of(self.mine)
+        support = np.array([0 if rec is None else rec.support for rec in records],
+                           dtype=np.int64)
+        support_a, support_c = support[self.ant], support[self.cons]
+        keep = (support_c > 0) & confident(np.maximum(support_a, 1), support_c, min_confidence)
+        return RuleSelection(self, keep, support_a, support_c, records)
+
+
+@dataclass
+class RuleSelection:
+    """The rules a mask ``keep`` selects from a table, with each rule's
+    supports here, and per table record the ``MinedPattern`` that holds its
+    embeddings here, or None where none does (rule application then walks
+    the record's code on the graph). A selected rule's id is its rank
+    among the kept rules: its position in ``rules()``, which is its
+    position in ``rule_set().sorted_rules()``, since a subset of a sorted
+    list stays sorted."""
+
+    table: RuleTable
+    keep: np.ndarray
+    support_a: np.ndarray
+    support_c: np.ndarray
+    records: list[MinedPattern | None]
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.keep))
+
+    def rules(self) -> list[AssociationRule]:
+        """The kept rules by id, with their supports here: the table's
+        rule object itself where those are its supports."""
+        out = []
+        for r in np.flatnonzero(self.keep).tolist():
+            rule = self.table.rules[r]
+            sa, sc = int(self.support_a[r]), int(self.support_c[r])
+            out.append(rule if (sa, sc) == (rule.support_a, rule.support_c) else
+                       AssociationRule(rule.antecedent_code, rule.consequent_code, rule.delta,
+                                       sa, sc))
+        return out
+
+    def rule_set(self) -> RuleSet:
+        rs = RuleSet()
+        for rule in self.rules():
+            rs.rules[rule.key()] = rule
+        return rs
+
+
+def restrict_rules(offers: RuleSet, patterns: PatternSet, min_confidence: float) -> RuleSet:
+    """The rules of ``patterns`` that reach ``min_confidence``, as a
+    ``RuleSet``: ``OfferTable.select`` on the table of ``offers``.
+
+    ``offers`` is what a ``RuleBuilder`` collected on the mine of
+    ``patterns``: ``patterns`` itself, or the set ``restrict`` derived it
+    from (``patterns.source``). A kept rule is the offer object itself
+    where its supports in ``patterns`` are the offer's, so filtering a
+    mine on its own patterns adds no rule objects.
+    """
+    mine = patterns if patterns.source is None else patterns.source
+    return OfferTable(offers, mine).select(patterns, min_confidence).rule_set()
 
 
 def derive_rules_posthoc(

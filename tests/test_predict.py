@@ -20,10 +20,10 @@ from plexmine.pattern import (
 )
 from plexmine.predict import (
     ScoreTable,
-    applicable_rules,
     apply_rules,
     load_score_dump,
     score_dump,
+    select_rules,
     top_k,
 )
 from plexmine.rules import AssociationRule, RuleBuilder, RuleSet
@@ -232,7 +232,8 @@ def test_skips_rules_with_unknown_layer():
     table = apply_rules(g, rules)
     assert table.oldold == {(0, 2, 0): pytest.approx(0.75)}
     # the known rule sorts first; the two others are the skipped ones
-    assert applicable_rules(g, rules) == [(0, known)]
+    selected = select_rules(g, rules)
+    assert selected.keep.tolist() == [True, False, False] and selected.rules() == [known]
 
 
 def test_top_k_ordering_and_clamp():

@@ -139,7 +139,9 @@ def _warn_if_empty(g, support, run) -> None:
     """One warning line on stderr when mining yields nothing to use."""
     sigma = MiningConfig(support=support).resolve_support(g)
     largest = max(Counter(g.attrs.values()).values(), default=0)
-    if sigma > largest:
+    if g.n_nodes == 0:
+        msg = "the graph has no nodes, so no pattern can be found"
+    elif sigma > largest:
         msg = (f"support {sigma} exceeds every label class (largest {largest} "
                "nodes), so no pattern can be frequent")
     elif len(run.patterns) == 0 or len(run.rules) == 0:

@@ -8,6 +8,26 @@ by an incremental join instead of a fresh subgraph-isomorphism search.
 Duplicates are pruned by canonical-code lookup, and every frequent
 (parent, child) extension is offered to the optional rule sink while the
 search runs.
+
+Minimum-image support is anti-monotone: a pattern's support is at most
+that of any connected pattern inside it. The search uses this three
+ways, each skipping only candidates that are infrequent:
+
+- the label bound: a fresh node needs ``sigma`` distinct images of its
+  label on the join;
+- rule A: a record C created from P by one edge tries, on P's nodes, only
+  the closures and attachments that were frequent extensions of P, since
+  C + e holds the connected pattern P + e;
+- rule B: where C attached a node n labeled l to P, a closure between n
+  and a node b is tried only if attaching a node labeled l to b, in the
+  same layer and direction, was a frequent extension of P, since
+  dropping C's attaching edge from C + (b, n) leaves that attachment,
+  still connected.
+
+Seeds have no parent and try every candidate. A record's inherited
+extensions ride the queue beside it, from its first parent's expansion
+only. The other candidates keep their order, so the records, their
+supports and arrays, and the offers are what an unpruned search finds.
 """
 
 from __future__ import annotations
@@ -182,7 +202,9 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
     sigma = cfg.resolve_support(g)
     idx = g.index()
     ps = PatternSet(g, sigma, {} if memo is None else memo)
-    queue: deque[MinedPattern] = deque()
+    # a record rides the queue with what its creator found frequent and
+    # the delta that created it; a seed has no creator and tries everything
+    queue: deque[tuple[MinedPattern, tuple[_Frequent, Delta] | None]] = deque()
 
     for label in sorted(set(g.attrs.values())):
         members = idx.nodes_by_label[label]
@@ -191,12 +213,14 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
         rec = _record(single_node(label, g.directed), len(members), members.reshape(-1, 1),
                       cfg.strategy, ps.memo)
         ps.add(rec)
-        queue.append(rec)
+        queue.append((rec, None))
 
     marks = np.zeros(idx.width, dtype=bool)  # scratch for distinct images
     while queue:
-        parent = queue.popleft()
-        for delta, child_embs in _extensions(parent, g, cfg, sigma, marks):
+        parent, inherited = queue.popleft()
+        # filled by this loop, and complete before any child it queues is expanded
+        found = _Frequent()
+        for delta, child_embs in _extensions(parent, g, cfg, sigma, marks, inherited):
             supp_c = mis_support_array(child_embs, sigma, marks)
             if supp_c > parent.support:
                 raise MiningInvariantError(
@@ -205,13 +229,14 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
                 )
             if supp_c < sigma:
                 continue
+            found.add(delta, idx)
             child = _record(apply_delta(parent.pattern, delta), supp_c, child_embs,
                             cfg.strategy, ps.memo)
             rec_c = ps.get(child.code)
             if rec_c is None:
                 rec_c = child
                 ps.add(rec_c)
-                queue.append(rec_c)
+                queue.append((rec_c, (found, delta)))
             elif rec_c.support != supp_c:
                 raise MiningInvariantError(
                     f"support mismatch for {child.code.to_string()}: "
@@ -371,10 +396,33 @@ def _record(pattern: Pattern, support: int, E: np.ndarray, strategy: Strategy,
                         canonical_orderings(pattern, strategy, memo))
 
 
+class _Frequent:
+    """The frequent single-edge extensions found while expanding one
+    record, in its node indexing, as ``GraphIndex.pair_bits`` bits (bit
+    ``2p + (0 if dirbit else 1)`` for the layer at position p):
+    ``closures[i, j]`` of the cycle closures between nodes i < j, and
+    ``attachments[i][label]`` of the attachments of a fresh node labeled
+    ``label`` to node i."""
+
+    def __init__(self):
+        self.closures: dict[tuple[int, int], int] = {}
+        self.attachments: dict[int, dict[str, int]] = {}
+
+    def add(self, delta: Delta, idx: GraphIndex) -> None:
+        bit = 1 << 2 * idx.layer_pos[delta.layer] + (0 if delta.dirbit else 1)
+        if delta.j is None:
+            at = self.attachments.setdefault(delta.i, {})
+            at[delta.new_label] = at.get(delta.new_label, 0) | bit
+        else:
+            self.closures[delta.i, delta.j] = self.closures.get((delta.i, delta.j), 0) | bit
+
+
 def _extensions(
-    parent: MinedPattern, g: MultiplexGraph, cfg: MiningConfig, sigma: int, marks: np.ndarray
+    parent: MinedPattern, g: MultiplexGraph, cfg: MiningConfig, sigma: int, marks: np.ndarray,
+    inherited: tuple[_Frequent, Delta] | None,
 ) -> Iterator[tuple[Delta, np.ndarray]]:
-    """All single-edge extension candidates with nonempty embedding sets.
+    """The single-edge extension candidates with nonempty embedding sets
+    that can be frequent.
 
     Yields (delta, child embeddings); the child pattern is left to the
     caller. Child rows keep the parent's lexicographic row order: a cycle
@@ -386,6 +434,26 @@ def _extensions(
     before the child array is stacked: minimum-image support is at most
     any one column's count. ``marks`` is the scratch array of
     ``mis_support_array``, left all False at every yield.
+
+    ``inherited`` is what the record P that first created ``parent`` (C)
+    found frequent, with the delta that made C from P; C keeps P's node
+    indices, and a fresh node of C takes the next one. Since a pattern's
+    support is at most that of any connected pattern inside it, a
+    candidate C + e is tried only if no such subpattern is known to be
+    infrequent:
+
+    - rule A: a closure or attachment e on P's nodes is tried only if
+      P + e was a frequent extension of P, as C + e holds P + e;
+    - rule B: where C attached node n labeled l to P, a closure (b, n) is
+      tried only if attaching a node labeled l to b, in the closure's
+      layer and direction, was a frequent extension of P, as dropping C's attaching edge from C + (b, n)
+      leaves exactly that attachment, still connected (b may be the
+      anchor: a parallel edge).
+
+    Both rules skip infrequent candidates only and keep the others' order.
+    A node pair with no allowed bit is not probed, and an anchor with no
+    allowed attachment is not joined. With ``inherited`` None (a seed)
+    every candidate is tried.
     """
     p = parent.pattern
     idx = g.index()
@@ -393,11 +461,22 @@ def _extensions(
     k = p.k
     existing = set(p.edges)
     dirbits = (True, False) if g.directed else (False,)
+    if inherited is not None:
+        found, made = inherited
+        fresh = k - 1 if made.j is None else None  # the node C attached to P
 
     # cycle closures (including parallel edges between the same pair): one
     # pair-index probe per node pair serves every layer and direction
     for i in range(k):
         for j in range(i + 1, k):
+            if inherited is None:
+                allowed = -1  # every bit
+            elif j == fresh:
+                allowed = found.attachments.get(i, {}).get(made.new_label, 0)
+            else:
+                allowed = found.closures.get((i, j), 0)
+            if not allowed:
+                continue
             masks = idx.pair_masks(E[:, i], E[:, j])
             present = [int(w) for w in np.bitwise_or.reduce(masks, axis=0)]
             for pos, layer in enumerate(idx.layers):
@@ -406,7 +485,7 @@ def _extensions(
                         continue
                     bit = 2 * pos + (0 if dirbit else 1)
                     word, flag = bit >> 6, 1 << (bit & 63)
-                    if not present[word] & flag:
+                    if not present[word] & flag or not allowed >> bit & 1:
                         continue
                     yield Delta(i, j, layer, dirbit), E.compress(masks[:, word] & flag != 0, axis=0)
 
@@ -415,15 +494,22 @@ def _extensions(
         return
     n_labels = len(idx.labels_list)
     for i in range(k):
-        for layer in idx.layers:
+        labels = None if inherited is None or i == fresh else found.attachments.get(i, {})
+        for pos, layer in enumerate(idx.layers):
             for dirbit in dirbits:
+                bit = 2 * pos + (0 if dirbit else 1)
+                if labels is not None and not any(bits >> bit & 1 for bits in labels.values()):
+                    continue
                 # new -> anchor (dirbit False) follows the anchor's in-edges
                 rows, nbrs = attach(idx, E, i, layer, not dirbit)
                 images = np.bincount(idx.node_label[_distinct(nbrs, marks)], minlength=n_labels)
                 lab_ids = idx.node_label[nbrs]
                 for lab_id in np.flatnonzero(images >= sigma):
+                    label = idx.labels_list[lab_id]
+                    if labels is not None and not labels.get(label, 0) >> bit & 1:
+                        continue
                     m = lab_ids == lab_id
-                    yield (Delta(i, None, layer, dirbit, idx.labels_list[lab_id]),
+                    yield (Delta(i, None, layer, dirbit, label),
                            np.column_stack([E[rows[m]], nbrs[m]]))
 
 

@@ -99,6 +99,14 @@ def test_mine_warns_when_nothing_comes_out(small_graph, support, size, warning):
         assert err.count("\n") == 1 and err.startswith("warning: ") and warning in err
 
 
+def test_mine_of_empty_graph_warns_once(tmp_path):
+    edges = tmp_path / "empty.edges"
+    edges.write_text("")
+    code, _, err = run_cli("mine", str(edges))
+    assert code == 0
+    assert err == "warning: the graph has no nodes, so no pattern can be found\n"
+
+
 def test_predict_roundtrip(small_graph, tmp_path):
     rules = str(tmp_path / "rules.tsv")
     run_cli("mine", small_graph + ".edges", "--support", "25%", "--size", "3",

@@ -28,8 +28,8 @@ from .io import ParseError, load_multiplex, load_temporal, save_multiplex
 from .miner import MiningConfig, MiningError, MiningInvariantError
 from .pattern import PatternError, Strategy
 from .pipeline import CrossValResult, evaluate_split, make_rule_scorer, run_mining
-from .predict import apply_rules, explain_dump, load_score_dump, score_dump, select_rules
-from .rules import DEFAULT_MIN_CONFIDENCE, RuleSet
+from .predict import apply_rules, explain_dump, load_score_dump, score_dump
+from .rules import DEFAULT_MIN_CONFIDENCE, RuleSet, RuleTable
 from .signed import SignMap, SignedError, frustration_report
 
 EXIT_PARSE = 1
@@ -157,7 +157,7 @@ def cmd_predict(args) -> int:
     g = _load(args)
     rules = RuleSet.from_tsv(args.rules)
     t0 = time.perf_counter()
-    selected = select_rules(g, rules)
+    selected = RuleTable(rules).fitting(g)
     skipped = len(rules) - len(selected)
     if skipped:
         sys.stderr.write(f"warning: skipped {skipped} of {len(rules)} rules: they reference "

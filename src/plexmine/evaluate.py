@@ -305,7 +305,7 @@ def sharma_score(train: MultiplexGraph) -> ScoreTable:
         raise EvalError("layer-coexistence scoring needs >= 2 layers")
     idx = train.index()
     W = idx.width
-    u, v = np.divmod(idx.pair_keys[:-1], W)
+    u, v = idx.pairs()
     if not train.directed:  # both orientations are indexed; edges keep u < v
         u, v = u[u < v], v[u < v]
     present = np.column_stack([idx.has_pairs(u, v, l) for l in layers])

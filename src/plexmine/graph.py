@@ -293,13 +293,22 @@ class GraphIndex:
             np.cumsum(np.bincount(src[lo:hi], minlength=self.width), out=indptr[1:])
             table[l] = indptr, dst[lo:hi].astype(np.int32)
 
-    def pair_masks(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Bitmask rows (len(us), n_words) of the pairs (us, vs); zero rows
-        for pairs with no edge. Bit layout as in the class docstring."""
+    def pair_rows(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """The ``pair_bits`` row of each pair (us, vs), in their shape: the
+        sentinel's, with a zero mask, for a pair with no edge."""
         probe = np.multiply(us, self.width, dtype=np.int64) + vs
         pos = np.searchsorted(self.pair_keys, probe)
         pos[self.pair_keys[pos] != probe] = len(self.pair_keys) - 1
-        return self.pair_bits.take(pos, axis=0)
+        return pos
+
+    def pair_masks(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Bitmask rows (len(us), n_words) of the pairs (us, vs); zero rows
+        for pairs with no edge. Bit layout as in the class docstring."""
+        return self.pair_bits.take(self.pair_rows(us, vs), axis=0)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (u, v) arrays of the indexed pairs, in ``pair_bits`` row order."""
+        return np.divmod(self.pair_keys[:-1], self.width)
 
     def has_pairs(self, us: np.ndarray, vs: np.ndarray, layer: int) -> np.ndarray:
         """Vectorized membership: does the graph contain edge u->v in layer?

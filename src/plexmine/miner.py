@@ -131,10 +131,10 @@ class PatternSet:
     graph object they were found in, the absolute support ``sigma`` they
     were found at, and the run's search memo. ``row_facts`` is what
     ``restrict`` computes of the records' rows once, on its first call.
-    A set that ``restrict`` derived names the set it read as ``source``
-    and keeps ``source_records``: per record of ``source``, in its order,
-    the record derived from it, or None where that pattern is not
-    frequent here."""
+    A set that ``restrict`` derived names the set it read as ``source``.
+    A rule table read off a mine (``rules.RuleTable``) selects the rules
+    of the mine and of every set derived from it, looking each of its
+    codes up here by ``get``."""
 
     def __init__(self, graph: MultiplexGraph, sigma: int, memo: dict):
         self.records: dict[CanonicalCode, MinedPattern] = {}
@@ -143,7 +143,6 @@ class PatternSet:
         self.memo = memo
         self.row_facts: _RowFacts | None = None
         self.source: PatternSet | None = None
-        self.source_records: list[MinedPattern | None] = []
 
     def serves(self, g: MultiplexGraph, sigma: int) -> bool:
         """Whether ``restrict`` can derive ``g`` at absolute support
@@ -157,17 +156,6 @@ class PatternSet:
 
     def get(self, code: CanonicalCode) -> MinedPattern | None:
         return self.records.get(code)
-
-    def records_of(self, src: PatternSet) -> list[MinedPattern | None]:
-        """The records of ``src`` as they stand here, in ``src``'s order
-        (None where one is not frequent here): this set's own records when
-        it is ``src``, else ``source_records``. Raises
-        ``MiningInvariantError`` unless ``restrict`` derived it from ``src``."""
-        if self is src:
-            return list(self.records.values())
-        if self.source is not src:
-            raise MiningInvariantError("the pattern set was not derived from this mine")
-        return self.source_records
 
     def __iter__(self):
         return iter(self.records.values())
@@ -279,24 +267,20 @@ def restrict(ps: PatternSet, g: MultiplexGraph, sigma: int) -> PatternSet:
     marks = np.zeros(idx.width, dtype=bool)
     for rec, slot in zip(ps, facts.slots):
         p = rec.pattern
-        derived = None
         if slot is None:
             members = idx.nodes_by_label.get(p.node_labels[0])
             if members is not None and len(members) >= sigma:
-                derived = MinedPattern(p, rec.code, len(members), members.reshape(-1, 1),
-                                       rec.orderings)
-        else:
-            n_pairs, i, start, stop = slot
-            rows, support = None, rec.support
-            if lost[n_pairs][i]:
-                rows = keep[n_pairs][start:stop]
-                support = mis_support_array(rec.array.compress(rows, axis=0), sigma, marks)
-            if support >= sigma:
-                derived = MinedPattern(p, rec.code, support, rec.array, rec.orderings, rows,
-                                       rec.node_sets)
-        if derived is not None:
-            out.add(derived)
-        out.source_records.append(derived)
+                out.add(MinedPattern(p, rec.code, len(members), members.reshape(-1, 1),
+                                     rec.orderings))
+            continue
+        n_pairs, i, start, stop = slot
+        rows, support = None, rec.support
+        if lost[n_pairs][i]:
+            rows = keep[n_pairs][start:stop]
+            support = mis_support_array(rec.array.compress(rows, axis=0), sigma, marks)
+        if support >= sigma:
+            out.add(MinedPattern(p, rec.code, support, rec.array, rec.orderings, rows,
+                                 rec.node_sets))
     return out
 
 
@@ -307,12 +291,10 @@ class _RowFacts:
     Records of two or more nodes are grouped by the number P of node pairs
     that their pattern's edges join. ``pairs[P]`` stacks the group's rows
     in ``ps`` order as an int32 (P, rows) array: for each node pair, the
-    position of the row's image of the pair in the source's
-    ``GraphIndex.pair_keys``, plus ``len(pair_keys)`` times the id of the
-    pair's edge bits among ``needs`` (``len(needs) * len(pair_keys)``
-    stays below 2**31 for any graph this package can hold). A pair's image
-    is keyed ``u * width + v`` in int64: node ids are int32, and the
-    product passes 2**31 from node id 46,341 on. ``slots[r]``
+    source's ``GraphIndex.pair_bits`` row of the row's image of the pair
+    (``GraphIndex.pair_rows``), plus ``len(pair_bits)`` times the id of
+    the pair's edge bits among ``needs`` (``len(needs) * len(pair_bits)``
+    stays below 2**31 for any graph this package can hold). ``slots[r]``
     is record r's P, its index in the group and its row range, or None for
     a single-node record, and ``starts[P]`` is each record's first row.
     Every record also gets its node-set ids (``MinedPattern.node_set_ids``)
@@ -343,10 +325,9 @@ class _RowFacts:
         for rec, start, pairs, needs in planned:
             E = rec.array
             need = [need_ids.setdefault(n, len(need_ids)) for n in needs]
-            keys = np.multiply(E[:, pairs[:, 0]], src.width, dtype=np.int64) + E[:, pairs[:, 1]]
-            positions = np.searchsorted(src.pair_keys, keys)
+            positions = src.pair_rows(E[:, pairs[:, 0]], E[:, pairs[:, 1]])
             self.pairs[len(pairs)][:, start:start + len(E)] = (
-                positions + np.multiply(need, len(src.pair_keys))).T
+                positions + np.multiply(need, len(src.pair_bits))).T
             rec.node_set_ids(src.width)
         self.needs = np.array([[n >> (64 * w) & (1 << 64) - 1 for w in range(src.n_words)]
                                for n in need_ids], dtype=np.uint64).reshape(-1, src.n_words)
@@ -357,7 +338,7 @@ class _RowFacts:
         record of the group whether it lost a row."""
         src = self.src
         # the layer and direction bits of each source pair that the graph lacks
-        u, v = np.divmod(src.pair_keys[:-1], src.width)
+        u, v = src.pairs()
         inside = np.flatnonzero((u < idx.width) & (v < idx.width))
         kept = np.zeros_like(src.pair_bits)
         kept[inside] = idx.pair_masks(u[inside], v[inside])

@@ -11,7 +11,7 @@ from .graph import MultiplexGraph
 from .miner import MiningConfig, PatternSet, mine, restrict
 from .pattern import Strategy
 from .predict import ScoreTable, apply_rules
-from .rules import OfferTable, RuleBuilder, RuleSet, derive_rules_posthoc, restrict_rules
+from .rules import RuleBuilder, RuleSet, RuleTable, derive_rules_posthoc
 
 
 @dataclass
@@ -53,8 +53,8 @@ def run_mining(
     """Mine patterns and build the rule set in the requested mode, as one run that starts cold.
 
     The embedded mode keeps every offer while mining and then the rules
-    that reach ``min_confidence``, the mask of the offer table
-    (``restrict_rules``), both inside ``mining_s``.
+    that reach ``min_confidence``, the mask of the offers' table
+    (``RuleTable.select``), both inside ``mining_s``.
     """
     if rule_mode not in ("embedded", "posthoc"):
         raise ValueError(f"unknown rule mode {rule_mode!r}")
@@ -68,7 +68,7 @@ def run_mining(
         sink = RuleBuilder()
         t0 = time.perf_counter()
         patterns = mine(g, cfg, rule_sink=sink)
-        rules = restrict_rules(sink.result(), patterns, min_confidence)
+        rules = RuleTable(sink.result(), patterns).select(patterns, min_confidence).rule_set()
         timings.mining_s = time.perf_counter() - t0
     else:
         t0 = time.perf_counter()
@@ -83,7 +83,7 @@ def run_mining(
 # The largest share of its root's edges that a graph may lack for the
 # scorer to mine the root for it: a fold of 7 or more. Mining each fold
 # is cheaper over 2 or 3 folds; the break-even lies near 4, but no
-# benchmark workload runs fewer than 7 folds yet (ROADMAP.md, item 1).
+# benchmark workload runs fewer than 7 folds yet (ROADMAP.md, item 2).
 SOURCE_MINE_MAX_LACKING = 0.15
 
 
@@ -98,9 +98,9 @@ def make_rule_scorer(
     The graphs one scorer scores (folds, an ensemble's internal splits) are
     one run and share its memo of canonical searches. The scorer holds one
     mine, made with every offer kept (``RuleBuilder``), and the table of
-    those offers (``rules.OfferTable``), built once. It makes every table
+    those offers (``rules.RuleTable``), built once. It makes every table
     from them: the patterns by ``miner.restrict``, the rules as the table's
-    mask on those patterns (``OfferTable.select``), then ``apply_rules`` on
+    mask on those patterns (``RuleTable.select``), then ``apply_rules`` on
     that selection, byte for byte what mining the graph and applying its
     rule set gives. The held mine serves a graph that is its graph
     or cut from it, at a support no lower than the mine's
@@ -123,7 +123,7 @@ def make_rule_scorer(
             offers = RuleBuilder()
             ps = mine(root if near else g, MiningConfig(sigma, max_nodes, strategy),
                       rule_sink=offers, memo=memo)
-            held = OfferTable(offers.result(), ps)
+            held = RuleTable(offers.result(), ps)
         return apply_rules(g, held.select(restrict(held.mine, g, sigma), min_confidence))
 
     return scorer

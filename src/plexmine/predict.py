@@ -16,16 +16,16 @@ in ``[0, W)``. ``ScoreTable.from_keys`` writes a table from keys and
 candidate universe and the ensemble share this one encoding.
 
 Rules are applied from a table (``rules.RuleTable``): numpy arrays in
-``sorted_rules()`` order, and a mask of the rules to apply. A rule set
-becomes one by ``select_rules``, which masks the rules that do not fit the
-graph; the rule scorer builds one ``rules.OfferTable`` per held mine and
-masks it per fold. A selected rule's id is its rank among the selected
-rules. Each antecedent's embeddings are fetched once: from its mined record,
-in the record's own columns, or by walking its canonical code on the
-graph, in canonical node indexing. Each embedding row also has a
-node-set id (``matcher.node_set_ids``), equal for rows of one antecedent
-with the same node set; a record ``miner.restrict`` derives shares its
-source record's ids, masked by its rows.
+``sorted_rules()`` order, and a mask of the rules to apply. The table's
+``fitting`` masks the rules that do not fit the graph and walks each
+antecedent's code on it; the rule scorer holds one table per held mine
+and masks it per fold by ``select``, which reads each antecedent's
+embeddings off its record, in the record's own columns. A selected rule's
+id is its rank among the selected rules. Each antecedent's embeddings are
+fetched once. Each embedding row also has a node-set id
+(``matcher.node_set_ids``), equal for rows of one antecedent with the
+same node set; a record ``miner.restrict`` derives shares its source
+record's ids, masked by its rows.
 
 The rules of one antecedent whose deltas join the same two columns, or
 anchor a fresh node at the same column, form a group: they fire from the
@@ -49,14 +49,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 
 import numpy as np
 
 from .graph import MultiplexGraph
 from .io import ParseError, text_lines
-from .matcher import code_embeddings, firsts, fits, node_set_ids, ranks
-from .miner import PatternSet
+from .matcher import code_embeddings, firsts, node_set_ids, ranks
 from .rules import AssociationRule, RuleSelection, RuleSet, RuleTable
 
 
@@ -139,41 +138,19 @@ class ScoreTable:
 BATCH_FIRINGS = 8192
 
 
-def select_rules(g: MultiplexGraph, rules: RuleSet,
-                 pattern_set: PatternSet | None = None) -> RuleSelection:
-    """The table of ``rules`` with the rules that fit ``g`` selected: those
-    whose consequent names only layers and labels ``g`` has (``fits``). An
-    antecedent reads its embeddings from ``pattern_set`` when that holds
-    it, else from walking its code on ``g``, once, when it is applied."""
-    ordered = rules.sorted_rules()
-    codes, ant = [], []
-    for code, group in groupby(ordered, key=lambda r: r.antecedent_code):
-        ant += [len(codes)] * len(list(group))
-        codes.append(code)
-    records = [None if pattern_set is None else pattern_set.get(code) for code in codes]
-    columns = [range(code.pattern.k) if rec is None else rec.orderings[0]
-               for code, rec in zip(codes, records)]
-    table = RuleTable(ordered, codes, np.array(ant, dtype=np.int64), columns)
-    keep = np.array([fits(r.consequent_code, g) for r in ordered], dtype=bool)
-    support_a, support_c = (np.array([getattr(r, f) for r in ordered], dtype=np.int64)
-                            for f in ("support_a", "support_c"))
-    return RuleSelection(table, keep, support_a, support_c, records)
-
-
 def apply_rules(
     g_train: MultiplexGraph,
     rules: RuleSet | RuleSelection,
-    pattern_set: PatternSet | None = None,
     dedupe_rule_firings: bool = False,
     track_provenance: bool = False,
 ) -> ScoreTable:
     """Accumulate confidence-weighted rule firings into a score table.
 
-    ``rules`` is a rule set, applied as ``select_rules(g_train, rules,
-    pattern_set)`` selects it, or a selection of a table, which names its
-    own records (``pattern_set`` is then not read). A rule adds, to
-    each key it fires, its confidence times the number of distinct node
-    sets firing that key (times 1 with ``dedupe_rule_firings``). Every
+    ``rules`` is a selection of a table, which names its own records, or
+    a rule set, applied as ``RuleTable(rules).fitting(g_train)`` selects
+    it. A rule adds, to each key it fires, its confidence times the number
+    of distinct node sets firing that key (times 1 with
+    ``dedupe_rule_firings``). Every
     score is the sum of its rules' contributions in rule id order, which is
     ``sorted_rules()`` order, starting from 0.0, whatever order the rules
     were added in. With ``track_provenance`` the table maps each scored
@@ -181,7 +158,7 @@ def apply_rules(
     rules that fired it, ascending: each rule's rank among the selected
     rules, its position in ``RuleSelection.rules()``.
     """
-    sel = select_rules(g_train, rules, pattern_set) if isinstance(rules, RuleSet) else rules
+    sel = RuleTable(rules).fitting(g_train) if isinstance(rules, RuleSet) else rules
     idx = g_train.index()
     W = idx.width
     kept = np.flatnonzero(sel.keep)
@@ -328,10 +305,15 @@ def top_k(table: ScoreTable, k: int) -> list[tuple[tuple, float]]:
     by key; an old-new entry's key is (u, None, l)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    return _ranked(table)[:k]
+
+
+def _ranked(table: ScoreTable) -> list[tuple[tuple, float]]:
+    """Every entry in ``top_k`` order."""
     entries = [((u, v, l), s) for (u, v, l), s in table.oldold.items()]
     entries += [((u, None, l), s) for (u, l), s in table.oldnew.items()]
     entries.sort(key=lambda kv: (-kv[1], _entry_order(kv[0])))
-    return entries[:k]
+    return entries
 
 
 def _entry_order(key: tuple):
@@ -342,12 +324,10 @@ def _entry_order(key: tuple):
 def _named_entries(table: ScoreTable, node_names: dict[int, str] | None,
                    layer_names: dict[int, str] | None):
     """(provenance key, score, ``u  v-or-NEW  layer`` text) of every entry,
-    sorted by score descending as ``top_k`` sorts them."""
+    in ``top_k`` order."""
     nn = node_names or {}
     ln = layer_names or {}
-    rows = top_k(table, k=max(1, len(table.oldold) + len(table.oldnew))) \
-        if (table.oldold or table.oldnew) else []
-    for (u, v, l), s in rows:
+    for (u, v, l), s in _ranked(table):
         key = ("oldnew", (u, l)) if v is None else ("oldold", (u, v, l))
         vs = "NEW" if v is None else str(nn.get(v, v))
         yield key, s, f"{nn.get(u, u)}\t{vs}\t{ln.get(l, l)}"

@@ -8,12 +8,12 @@ canonical code, canonical delta), so extensions that are isomorphic as
 which search branch produced them. Two rule sets are equal when their
 ``to_tsv`` dumps are: codes and deltas print injectively.
 Two construction modes exist with identical output. The embedded path
-collects every offer while the miner runs (``RuleBuilder``), holds them
-as one table (``OfferTable``) and keeps, as a mask of it, those that reach
-the confidence on the mine or on any pattern set derived from it
-(``OfferTable.select``; ``restrict_rules`` gives that as a ``RuleSet``);
-the legacy post-hoc derivation rebuilds the rules from a finished pattern
-set by testing single-edge containment between patterns of adjacent size.
+collects every offer while the miner runs (``RuleBuilder``); the legacy
+post-hoc derivation rebuilds the rules from a finished pattern set by
+testing single-edge containment between patterns of adjacent size. A
+rule set becomes arrays only in ``RuleTable``, whose ``select`` keeps, as
+a mask, the rules of its mine or of a set derived from it that reach a
+confidence there, and whose ``fitting`` keeps the rules that fit a graph.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import MultiplexGraph
 from .io import ParseError, text_lines
-from .miner import MinedPattern, PatternSet
+from .matcher import fits
+from .miner import MinedPattern, MiningInvariantError, PatternSet
 from .pattern import (
     CanonicalCode,
     Delta,
@@ -192,8 +194,8 @@ def _rule_from_fields(parts: list[str], memo: dict) -> AssociationRule:
 
 class RuleBuilder:
     """Embedded rule sink: feed it to ``mine`` and read ``result()``, every
-    distinct offer of the mine; ``OfferTable.select`` keeps those that
-    reach a confidence.
+    distinct offer of the mine; ``RuleTable(offers, mine).select`` keeps
+    those that reach a confidence.
 
     Offers arrive in search order and may repeat for automorphic
     placements; merging by canonical key is associative and commutative,
@@ -219,17 +221,18 @@ def confident(support_a, support_c, min_confidence: float):
 
 
 class RuleTable:
-    """Rules as arrays, in ``sorted_rules()`` order, built once for masking
-    and rule application.
+    """A rule set as arrays, in ``sorted_rules()`` order, built once for
+    selection (``select``, ``fitting``) and rule application.
 
-    ``codes`` names the records the rules read: rule ``r`` reads its
-    antecedent's embeddings from record ``ant[r]``, in that record's own
-    columns, and ``columns[n]`` maps the canonical node indices of record
-    ``n``'s pattern to them (``MinedPattern.orderings[0]``, or the
-    identity for embeddings walked off the code). Per rule the table also
+    ``codes`` are the rules' distinct antecedent codes, then their other
+    consequent codes, each in order of first appearance, and rule ``r``'s
+    are ``ant[r]`` and ``cons[r]``. ``columns[n]`` maps the canonical node
+    indices of antecedent code ``n``'s pattern to its embeddings' columns:
+    ``mine``'s record's ``orderings[0]`` where ``mine`` holds the code, else
+    the identity of walking the code on a graph. Per rule the table also
     holds its delta's ``layer``, a ``group`` and ``flip``.
 
-    A group is an antecedent record and the two columns its delta joins,
+    A group is an antecedent code and the two columns its delta joins,
     low then high, or the column that anchors its fresh node, twice
     (``group_ant``, ``group_lo``, ``group_hi``; ``group_fresh`` where they
     are equal). The rules of a group fire from the same node pairs of the
@@ -241,12 +244,20 @@ class RuleTable:
     rule whose delta edge runs from the high column to the low one.
     """
 
-    def __init__(self, rules: list[AssociationRule], codes: list[CanonicalCode],
-                 ant: np.ndarray, columns: list):
-        self.rules = rules
-        self.codes = codes
-        self.ant = ant
+    def __init__(self, rules: RuleSet, mine: PatternSet | None = None):
+        self.rules = rules = rules.sorted_rules()
+        self.mine = mine
+        index: dict[CanonicalCode, int] = {}
         n = len(rules)
+        self.ant = ant = np.fromiter((index.setdefault(r.antecedent_code, len(index))
+                                      for r in rules), np.int64, n)
+        antecedents = list(index)
+        self.cons = np.fromiter((index.setdefault(r.consequent_code, len(index))
+                                 for r in rules), np.int64, n)
+        self.codes = list(index)
+        records = [None if mine is None else mine.get(code) for code in antecedents]
+        columns = [range(code.pattern.k) if rec is None else rec.orderings[0]
+                   for code, rec in zip(antecedents, records)]
         i, j, layer, dirbit, directed = (np.fromiter(values, dtype, n) for values, dtype in (
             ((r.delta.i for r in rules), np.int64),
             ((r.delta.i if r.delta.j is None else r.delta.j for r in rules), np.int64),
@@ -254,7 +265,7 @@ class RuleTable:
             ((r.delta.dirbit for r in rules), bool),
             ((r.antecedent_code.directed for r in rules), bool)))
         self.layer = layer
-        # each record's column of each canonical node index, padded
+        # each antecedent code's column of each canonical node index, padded
         cols = np.zeros((len(columns), max(map(len, columns), default=0)), dtype=np.int64)
         for row, c in zip(cols, columns):
             row[:len(c)] = c
@@ -267,27 +278,6 @@ class RuleTable:
         self.group_ant, self.group_lo, self.group_hi = ant[first], lo[first], hi[first]
         self.group_fresh = self.group_lo == self.group_hi
 
-
-class OfferTable(RuleTable):
-    """The table of every offer one mine made (``RuleBuilder``), read off
-    the mine's records: ``codes`` are the mine's record codes, and
-    ``cons[r]`` is the record of offer ``r``'s consequent.
-
-    ``select`` gives the rules of any pattern set ``restrict`` derives from
-    the mine as a mask of the table, so one table serves every fold.
-    """
-
-    def __init__(self, offers: RuleSet, mine: PatternSet):
-        records = list(mine)
-        index = {rec.code: n for n, rec in enumerate(records)}
-        rules = offers.sorted_rules()
-        super().__init__(rules, [rec.code for rec in records],
-                         np.fromiter((index[r.antecedent_code] for r in rules), np.int64,
-                                     len(rules)),
-                         [rec.orderings[0] for rec in records])
-        self.mine = mine
-        self.cons = np.fromiter((index[r.consequent_code] for r in rules), np.int64, len(rules))
-
     def select(self, patterns: PatternSet, min_confidence: float) -> RuleSelection:
         """The rules of ``patterns``, which is the mine or ``restrict``
         derived it from the mine, at ``min_confidence``.
@@ -297,22 +287,36 @@ class OfferTable(RuleTable):
         both frequent there. So an offer is kept when its consequent record
         survives in ``patterns`` (its antecedent then does too) and the
         records' supports there pass ``confident``: the embedded path's one
-        confidence test.
+        confidence test. Raises ``MiningInvariantError`` otherwise.
         """
-        records = patterns.records_of(self.mine)
+        if self.mine is None or (patterns is not self.mine and patterns.source is not self.mine):
+            raise MiningInvariantError("the pattern set was not derived from the table's mine")
+        records = [patterns.get(code) for code in self.codes]
         support = np.array([0 if rec is None else rec.support for rec in records],
                            dtype=np.int64)
         support_a, support_c = support[self.ant], support[self.cons]
         keep = (support_c > 0) & confident(np.maximum(support_a, 1), support_c, min_confidence)
         return RuleSelection(self, keep, support_a, support_c, records)
 
+    def fitting(self, g: MultiplexGraph) -> RuleSelection:
+        """The rules whose consequent names only layers and labels ``g``
+        has (``fits``), with their own supports; antecedents are walked on
+        ``g``. Raises ``MiningInvariantError`` for a table with a mine."""
+        if self.mine is not None:
+            raise MiningInvariantError("a table with a mine selects its rules by select")
+        rules = self.rules
+        keep = np.fromiter((fits(r.consequent_code, g) for r in rules), bool, len(rules))
+        support_a, support_c = (np.fromiter((getattr(r, f) for r in rules), np.int64, len(rules))
+                                for f in ("support_a", "support_c"))
+        return RuleSelection(self, keep, support_a, support_c, [None] * len(self.codes))
+
 
 @dataclass
 class RuleSelection:
     """The rules a mask ``keep`` selects from a table, with each rule's
-    supports here, and per table record the ``MinedPattern`` that holds its
+    supports here, and per table code the ``MinedPattern`` that holds its
     embeddings here, or None where none does (rule application then walks
-    the record's code on the graph). A selected rule's id is its rank
+    the code on the graph). A selected rule's id is its rank
     among the kept rules: its position in ``rules()``, which is its
     position in ``rule_set().sorted_rules()``, since a subset of a sorted
     list stays sorted."""
@@ -343,20 +347,6 @@ class RuleSelection:
         for rule in self.rules():
             rs.rules[rule.key()] = rule
         return rs
-
-
-def restrict_rules(offers: RuleSet, patterns: PatternSet, min_confidence: float) -> RuleSet:
-    """The rules of ``patterns`` that reach ``min_confidence``, as a
-    ``RuleSet``: ``OfferTable.select`` on the table of ``offers``.
-
-    ``offers`` is what a ``RuleBuilder`` collected on the mine of
-    ``patterns``: ``patterns`` itself, or the set ``restrict`` derived it
-    from (``patterns.source``). A kept rule is the offer object itself
-    where its supports in ``patterns`` are the offer's, so filtering a
-    mine on its own patterns adds no rule objects.
-    """
-    mine = patterns if patterns.source is None else patterns.source
-    return OfferTable(offers, mine).select(patterns, min_confidence).rule_set()
 
 
 def derive_rules_posthoc(

@@ -23,7 +23,7 @@ from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import Strategy, canonical_code
 from plexmine.pipeline import cross_validate, make_rule_scorer, run_mining
 from plexmine.predict import LinkClass, apply_rules
-from plexmine.rules import RuleBuilder, restrict_rules
+from plexmine.rules import RuleBuilder, RuleTable
 from plexmine.signed import SignMap, frustrated_count, frustration
 
 from oracles import (
@@ -39,6 +39,7 @@ from oracles import (
     random_multiplex,
 )
 from test_coupled import _random_instance
+from test_predict import _selections
 
 
 def _ok(n: int, msg: str) -> None:
@@ -226,16 +227,15 @@ def test_criterion_7_scorer_oracle():
         min_confidence = rng.choice((0.0, 0.4, 0.7))
         sink = RuleBuilder()
         ps = mine(g, MiningConfig(rng.choice((1, 2)), 3), rule_sink=sink)
-        rules = restrict_rules(sink.result(), ps, min_confidence)
+        rules = RuleTable(sink.result(), ps).select(ps, min_confidence).rule_set()
         if not len(rules):
             continue
         graphs_checked += 1
         rules_checked += len(rules)
         for dedupe in (False, True):
             oo, on = brute_apply_rules(g, rules, dedupe_rule_firings=dedupe)
-            for pattern_set in (ps, None):
-                table = apply_rules(g, rules, pattern_set=pattern_set,
-                                    dedupe_rule_firings=dedupe)
+            for selection in _selections(g, rules, ps):
+                table = apply_rules(g, selection, dedupe_rule_firings=dedupe)
                 # same keys, and every score the same float as the oracle's
                 assert table.oldold == oo
                 assert table.oldnew == on
@@ -285,7 +285,7 @@ def test_criterion_8_oldnew_capability():
     split = _planted_oldnew_instance()
     sink = RuleBuilder()
     ps = mine(split.train, MiningConfig(10, 3), rule_sink=sink)
-    table = apply_rules(split.train, restrict_rules(sink.result(), ps, 0.5), pattern_set=ps)
+    table = apply_rules(split.train, RuleTable(sink.result(), ps).select(ps, 0.5))
     report = roc_auc(table, split)
     ours = report.segment_aucs[LinkClass.OLD_NEW]
     assert ours is not None and ours >= 0.9, f"old-new AUC {ours}"

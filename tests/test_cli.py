@@ -13,8 +13,8 @@ from plexmine.evaluate import kfold_split, sharma_score, temporal_split
 from plexmine.io import load_multiplex, load_temporal
 from plexmine.pipeline import (CrossValResult, cross_validate, evaluate_split,
                                make_rule_scorer, run_mining)
-from plexmine.predict import apply_rules, load_score_dump, score_dump, select_rules
-from plexmine.rules import DEFAULT_MIN_CONFIDENCE, RuleSet
+from plexmine.predict import apply_rules, load_score_dump, score_dump
+from plexmine.rules import DEFAULT_MIN_CONFIDENCE, RuleSet, RuleTable
 
 
 def run_cli(*argv):
@@ -166,7 +166,7 @@ def test_predict_sorts_the_rule_set_once(small_graph, tmp_path, monkeypatch):
             dst.write(f"{node} {'zz' if label == 'a' else label}\n")
     g = load_multiplex(small_graph + ".edges", attrs)
     rules = RuleSet.from_tsv(rules_path)
-    n_fit = len(select_rules(g, rules))
+    n_fit = len(RuleTable(rules).fitting(g))
     assert 0 < n_fit < len(rules)
     want = score_dump(apply_rules(g, rules), g.node_names, g.layer_names)
     sorts = []

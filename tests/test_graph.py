@@ -125,6 +125,35 @@ def test_pair_index_matches_edge_set(directed):
             assert idx.has_pairs(us, vs, l).tolist() == want
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_pair_rows_and_pairs_agree_with_has_edge(directed):
+    """``pair_rows`` gives a joined pair its row of ``pair_bits`` and a
+    miss the sentinel's zero row, in its input's shape, and ``pairs``
+    lists the joined pairs in row order."""
+    rng = random.Random(17 + directed)
+    for _ in range(20):
+        g = random_multiplex(rng, max_nodes=9, max_layers=3, directed=directed)
+        idx = g.index()
+        W, sentinel = idx.width, len(idx.pair_bits) - 1
+        us, vs = np.meshgrid(np.arange(W, dtype=np.int32), np.arange(W, dtype=np.int32),
+                             indexing="ij")
+        rows = idx.pair_rows(us, vs)
+        assert rows.shape == (W, W)
+        edge = {l: np.array([[g.has_edge(u, v, l) for v in range(W)] for u in range(W)])
+                for l in g.layers}
+        joined = np.zeros((W, W), dtype=bool)
+        for l, pos in idx.layer_pos.items():
+            joined |= edge[l] | edge[l].T
+            word, shift = divmod(2 * pos, 64)
+            bits = idx.pair_bits[rows, word]
+            assert (bits >> np.uint64(shift) & np.uint64(1) == edge[l]).all()
+            assert (bits >> np.uint64(shift + 1) & np.uint64(1) == edge[l].T).all()
+        assert ((rows == sentinel) == ~joined).all() and not idx.pair_bits[sentinel].any()
+        pu, pv = idx.pairs()
+        assert len(pu) == sentinel
+        assert (pu[rows[joined]] == us[joined]).all() and (pv[rows[joined]] == vs[joined]).all()
+
+
 def test_subgraph_of_edges_restricts_nodes():
     g = MultiplexGraph([0, 1, 2], [(0, 1, 0), (1, 2, 0)], attrs={0: "a", 1: "b", 2: "c"})
     sub = g.subgraph_of_edges({(0, 1, 0)})

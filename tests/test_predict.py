@@ -23,10 +23,9 @@ from plexmine.predict import (
     apply_rules,
     load_score_dump,
     score_dump,
-    select_rules,
     top_k,
 )
-from plexmine.rules import AssociationRule, RuleBuilder, RuleSet
+from plexmine.rules import AssociationRule, RuleBuilder, RuleSet, RuleTable
 
 from oracles import brute_apply_rules, random_multiplex
 
@@ -43,6 +42,12 @@ def _ruleset(*rules) -> RuleSet:
     for r in rules:
         rs.add(r)
     return rs
+
+
+def _selections(g: MultiplexGraph, rules: RuleSet, ps) -> tuple:
+    """``rules`` selected both ways: with embeddings read off ``ps``, the
+    mine of ``g`` that holds every rule's records, and walked on ``g``."""
+    return RuleTable(rules, ps).select(ps, 0.0), RuleTable(rules).fitting(g)
 
 
 def test_empty_rule_set_empty_table():
@@ -161,9 +166,8 @@ def test_scorer_matches_bruteforce_sample():
                              or not r.antecedent.layers <= g_less.layers for r in rules)
         for dedupe in (False, True):
             oracle = brute_apply_rules(g, rules, dedupe_rule_firings=dedupe)
-            for pattern_set in (ps, None):
-                _assert_exact(apply_rules(g, rules, pattern_set=pattern_set,
-                                          dedupe_rule_firings=dedupe), oracle)
+            for selection in _selections(g, rules, ps):
+                _assert_exact(apply_rules(g, selection, dedupe_rule_firings=dedupe), oracle)
             _assert_exact(apply_rules(g_less, rules, dedupe_rule_firings=dedupe),
                           brute_apply_rules(g_less, rules, dedupe_rule_firings=dedupe))
         checked += 1
@@ -232,7 +236,7 @@ def test_skips_rules_with_unknown_layer():
     table = apply_rules(g, rules)
     assert table.oldold == {(0, 2, 0): pytest.approx(0.75)}
     # the known rule sorts first; the two others are the skipped ones
-    selected = select_rules(g, rules)
+    selected = RuleTable(rules).fitting(g)
     assert selected.keep.tolist() == [True, False, False] and selected.rules() == [known]
 
 
@@ -359,12 +363,15 @@ def test_batch_size_changes_no_table(monkeypatch, budget):
             g = random_multiplex(rng, max_nodes=9, directed=directed)
             sink = RuleBuilder()
             cases.append((g, sink.result(), mine(g, MiningConfig(1, 3), rule_sink=sink)))
+    # hand-built rules walked on the graph, mined ones read off their mine
+    cases = [(g, rules if ps is None else RuleTable(rules, ps).select(ps, 0.0))
+             for g, rules, ps in cases]
     for dedupe in (False, True):
-        want = [_table_hex(apply_rules(g, rules, pattern_set=ps, dedupe_rule_firings=dedupe,
-                                       track_provenance=True)) for g, rules, ps in cases]
+        want = [_table_hex(apply_rules(g, rules, dedupe_rule_firings=dedupe,
+                                       track_provenance=True)) for g, rules in cases]
         monkeypatch.setattr(predict, "BATCH_FIRINGS", budget)
-        got = [_table_hex(apply_rules(g, rules, pattern_set=ps, dedupe_rule_firings=dedupe,
-                                      track_provenance=True)) for g, rules, ps in cases]
+        got = [_table_hex(apply_rules(g, rules, dedupe_rule_firings=dedupe,
+                                      track_provenance=True)) for g, rules in cases]
         monkeypatch.undo()
         assert got == want
 

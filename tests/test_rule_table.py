@@ -15,11 +15,11 @@ from plexmine.graph import MultiplexGraph
 from plexmine.io import load_multiplex, save_multiplex
 from plexmine.miner import MiningConfig, MiningInvariantError, mine, restrict
 from plexmine.pattern import Delta, Pattern, PatternEdge, Strategy
-from plexmine.predict import apply_rules, score_dump, select_rules
-from plexmine.rules import OfferTable, RuleBuilder, RuleSet, derive_rules_posthoc
+from plexmine.predict import apply_rules, score_dump
+from plexmine.rules import RuleBuilder, RuleSet, RuleTable, derive_rules_posthoc
 
 from oracles import brute_apply_rules, random_multiplex
-from test_predict import _rule, _ruleset
+from test_predict import _rule, _ruleset, _selections
 
 CONFIDENCE = 0.5
 
@@ -51,7 +51,7 @@ def _assert_brute(g, rules: RuleSet, table, dedupe: bool) -> None:
     oldold, oldnew = brute_apply_rules(g, rules, dedupe_rule_firings=dedupe)
     assert _hex(table.oldold) == _hex(oldold)
     assert _hex(table.oldnew) == _hex(oldnew)
-    assert table.provenance == _fired(g, select_rules(g, rules).rules(), dedupe)
+    assert table.provenance == _fired(g, RuleTable(rules).fitting(g).rules(), dedupe)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -63,13 +63,13 @@ def test_grouped_application_equals_brute_force(directed):
         sink = RuleBuilder()
         ps = mine(g, MiningConfig(1, rng.choice((2, 3))), rule_sink=sink)
         rules = sink.result()
-        selected = select_rules(g, rules, ps)
-        flipped += int(selected.table.flip.sum())
-        shared += len(rules) - len(selected.table.group_ant)
+        mined, walked = _selections(g, rules, ps)
+        flipped += int(mined.table.flip.sum())
+        shared += len(rules) - len(mined.table.group_ant)
         for dedupe in (False, True):
-            for pattern_set in (ps, None):
-                table = apply_rules(g, rules, pattern_set=pattern_set,
-                                    dedupe_rule_firings=dedupe, track_provenance=True)
+            for selection in (mined, walked):
+                table = apply_rules(g, selection, dedupe_rule_firings=dedupe,
+                                    track_provenance=True)
                 _assert_brute(g, rules, table, dedupe)
     assert shared > 50  # many groups hold several rules
     assert (flipped > 0) == directed
@@ -83,7 +83,7 @@ def test_directed_delta_from_the_high_column_to_the_low_one():
     back = _rule(path2, Delta(0, 2, 1, False), 4, 3)  # 2 -> 0 in layer 1
     ahead = _rule(path2, Delta(0, 2, 1, True), 4, 2)  # 0 -> 2 in layer 1
     rules = _ruleset(back, ahead)
-    selected = select_rules(g, rules)
+    selected = RuleTable(rules).fitting(g)
     assert selected.table.flip.tolist().count(True) == 1
     assert len(selected.table.group_ant) == 1  # one group: the same column pair
     table = apply_rules(g, rules, track_provenance=True)
@@ -98,29 +98,35 @@ def test_directed_delta_from_the_high_column_to_the_low_one():
 @pytest.mark.parametrize("dedupe", [False, True])
 def test_automorphic_rows_of_an_undirected_antecedent_count_once(dedupe):
     """A star's two leaves swap: each pair of leaves is read from two rows
-    with one node set, and a rule adds its confidence once per node set."""
+    with one node set, and a rule adds its confidence once per node set.
+    Hand-built rules are walked on the graph; the mine's own offers read
+    the mined record's rows."""
     g = MultiplexGraph(range(5), [(0, 1, 0), (0, 2, 0), (0, 3, 0), (3, 4, 0)],
                        directed=False, layers=[0, 1])
     path2 = Pattern(False, ("_",) * 3, (PatternEdge(0, 1, 0, False), PatternEdge(1, 2, 0, False)))
     rules = _ruleset(_rule(path2, Delta(0, 2, 0, False), 4, 3),
                      _rule(path2, Delta(0, 2, 1, False), 4, 1))
     sink = RuleBuilder()
-    ps = mine(g, MiningConfig(1, 3), rule_sink=sink)
+    ps = mine(g, MiningConfig(1, 4), rule_sink=sink)
     rec = ps.get(rules.sorted_rules()[0].antecedent_code)
     assert len(rec.embeddings) == 2 * len(set(map(frozenset, rec.embeddings.tolist())))
-    table = apply_rules(g, rules, pattern_set=ps, dedupe_rule_firings=dedupe,
-                        track_provenance=True)
+    table = apply_rules(g, rules, dedupe_rule_firings=dedupe, track_provenance=True)
     assert table.oldold[(1, 2, 0)] == 0.75 and table.oldold[(1, 2, 1)] == 0.25
     _assert_brute(g, rules, table, dedupe)
+    offers = sink.result()
+    assert any(r.antecedent_code == rec.code for r in offers)
+    table = apply_rules(g, RuleTable(offers, ps).select(ps, 0.0), dedupe_rule_firings=dedupe,
+                        track_provenance=True)
+    _assert_brute(g, offers, table, dedupe)
 
 
 def _mine_source(g, sigma, size, strategy=Strategy.BFS):
     sink = RuleBuilder()
     ps = mine(g, MiningConfig(sigma, size, strategy), rule_sink=sink)
-    return OfferTable(sink.result(), ps)
+    return RuleTable(sink.result(), ps)
 
 
-def _assert_fold(table: OfferTable, g, sigma, size, strategy=Strategy.BFS,
+def _assert_fold(table: RuleTable, g, sigma, size, strategy=Strategy.BFS,
                  min_confidence=CONFIDENCE):
     """The fold's selection of ``table`` scores, with provenance, what
     mining the fold and applying its rule set gives, and brute force."""
@@ -132,7 +138,7 @@ def _assert_fold(table: OfferTable, g, sigma, size, strategy=Strategy.BFS,
     assert [r.to_line() for r in selected.rules()] == [r.to_line() for r in rules.sorted_rules()]
     for dedupe in (False, True):
         got = apply_rules(g, selected, dedupe_rule_firings=dedupe, track_provenance=True)
-        want = apply_rules(g, rules, pattern_set=ps, dedupe_rule_firings=dedupe,
+        want = apply_rules(g, RuleTable(rules, ps).select(ps, 0.0), dedupe_rule_firings=dedupe,
                            track_provenance=True)
         assert _table_text(got) == _table_text(want)
         _assert_brute(g, rules, got, dedupe)
@@ -147,8 +153,7 @@ def test_fold_that_loses_a_label_shrinks_its_single_node_records():
     fold = g.subgraph_of_edges(e for e in g.edges if not {0, 1, 8} & set(e[:2]))
     assert "z" not in fold.attrs.values()
     derived = _assert_fold(table, fold, 1, 3)
-    records = derived.records_of(table.mine)
-    singles = [(src, rec) for src, rec in zip(table.mine, records) if src.pattern.k == 1]
+    singles = [(src, derived.get(src.code)) for src in table.mine if src.pattern.k == 1]
     assert [rec is None for _, rec in singles] == [False, False, True]  # a, b, z
     assert [len(rec.embeddings) for _, rec in singles[:2]] == [3, 3]  # of 4 and 4
 
@@ -177,6 +182,12 @@ def test_selection_refuses_a_set_not_derived_from_its_mine():
     for ps in (other, restrict(other, fold, 1)):
         with pytest.raises(MiningInvariantError):
             table.select(ps, CONFIDENCE)
+    # a table with no mine has no records to select by, and a table read
+    # off a mine has its records' columns, which a walk on a graph lacks
+    with pytest.raises(MiningInvariantError):
+        RuleTable(_ruleset(*table.rules)).select(table.mine, CONFIDENCE)
+    with pytest.raises(MiningInvariantError):
+        table.fitting(g)
 
 
 @pytest.mark.parametrize("directed", [False, True])

@@ -8,7 +8,7 @@ import pytest
 from plexmine.graph import MultiplexGraph
 from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import CanonicalCode, Delta, Strategy
-from plexmine.rules import RuleBuilder, RuleSet, derive_rules_posthoc, restrict_rules
+from plexmine.rules import RuleBuilder, RuleSet, RuleTable, derive_rules_posthoc
 
 from oracles import random_multiplex
 
@@ -22,7 +22,8 @@ def _offers(g, sigma, size, strategy=Strategy.BFS):
 
 def _mine_both(g, sigma, size, conf, strategy=Strategy.BFS):
     ps, offers = _offers(g, sigma, size, strategy)
-    return ps, restrict_rules(offers, ps, conf), derive_rules_posthoc(ps, conf, strategy)
+    return (ps, RuleTable(offers, ps).select(ps, conf).rule_set(),
+            derive_rules_posthoc(ps, conf, strategy))
 
 
 def test_confidence_one_when_supports_equal():
@@ -108,10 +109,11 @@ def test_mode_equivalence_random_graphs():
             ps, offers = _offers(g, rng.choice((1, 2)), 3, strategy)
             where = f"trial {trial} strategy {strategy}"
             assert offers.to_tsv() == derive_rules_posthoc(ps, 0.0, strategy).to_tsv(), where
-            emb = restrict_rules(offers, ps, conf)
+            table = RuleTable(offers, ps)
+            emb = table.select(ps, conf).rule_set()
             assert emb.to_tsv() == derive_rules_posthoc(ps, conf, strategy).to_tsv(), where
             for c in (0.0, 0.3, 0.5, 1.0):
-                kept = restrict_rules(offers, ps, c).rules
+                kept = table.select(ps, c).rule_set().rules
                 assert all(rule is offers.rules[key] for key, rule in kept.items()), where
     assert directed == {False, True}
 

@@ -13,7 +13,7 @@ from plexmine.graph import MultiplexGraph
 from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import Strategy
 from plexmine.pipeline import make_rule_scorer, run_mining
-from plexmine.rules import RuleBuilder, derive_rules_posthoc, restrict_rules
+from plexmine.rules import RuleBuilder, RuleTable, derive_rules_posthoc
 
 
 def _graph(directed=False, seed=4):
@@ -81,7 +81,7 @@ def test_shared_memo_changes_no_output():
             assert shared.memo is memo and fresh.memo is not memo
             assert shared.dump() == fresh.dump()
             assert [r.orderings for r in shared] == [r.orderings for r in fresh]
-            assert (restrict_rules(shared_sink.result(), shared, 0.5).to_tsv()
-                    == restrict_rules(fresh_sink.result(), fresh, 0.5).to_tsv())
+            assert (RuleTable(shared_sink.result(), shared).select(shared, 0.5).rule_set().to_tsv()
+                    == RuleTable(fresh_sink.result(), fresh).select(fresh, 0.5).rule_set().to_tsv())
             assert (derive_rules_posthoc(shared, 0.5, strategy).to_tsv()
                     == derive_rules_posthoc(fresh, 0.5, strategy).to_tsv())

@@ -20,7 +20,7 @@ from plexmine.miner import MiningConfig, MiningInvariantError, mine, restrict
 from plexmine.pattern import Strategy
 from plexmine.pipeline import SOURCE_MINE_MAX_LACKING, evaluate_split, make_rule_scorer
 from plexmine.predict import apply_rules
-from plexmine.rules import RuleBuilder, derive_rules_posthoc, restrict_rules
+from plexmine.rules import RuleBuilder, RuleTable, derive_rules_posthoc
 
 from oracles import brute_apply_rules, random_multiplex
 
@@ -59,7 +59,7 @@ def _reference(g, support, size, strategy, min_confidence=CONFIDENCE):
 
 def _derived(ps_src, offers, g, sigma, min_confidence=CONFIDENCE):
     ps = restrict(ps_src, g, sigma)
-    return ps, restrict_rules(offers, ps, min_confidence)
+    return ps, RuleTable(offers, ps_src).select(ps, min_confidence).rule_set()
 
 
 def _mine_source(src, sigma, size, strategy):
@@ -71,7 +71,7 @@ def _assert_same_tables(g, got, want, brute=False):
     """Tables with provenance, dedupe off and on, of the derived and the
     reference mine are equal, and with ``brute`` equal to the oracle's."""
     for dedupe in (False, True):
-        tables = [apply_rules(g, rules, pattern_set=ps, dedupe_rule_firings=dedupe,
+        tables = [apply_rules(g, RuleTable(rules, ps).select(ps, 0.0), dedupe_rule_firings=dedupe,
                               track_provenance=True) for ps, rules in (got, want)]
         assert _table_text(tables[0]) == _table_text(tables[1])
         if brute:
@@ -164,7 +164,7 @@ def test_fold_that_loses_a_label_and_its_widest_node():
 
 def _reference_table(g, support, size, strategy=Strategy.BFS):
     ps, rules = _reference(g, support, size, strategy)
-    return apply_rules(g, rules, pattern_set=ps)
+    return apply_rules(g, RuleTable(rules, ps).select(ps, 0.0))
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -173,7 +173,7 @@ def _reference_table(g, support, size, strategy=Strategy.BFS):
                          ids=["0.1", "3", "0.1-3fold", "3-3fold"])
 def test_scorer_tables_equal_per_fold_mining(strategy, directed, support, k):
     """Over 3 folds each fold is mined, over 10 the root is; both pass
-    through ``restrict_rules``."""
+    through ``RuleTable.select``."""
     for seed in (2, 3):
         g = _graph(directed, seed=seed)
         scorer = make_rule_scorer(support, 3, CONFIDENCE, strategy)

@@ -21,7 +21,7 @@ from plexmine.miner import MiningConfig, mine, restrict
 from plexmine.pattern import Strategy
 from plexmine.pipeline import run_mining
 from plexmine.predict import apply_rules
-from plexmine.rules import RuleBuilder, derive_rules_posthoc, restrict_rules
+from plexmine.rules import RuleBuilder, RuleTable, derive_rules_posthoc
 
 from oracles import (
     brute_apply_rules,
@@ -84,11 +84,13 @@ def test_derived_fold_tables_match_fold_mining_and_brute_force(directed):
         strategy = rng.choice(list(Strategy))
         offers = RuleBuilder()
         ps_src = mine(wide, MiningConfig(sigma, size, strategy), rule_sink=offers)
+        table = RuleTable(offers.result(), ps_src)
         k = min(4, wide.n_edges)
         for split in kfold_split(wide, k, seed=rng.randrange(100)):
             fold = split.train
             derived = restrict(ps_src, fold, sigma)
-            rules = restrict_rules(offers.result(), derived, CONFIDENCE)
+            selected = table.select(derived, CONFIDENCE)
+            rules = selected.rule_set()
             direct = mine(fold, MiningConfig(sigma, size, strategy))
             assert derived.dump() == direct.dump()
             assert rules.to_tsv() == derive_rules_posthoc(direct, CONFIDENCE, strategy).to_tsv()
@@ -96,9 +98,9 @@ def test_derived_fold_tables_match_fold_mining_and_brute_force(directed):
                 assert rec.array.dtype == np.int32
                 lost += rec.rows is not None
             for dedupe in (False, True):
-                got = apply_rules(fold, rules, pattern_set=derived,
-                                  dedupe_rule_firings=dedupe, track_provenance=True)
-                want = apply_rules(fold, rules, pattern_set=direct,
+                got = apply_rules(fold, selected, dedupe_rule_firings=dedupe,
+                                  track_provenance=True)
+                want = apply_rules(fold, RuleTable(rules, direct).select(direct, 0.0),
                                    dedupe_rule_firings=dedupe, track_provenance=True)
                 assert _table_text(got) == _table_text(want)
                 oldold, oldnew = brute_apply_rules(_shift(fold, -OFFSET), rules, dedupe)

@@ -28,7 +28,7 @@ from .io import ParseError, load_multiplex, load_temporal, save_multiplex
 from .miner import MiningConfig, MiningError, MiningInvariantError
 from .pattern import PatternError, Strategy
 from .pipeline import CrossValResult, evaluate_split, make_rule_scorer, run_mining
-from .predict import apply_rules, explain_dump, load_score_dump, score_dump
+from .predict import apply_rules, explain_text, load_score_dump, ranked_rows, score_text
 from .rules import DEFAULT_MIN_CONFIDENCE, RuleSet, RuleTable
 from .signed import SignMap, SignedError, frustration_report
 
@@ -165,13 +165,10 @@ def cmd_predict(args) -> int:
     table = apply_rules(g, selected, dedupe_rule_firings=args.dedupe_rule_firings,
                         track_provenance=args.explain is not None)
     apply_s = time.perf_counter() - t0
+    rows = ranked_rows(table, g.node_names, g.layer_names, args.top)
     if args.explain is not None:
-        _write(args.explain, explain_dump(table, selected.rules(), g.node_names,
-                                          g.layer_names, args.top))
-    text = score_dump(table, g.node_names, g.layer_names)
-    if args.top is not None:
-        lines = text.splitlines(keepends=True)[: args.top]
-        text = "".join(lines)
+        _write(args.explain, explain_text(rows, table, selected.rules()))
+    text = score_text(rows)
     _out(args.out, text)
     if not text:
         sys.stderr.write(f"warning: {len(rules)} rules scored no candidate, "

@@ -217,22 +217,32 @@ class GraphIndex:
     and the neighbor arrays hold them, so every embedding built from them
     is int32 and takes half the bytes of int64. Row positions and
     ``indptr`` stay int64, and every product of a node id and ``width``
-    is taken in int64 (``pair_masks`` does so), since it passes 2**31
-    from node id 46,341 on.
+    (the largest node id plus one) is taken in int64, since it passes
+    2**31 from node id 46,341 on.
+
+    A node's rank is its position in ``node_arr``; ``rank`` maps every id
+    in ``[0, width)`` to it, and every id that is not a node to ``n``, the
+    node count. ``rank`` and ``node_label`` are the only arrays sized by
+    ``width``, at 4 bytes per id each; everything else is sized by ``n``,
+    so sparse ids cost little.
 
     For directed graphs ``out_[l]`` / ``in_[l]`` are CSR-style neighbor
-    arrays per layer, neighbors ascending; undirected graphs expose a
-    single symmetric table in ``out_`` (and ``in_`` aliases it).
+    arrays per layer, ``indptr`` indexed by rank (``n + 1`` entries) and
+    neighbors ascending; undirected graphs expose a single symmetric table
+    in ``out_`` (and ``in_`` aliases it).
 
-    Membership lives in one pair index for all layers: ``pair_keys`` holds
-    the sorted ``u*W+v`` keys (``W`` = ``width``) of every ordered node pair
-    joined by an edge in either direction, then a sentinel, and
-    ``pair_bits`` holds one layer-by-direction bitmask per key,
-    ``n_words = ceil(2*|L|/64)`` uint64 words wide. For the layer at
-    position ``p`` of ``layers``, bit ``2p`` of pair ``(u, v)`` says u->v is
-    an edge and bit ``2p+1`` says v->u is. Undirected edges set both bits on
-    both orientations. Node ids passed to the probes must lie in
-    ``[0, width)``, and ``width`` must fit in int32.
+    Membership lives in one pair index for all layers. ``pair_u`` and
+    ``pair_v`` list every ordered node pair joined by an edge in either
+    direction, ascending in (u, v), and ``pair_bits`` holds one
+    layer-by-direction bitmask per pair, ``n_words = ceil(2*|L|/64)``
+    uint64 words wide, then a trailing zero row. For the layer at position
+    ``p`` of ``layers``, bit ``2p`` of pair ``(u, v)`` says u->v is an edge
+    and bit ``2p+1`` says v->u is. Undirected edges set both bits on both
+    orientations. ``pair_pos[rank[u]*(n+1) + rank[v]]`` is the pair's row
+    of ``pair_bits``, or the zero row when no edge joins it; the int32
+    table costs ``4*(n+1)**2`` bytes (1 MB at 500 nodes, 400 MB at 10,000).
+    Node ids passed to the probes must lie in ``[0, width)``, anchors of
+    ``neighbors_flat`` must be nodes, and ``width`` must fit in int32.
     """
 
     def __init__(self, g: MultiplexGraph):
@@ -242,18 +252,22 @@ class GraphIndex:
             raise GraphError(f"node id {W - 1} is above the index's largest, "
                              f"{np.iinfo(np.int32).max - 1}")
         self.node_arr = np.array(sorted(g.nodes), dtype=np.int32)
-        labels = sorted({g.attrs[n] for n in g.nodes}) if g.nodes else []
+        n = len(self.node_arr)
+        self.rank = np.full(W, n, dtype=np.int32)
+        self.rank[self.node_arr] = np.arange(n, dtype=np.int32)
+        labels = sorted(set(g.attrs.values()))
         self.labels_list = labels
         self.label_ids = {lab: i for i, lab in enumerate(labels)}
-        self.node_label = np.full(W, -1, dtype=np.int64)
-        self.node_label[self.node_arr] = [self.label_ids[g.attrs[int(n)]] for n in self.node_arr]
-        node_lab = self.node_label[self.node_arr]
+        node_lab = np.array([self.label_ids[g.attrs[int(x)]] for x in self.node_arr],
+                            dtype=np.int32)
+        self.node_label = np.full(W, -1, dtype=np.int32)
+        self.node_label[self.node_arr] = node_lab
         self.nodes_by_label = {lab: self.node_arr[node_lab == i] for i, lab in enumerate(labels)}
 
         self.layers = sorted(g.layers)
         self.layer_pos = {l: p for p, l in enumerate(self.layers)}
         edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 3)
-        u, v = edges[:, 0], edges[:, 1]
+        u, v = self.rank[edges[:, 0]].astype(np.int64), self.rank[edges[:, 1]].astype(np.int64)
         lp = np.searchsorted(np.array(self.layers, dtype=np.int64), edges[:, 2])
 
         # CSR tables: one sort by (layer, source, target), sliced per layer
@@ -267,39 +281,44 @@ class GraphIndex:
                            np.concatenate([u, v]), np.concatenate([v, u]))
             self.in_ = self.out_
 
-        # pair index: (key, bit) per edge and orientation, OR-ed per key
+        # pair index: (rank key, bit) per edge and orientation, OR-ed per key
+        N = n + 1
         fwd, rev = 2 * lp, 2 * lp + 1
         if g.directed:
-            keys = np.concatenate([u * W + v, v * W + u])
+            keys = np.concatenate([u * N + v, v * N + u])
             bits = np.concatenate([fwd, rev])
         else:
-            keys = np.concatenate([u * W + v, u * W + v, v * W + u, v * W + u])
+            keys = np.concatenate([u * N + v, u * N + v, v * N + u, v * N + u])
             bits = np.concatenate([fwd, rev, fwd, rev])
         self.n_words = max(1, -(-2 * len(self.layers) // 64))
         keys, inv = np.unique(keys, return_inverse=True)
-        # a trailing sentinel key with a zero mask catches every miss
-        self.pair_keys = np.append(keys, np.iinfo(np.int64).max)
-        self.pair_bits = np.zeros((len(self.pair_keys), self.n_words), dtype=np.uint64)
-        np.bitwise_or.at(self.pair_bits, (inv, bits >> 6),
+        ru, rv = np.divmod(keys, N)
+        self.pair_u, self.pair_v = self.node_arr[ru], self.node_arr[rv]
+        # every key without a pair, and every non-node rank, points at the zero row
+        self.pair_pos = np.full(N * N, len(keys), dtype=np.int32)
+        self.pair_pos[keys] = np.arange(len(keys), dtype=np.int32)
+        self.pair_bits = np.zeros((len(keys) + 1, self.n_words), dtype=np.uint64)
+        np.bitwise_or.at(self.pair_bits, (inv.ravel(), bits >> 6),
                          np.uint64(1) << (bits & 63).astype(np.uint64))
 
     def _fill_csr(self, table: dict, lp: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+        """``src`` and ``dst`` are ranks; the stored neighbors are node ids."""
         order = np.lexsort((dst, src, lp))
         lp, src, dst = lp[order], src[order], dst[order]
         bounds = np.searchsorted(lp, np.arange(len(self.layers) + 1))
+        n = len(self.node_arr)
         for p, l in enumerate(self.layers):
             lo, hi = bounds[p], bounds[p + 1]
-            indptr = np.zeros(self.width + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src[lo:hi], minlength=self.width), out=indptr[1:])
-            table[l] = indptr, dst[lo:hi].astype(np.int32)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src[lo:hi], minlength=n), out=indptr[1:])
+            table[l] = indptr, self.node_arr[dst[lo:hi]]
 
     def pair_rows(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """The ``pair_bits`` row of each pair (us, vs), in their shape: the
-        sentinel's, with a zero mask, for a pair with no edge."""
-        probe = np.multiply(us, self.width, dtype=np.int64) + vs
-        pos = np.searchsorted(self.pair_keys, probe)
-        pos[self.pair_keys[pos] != probe] = len(self.pair_keys) - 1
-        return pos
+        trailing zero row for a pair with no edge."""
+        key = np.multiply(self.rank.take(us), len(self.node_arr) + 1, dtype=np.int64)
+        key += self.rank.take(vs)
+        return self.pair_pos.take(key)
 
     def pair_masks(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Bitmask rows (len(us), n_words) of the pairs (us, vs); zero rows
@@ -308,7 +327,7 @@ class GraphIndex:
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The (u, v) arrays of the indexed pairs, in ``pair_bits`` row order."""
-        return np.divmod(self.pair_keys[:-1], self.width)
+        return self.pair_u, self.pair_v
 
     def has_pairs(self, us: np.ndarray, vs: np.ndarray, layer: int) -> np.ndarray:
         """Vectorized membership: does the graph contain edge u->v in layer?
@@ -328,8 +347,9 @@ class GraphIndex:
         per neighbor, and the flattened int32 neighbor ids.
         """
         indptr, indices = (self.in_ if incoming else self.out_)[layer]
-        starts = indptr[anchors]
-        counts = indptr[anchors + 1] - starts
+        r = self.rank.take(anchors)
+        starts = indptr[r]
+        counts = indptr[r + 1] - starts
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)

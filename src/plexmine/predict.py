@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -321,43 +321,48 @@ def _entry_order(key: tuple):
     return (u, v is None, -1 if v is None else v, l)
 
 
-def _named_entries(table: ScoreTable, node_names: dict[int, str] | None,
-                   layer_names: dict[int, str] | None):
-    """(provenance key, score, ``u  v-or-NEW  layer`` text) of every entry,
-    in ``top_k`` order."""
+def ranked_rows(table: ScoreTable, node_names: dict[int, str] | None = None,
+                layer_names: dict[int, str] | None = None,
+                top: int | None = None) -> list[tuple[tuple, float, str]]:
+    """(provenance key, score, ``u  v-or-NEW  layer`` text) of the first
+    ``top`` entries (all by default) in ``top_k`` order. The table is
+    ranked once and only these rows are formatted."""
     nn = node_names or {}
     ln = layer_names or {}
-    for (u, v, l), s in _ranked(table):
+    rows = []
+    for (u, v, l), s in _ranked(table)[:top]:
         key = ("oldnew", (u, l)) if v is None else ("oldold", (u, v, l))
         vs = "NEW" if v is None else str(nn.get(v, v))
-        yield key, s, f"{nn.get(u, u)}\t{vs}\t{ln.get(l, l)}"
+        rows.append((key, s, f"{nn.get(u, u)}\t{vs}\t{ln.get(l, l)}"))
+    return rows
+
+
+def score_text(rows: list[tuple[tuple, float, str]]) -> str:
+    """TSV `u  v-or-NEW  layer  score` of ``ranked_rows`` output, in its order."""
+    lines = [f"{name}\t{s:.6f}" for _, s, name in rows]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def score_dump(
     table: ScoreTable,
     node_names: dict[int, str] | None = None,
     layer_names: dict[int, str] | None = None,
-) -> str:
-    """TSV dump `u  v-or-NEW  layer  score`, sorted by score descending."""
-    lines = [f"{name}\t{s:.6f}" for _, s, name in _named_entries(table, node_names, layer_names)]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def explain_dump(
-    table: ScoreTable,
-    rules: list[AssociationRule],
-    node_names: dict[int, str] | None = None,
-    layer_names: dict[int, str] | None = None,
     top: int | None = None,
 ) -> str:
-    """TSV `u  v-or-NEW  layer  <rule line>`: for each of the first ``top``
-    entries of ``score_dump`` (all by default), in its order, one line per
-    rule that fired the entry (``AssociationRule.to_line``), in rule id
-    order. ``table`` tracks provenance, and ``rules`` lists the rules by id
+    """TSV dump `u  v-or-NEW  layer  score`, sorted by score descending:
+    the first ``top`` entries, all by default."""
+    return score_text(ranked_rows(table, node_names, layer_names, top))
+
+
+def explain_text(rows: list[tuple[tuple, float, str]], table: ScoreTable,
+                 rules: list[AssociationRule]) -> str:
+    """TSV `u  v-or-NEW  layer  <rule line>`: for each of ``ranked_rows``'
+    rows, in its order, one line per rule that fired the entry
+    (``AssociationRule.to_line``), in rule id order. ``table`` tracks
+    provenance, and ``rules`` lists the rules by id
     (``RuleSelection.rules()``)."""
     lines = [f"{name}\t{rules[rule_id].to_line()}"
-             for key, _, name in islice(_named_entries(table, node_names, layer_names), top)
-             for rule_id in table.provenance[key]]
+             for key, _, name in rows for rule_id in table.provenance[key]]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -7,7 +7,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plexmine import evaluate
+from plexmine import evaluate, predict
 from plexmine.cli import _support_arg, main
 from plexmine.evaluate import kfold_split, sharma_score, temporal_split
 from plexmine.io import load_multiplex, load_temporal
@@ -133,6 +133,28 @@ def test_predict_timings_add_one_stderr_line(small_graph, tmp_path):
     [line] = err.splitlines()
     name, seconds = line.split("\t")
     assert name == "apply_s" and float(seconds) >= 0
+
+
+def test_predict_top_ranks_once_and_writes_the_head_of_the_full_dump(small_graph, tmp_path,
+                                                                    monkeypatch):
+    rules_path = str(tmp_path / "rules.tsv")
+    run_cli("mine", small_graph + ".edges", "--attrs", small_graph + ".attrs",
+            "--support", "20%", "--size", "3", "--rules-out", rules_path)
+    args = ("predict", small_graph + ".edges", "--attrs", small_graph + ".attrs",
+            "--rules", rules_path)
+    code, full, _ = run_cli(*args)
+    assert code == 0 and len(full.splitlines()) > 5
+    ranks = []
+    ranked = predict._ranked
+
+    def counted(table):
+        ranks.append(table)
+        return ranked(table)
+
+    monkeypatch.setattr(predict, "_ranked", counted)
+    code, top, _ = run_cli(*args, "--top", "5", "--explain", str(tmp_path / "why.tsv"))
+    assert code == 0 and len(ranks) == 1
+    assert top == "".join(full.splitlines(True)[:5])
 
 
 def test_predict_that_skips_every_rule_warns_twice(small_graph, tmp_path, capsys):

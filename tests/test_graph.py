@@ -73,8 +73,10 @@ def test_index_adjacency_matches_edges():
                 indptr, indices = table[l]
                 assert indptr.dtype == np.int64 and indices.dtype == np.int32
                 listed = set()
+                assert len(indptr) == g.n_nodes + 1  # indexed by rank
                 for u in g.nodes:
-                    row = indices[indptr[u]:indptr[u + 1]]
+                    r = idx.rank[u]
+                    row = indices[indptr[r]:indptr[r + 1]]
                     assert list(row) == sorted(row)  # the miner's row order needs this
                     listed.update((u, int(v)) for v in row)
                 expected = set()
@@ -125,33 +127,49 @@ def test_pair_index_matches_edge_set(directed):
             assert idx.has_pairs(us, vs, l).tolist() == want
 
 
+def _gapped(g: MultiplexGraph, rng: random.Random, offset: int) -> MultiplexGraph:
+    """``g`` with its node ids sent, in order, to random ids from ``offset``
+    up, with gaps between them."""
+    ids = sorted(rng.sample(range(offset, offset + 3 * g.n_nodes), g.n_nodes))
+    to = dict(zip(sorted(g.nodes), ids))
+    return MultiplexGraph(to.values(), [(to[u], to[v], l) for u, v, l in g.edges],
+                          attrs={to[n]: a for n, a in g.attrs.items()},
+                          directed=g.directed, layers=g.layers)
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_pair_rows_and_pairs_agree_with_has_edge(directed):
-    """``pair_rows`` gives a joined pair its row of ``pair_bits`` and a
-    miss the sentinel's zero row, in its input's shape, and ``pairs``
-    lists the joined pairs in row order."""
+    """On graphs whose node ids have gaps, ``pair_rows`` gives a joined
+    pair its row of ``pair_bits`` and every other pair, ids that are not
+    nodes included, the trailing zero row, in its input's shape; ``pairs``
+    lists the joined pairs ascending in (u, v), in row order. Every id in
+    ``[0, width)`` is probed at offset 0; from 46,341 up, where a product
+    of two ids passes 2**31, the ids from the offset up and a few below."""
     rng = random.Random(17 + directed)
-    for _ in range(20):
-        g = random_multiplex(rng, max_nodes=9, max_layers=3, directed=directed)
+    for offset in [0] * 20 + [46_341] * 10:
+        g = _gapped(random_multiplex(rng, max_nodes=9, max_layers=3, directed=directed),
+                    rng, offset)
         idx = g.index()
-        W, sentinel = idx.width, len(idx.pair_bits) - 1
-        us, vs = np.meshgrid(np.arange(W, dtype=np.int32), np.arange(W, dtype=np.int32),
-                             indexing="ij")
+        ids = np.unique(np.r_[0:3, offset:idx.width]).astype(np.int32)
+        zero = len(idx.pair_bits) - 1
+        us, vs = np.meshgrid(ids, ids, indexing="ij")
         rows = idx.pair_rows(us, vs)
-        assert rows.shape == (W, W)
-        edge = {l: np.array([[g.has_edge(u, v, l) for v in range(W)] for u in range(W)])
+        assert rows.shape == us.shape
+        edge = {l: np.array([[g.has_edge(int(u), int(v), l) for v in ids] for u in ids])
                 for l in g.layers}
-        joined = np.zeros((W, W), dtype=bool)
+        joined = np.zeros(us.shape, dtype=bool)
         for l, pos in idx.layer_pos.items():
             joined |= edge[l] | edge[l].T
             word, shift = divmod(2 * pos, 64)
             bits = idx.pair_bits[rows, word]
             assert (bits >> np.uint64(shift) & np.uint64(1) == edge[l]).all()
             assert (bits >> np.uint64(shift + 1) & np.uint64(1) == edge[l].T).all()
-        assert ((rows == sentinel) == ~joined).all() and not idx.pair_bits[sentinel].any()
+        assert ((rows == zero) == ~joined).all() and not idx.pair_bits[zero].any()
         pu, pv = idx.pairs()
-        assert len(pu) == sentinel
+        assert len(pu) == zero == joined.sum()
         assert (pu[rows[joined]] == us[joined]).all() and (pv[rows[joined]] == vs[joined]).all()
+        key = pu.astype(np.int64) * idx.width + pv
+        assert (np.diff(key) > 0).all()
 
 
 def test_subgraph_of_edges_restricts_nodes():

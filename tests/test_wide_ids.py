@@ -1,13 +1,15 @@
 """Graphs whose node ids start at 46,341, the smallest id whose product
-with itself passes 2**31.
+with itself passes 2**31, or near 1,000,000.
 
 Node ids are int32, so every product of a node id and the graph width
-must be taken in int64: the pair-index probe (``GraphIndex.pair_masks``),
-the first digit of ``matcher.node_set_ids`` and the pair keys of
-``miner._RowFacts``. Each graph here is a small random graph with every
-node id shifted up by ``OFFSET``. Mining it, deriving its folds from that
-mine, scoring them and enumerating their candidates must agree with the
-brute-force oracles and, ids shifted back, with the unshifted graph.
+must be taken in int64: the first digit of ``matcher.node_set_ids`` and
+the candidate keys of ``predict.encode_keys``. ``GraphIndex`` probes its
+pair table by node rank, so its own products stay below ``(n+1)**2``,
+and only ``rank`` and ``node_label`` grow with the ids. Each graph here
+is a small random graph with every node id shifted up by one of
+``OFFSETS``. Mining it, deriving its folds from that mine, scoring them
+and enumerating their candidates must agree with the brute-force oracles
+and, ids shifted back, with the unshifted graph.
 """
 
 import random
@@ -33,7 +35,7 @@ from oracles import (
 from test_evaluate import _decoded
 from test_shared_mine import _hex_sorted, _table_text
 
-OFFSET = 46_341
+OFFSETS = (46_341, 999_983)
 CONFIDENCE = 0.5
 
 
@@ -45,11 +47,13 @@ def _shift(g: MultiplexGraph, by: int) -> MultiplexGraph:
 
 
 def _graphs(seed: int, directed: bool, count: int):
-    """(rng, graph, graph shifted by ``OFFSET``) for ``count`` random graphs."""
+    """(rng, offset, graph, graph shifted by the offset) for ``count``
+    random graphs per offset of ``OFFSETS``."""
     rng = random.Random(seed)
-    for _ in range(count):
-        g = random_multiplex(rng, max_nodes=8, directed=directed)
-        yield rng, g, _shift(g, OFFSET)
+    for offset in OFFSETS:
+        for _ in range(count):
+            g = random_multiplex(rng, max_nodes=8, directed=directed)
+            yield rng, offset, g, _shift(g, offset)
 
 
 def _shift_keys(scores: dict, by: int) -> dict:
@@ -59,7 +63,7 @@ def _shift_keys(scores: dict, by: int) -> dict:
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_mine_matches_brute_force_and_the_unshifted_graph(directed):
-    for rng, g, wide in _graphs(23 + directed, directed, 25):
+    for rng, offset, g, wide in _graphs(23 + directed, directed, 25):
         sigma, size = rng.choice((1, 2)), rng.choice((2, 3))
         strategy = rng.choice(list(Strategy))
         got = run_mining(wide, sigma, size, CONFIDENCE, strategy)
@@ -70,7 +74,7 @@ def test_mine_matches_brute_force_and_the_unshifted_graph(directed):
         assert got.rules.to_tsv() == want.rules.to_tsv()
         for rec in got.patterns:
             assert rec.array.dtype == np.int32
-            assert (rec.embeddings - OFFSET).tolist() \
+            assert (rec.embeddings - offset).tolist() \
                 == want.patterns.get(rec.code).embeddings.tolist()
 
 
@@ -79,7 +83,7 @@ def test_derived_fold_tables_match_fold_mining_and_brute_force(directed):
     """A fold derived from the shifted graph's mine scores as mining the
     fold does, and as the oracle scores the unshifted fold."""
     lost = 0
-    for rng, _, wide in _graphs(5 + directed, directed, 12):
+    for rng, offset, _, wide in _graphs(5 + directed, directed, 12):
         sigma, size = rng.choice((1, 2)), 3
         strategy = rng.choice(list(Strategy))
         offers = RuleBuilder()
@@ -103,17 +107,42 @@ def test_derived_fold_tables_match_fold_mining_and_brute_force(directed):
                 want = apply_rules(fold, RuleTable(rules, direct).select(direct, 0.0),
                                    dedupe_rule_firings=dedupe, track_provenance=True)
                 assert _table_text(got) == _table_text(want)
-                oldold, oldnew = brute_apply_rules(_shift(fold, -OFFSET), rules, dedupe)
-                assert _hex_sorted(got.oldold) == _hex_sorted(_shift_keys(oldold, OFFSET))
-                assert _hex_sorted(got.oldnew) == _hex_sorted(_shift_keys(oldnew, OFFSET))
-    assert lost > 20
+                oldold, oldnew = brute_apply_rules(_shift(fold, -offset), rules, dedupe)
+                assert _hex_sorted(got.oldold) == _hex_sorted(_shift_keys(oldold, offset))
+                assert _hex_sorted(got.oldnew) == _hex_sorted(_shift_keys(oldnew, offset))
+    assert lost > 40
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_candidate_universe_matches_brute_force(directed):
-    for rng, _, wide in _graphs(71 + directed, directed, 15):
+    for rng, _, _, wide in _graphs(71 + directed, directed, 15):
         k = rng.randint(2, min(4, wide.n_edges))
         split = kfold_split(wide, k, seed=rng.randrange(100))[rng.randrange(k)]
         for n_neg in (None, rng.randint(1, 20)):
             assert _decoded(candidate_universe(split, n_neg, seed=3)) \
                 == brute_universe(split, n_neg, seed=3)
+
+
+def _index_nbytes(idx) -> int:
+    """Bytes of every array a ``GraphIndex`` holds, the CSR tables' too."""
+    total = 0
+    for value in vars(idx).values():
+        for item in value.values() if isinstance(value, dict) else [value]:
+            for a in item if isinstance(item, tuple) else [item]:
+                total += a.nbytes if isinstance(a, np.ndarray) else 0
+    return total
+
+
+def test_index_of_sparse_ids_is_sized_by_node_count():
+    """Only ``rank`` and ``node_label`` take an entry per id up to the
+    largest; the rest of the index grows with the node count."""
+    rng = random.Random(3)
+    g = random_multiplex(rng, max_nodes=8, max_layers=3, directed=True, n_edges=12)
+    while g.n_nodes < 8 or len(g.layers) < 3:
+        g = random_multiplex(rng, max_nodes=8, max_layers=3, directed=True, n_edges=12)
+    wide = _shift(g, OFFSETS[1])
+    idx = wide.index()
+    assert idx.width == OFFSETS[1] + 8
+    assert idx.rank.nbytes + idx.node_label.nbytes == 8 * idx.width
+    assert _index_nbytes(idx) <= 10 * 2**20
+    assert _index_nbytes(idx) - 8 * idx.width == _index_nbytes(g.index()) - 8 * g.index().width

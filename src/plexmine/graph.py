@@ -14,6 +14,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 DEFAULT_LABEL = "_"
+# GraphIndex keeps a rank-pair table only while it has at most this many
+# entries per indexed node pair; sparser graphs binary-search the pair keys
+TABLE_ENTRIES_PER_PAIR = 64
 
 EdgeTriple = tuple[int, int, int]  # (u, v, layer)
 
@@ -238,10 +241,20 @@ class GraphIndex:
     uint64 words wide, then a trailing zero row. For the layer at position
     ``p`` of ``layers``, bit ``2p`` of pair ``(u, v)`` says u->v is an edge
     and bit ``2p+1`` says v->u is. Undirected edges set both bits on both
-    orientations. ``pair_pos[rank[u]*(n+1) + rank[v]]`` is the pair's row
-    of ``pair_bits``, or the zero row when no edge joins it; the int32
-    table costs ``4*(n+1)**2`` bytes (1 MB at 500 nodes, 400 MB at 10,000).
-    Node ids passed to the probes must lie in ``[0, width)``, anchors of
+    orientations. ``pair_rows`` finds a pair's row of ``pair_bits``, or
+    the zero row when no edge joins it, in one of two ways, chosen by
+    size. While the ``(n+1)**2`` rank pairs number at most
+    ``TABLE_ENTRIES_PER_PAIR`` (64) per indexed pair, the int32 table
+    ``pair_pos`` maps each rank key ``rank[u]*(n+1) + rank[v]`` to its row
+    with one ``take``; it costs ``4*(n+1)**2`` bytes, at most 256 per pair
+    (15 KB for the 61-node stand-in). A sparser graph keeps instead the
+    sorted keys ``u*width + v`` of its pairs and a sentinel in
+    ``pair_keys`` and binary-searches them, in 8 bytes per pair (keys of
+    ids, not ranks: two fewer gathers per probe, measurably faster on a
+    4,000-node graph). A table would raise the peak RSS of mining that
+    graph (28,726 pairs) from 71 to 132 MB, and take 400 MB at 10,000
+    nodes. The other of ``pair_pos`` and ``pair_keys`` is None. Node ids
+    passed to the probes must lie in ``[0, width)``, anchors of
     ``neighbors_flat`` must be nodes, and ``width`` must fit in int32.
     """
 
@@ -255,7 +268,7 @@ class GraphIndex:
         n = len(self.node_arr)
         self.rank = np.full(W, n, dtype=np.int32)
         self.rank[self.node_arr] = np.arange(n, dtype=np.int32)
-        labels = sorted(set(g.attrs.values()))
+        labels = sorted({g.attrs[n] for n in g.nodes}) if g.nodes else []
         self.labels_list = labels
         self.label_ids = {lab: i for i, lab in enumerate(labels)}
         node_lab = np.array([self.label_ids[g.attrs[int(x)]] for x in self.node_arr],
@@ -294,9 +307,17 @@ class GraphIndex:
         keys, inv = np.unique(keys, return_inverse=True)
         ru, rv = np.divmod(keys, N)
         self.pair_u, self.pair_v = self.node_arr[ru], self.node_arr[rv]
-        # every key without a pair, and every non-node rank, points at the zero row
-        self.pair_pos = np.full(N * N, len(keys), dtype=np.int32)
-        self.pair_pos[keys] = np.arange(len(keys), dtype=np.int32)
+        if N * N <= TABLE_ENTRIES_PER_PAIR * len(keys):
+            # every key without a pair, and every non-node rank, points at the zero row
+            self.pair_pos = np.full(N * N, len(keys), dtype=np.int32)
+            self.pair_pos[keys] = np.arange(len(keys), dtype=np.int32)
+            self.pair_keys = None
+        else:
+            # id keys, ascending as the rank keys are; a trailing sentinel
+            # key, on the zero row, catches every miss
+            self.pair_pos = None
+            self.pair_keys = np.append(self.pair_u.astype(np.int64) * W + self.pair_v,
+                                       np.iinfo(np.int64).max)
         self.pair_bits = np.zeros((len(keys) + 1, self.n_words), dtype=np.uint64)
         np.bitwise_or.at(self.pair_bits, (inv.ravel(), bits >> 6),
                          np.uint64(1) << (bits & 63).astype(np.uint64))
@@ -316,9 +337,14 @@ class GraphIndex:
     def pair_rows(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """The ``pair_bits`` row of each pair (us, vs), in their shape: the
         trailing zero row for a pair with no edge."""
-        key = np.multiply(self.rank.take(us), len(self.node_arr) + 1, dtype=np.int64)
-        key += self.rank.take(vs)
-        return self.pair_pos.take(key)
+        if self.pair_pos is not None:
+            key = np.multiply(self.rank.take(us), len(self.node_arr) + 1, dtype=np.int64)
+            key += self.rank.take(vs)
+            return self.pair_pos.take(key)
+        key = np.multiply(us, self.width, dtype=np.int64) + vs
+        pos = np.searchsorted(self.pair_keys, key)
+        pos[self.pair_keys[pos] != key] = len(self.pair_keys) - 1
+        return pos
 
     def pair_masks(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Bitmask rows (len(us), n_words) of the pairs (us, vs); zero rows

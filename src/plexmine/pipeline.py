@@ -174,8 +174,11 @@ def cross_validate(
     seed: int = 0,
     n_neg: int | None = None,
 ) -> CrossValResult:
-    """k-fold CV: rescore each training fold and evaluate on its test fold."""
-    return CrossValResult.from_reports([
-        evaluate_split(split, [scorer], seed=seed, n_neg=n_neg)
-        for split in kfold_split(g, k, seed)
-    ])
+    """k-fold CV: rescore each training fold and evaluate on its test fold.
+    Each split is dropped once evaluated, so that its training graph and
+    the ``GraphIndex`` cached on it are freed before the next fold."""
+    splits = kfold_split(g, k, seed)
+    reports = []
+    while splits:
+        reports.append(evaluate_split(splits.pop(0), [scorer], seed=seed, n_neg=n_neg))
+    return CrossValResult.from_reports(reports)

@@ -347,11 +347,9 @@ def score_dump(
     table: ScoreTable,
     node_names: dict[int, str] | None = None,
     layer_names: dict[int, str] | None = None,
-    top: int | None = None,
 ) -> str:
-    """TSV dump `u  v-or-NEW  layer  score`, sorted by score descending:
-    the first ``top`` entries, all by default."""
-    return score_text(ranked_rows(table, node_names, layer_names, top))
+    """TSV dump `u  v-or-NEW  layer  score`, sorted by score descending."""
+    return score_text(ranked_rows(table, node_names, layer_names))
 
 
 def explain_text(rows: list[tuple[tuple, float, str]], table: ScoreTable,

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from plexmine import graph
 from plexmine.graph import GraphError, MultiplexGraph, flatten_monoplex
 
 from oracles import random_multiplex
@@ -138,38 +139,45 @@ def _gapped(g: MultiplexGraph, rng: random.Random, offset: int) -> MultiplexGrap
 
 
 @pytest.mark.parametrize("directed", [False, True])
-def test_pair_rows_and_pairs_agree_with_has_edge(directed):
+def test_pair_rows_and_pairs_agree_with_has_edge(directed, monkeypatch):
     """On graphs whose node ids have gaps, ``pair_rows`` gives a joined
     pair its row of ``pair_bits`` and every other pair, ids that are not
     nodes included, the trailing zero row, in its input's shape; ``pairs``
     lists the joined pairs ascending in (u, v), in row order. Every id in
     ``[0, width)`` is probed at offset 0; from 46,341 up, where a product
-    of two ids passes 2**31, the ids from the offset up and a few below."""
+    of two ids passes 2**31, the ids from the offset up and a few below.
+    Each graph is probed both ways: by the sorted keys (no graph is sparse
+    enough for a table at 0 entries per pair) and by the rank-pair table."""
     rng = random.Random(17 + directed)
     for offset in [0] * 20 + [46_341] * 10:
         g = _gapped(random_multiplex(rng, max_nodes=9, max_layers=3, directed=directed),
                     rng, offset)
-        idx = g.index()
-        ids = np.unique(np.r_[0:3, offset:idx.width]).astype(np.int32)
-        zero = len(idx.pair_bits) - 1
+        ids = np.unique(np.r_[0:3, offset:max(g.nodes) + 1]).astype(np.int32)
         us, vs = np.meshgrid(ids, ids, indexing="ij")
-        rows = idx.pair_rows(us, vs)
-        assert rows.shape == us.shape
         edge = {l: np.array([[g.has_edge(int(u), int(v), l) for v in ids] for u in ids])
                 for l in g.layers}
-        joined = np.zeros(us.shape, dtype=bool)
-        for l, pos in idx.layer_pos.items():
-            joined |= edge[l] | edge[l].T
-            word, shift = divmod(2 * pos, 64)
-            bits = idx.pair_bits[rows, word]
-            assert (bits >> np.uint64(shift) & np.uint64(1) == edge[l]).all()
-            assert (bits >> np.uint64(shift + 1) & np.uint64(1) == edge[l].T).all()
-        assert ((rows == zero) == ~joined).all() and not idx.pair_bits[zero].any()
-        pu, pv = idx.pairs()
-        assert len(pu) == zero == joined.sum()
-        assert (pu[rows[joined]] == us[joined]).all() and (pv[rows[joined]] == vs[joined]).all()
-        key = pu.astype(np.int64) * idx.width + pv
-        assert (np.diff(key) > 0).all()
+        for per_pair in (0, 2**31):
+            monkeypatch.setattr(graph, "TABLE_ENTRIES_PER_PAIR", per_pair)
+            idx = graph.GraphIndex(g)
+            zero = len(idx.pair_bits) - 1
+            assert (idx.pair_keys is None) == ((g.n_nodes + 1)**2 <= per_pair * zero)
+            assert (idx.pair_pos is None) != (idx.pair_keys is None)
+            rows = idx.pair_rows(us, vs)
+            assert rows.shape == us.shape
+            joined = np.zeros(us.shape, dtype=bool)
+            for l, pos in idx.layer_pos.items():
+                joined |= edge[l] | edge[l].T
+                word, shift = divmod(2 * pos, 64)
+                bits = idx.pair_bits[rows, word]
+                assert (bits >> np.uint64(shift) & np.uint64(1) == edge[l]).all()
+                assert (bits >> np.uint64(shift + 1) & np.uint64(1) == edge[l].T).all()
+            assert ((rows == zero) == ~joined).all() and not idx.pair_bits[zero].any()
+            pu, pv = idx.pairs()
+            assert len(pu) == zero == joined.sum()
+            assert (pu[rows[joined]] == us[joined]).all()
+            assert (pv[rows[joined]] == vs[joined]).all()
+            key = pu.astype(np.int64) * idx.width + pv
+            assert (np.diff(key) > 0).all()
 
 
 def test_subgraph_of_edges_restricts_nodes():

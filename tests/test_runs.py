@@ -4,15 +4,17 @@ Searches are counted by wrapping ``pattern._canonical_search``, the one
 function that runs a search.
 """
 
+import weakref
+
 import pytest
 
 from plexmine import pattern
 from plexmine.datagen import SynthConfig, generate
-from plexmine.evaluate import kfold_split
+from plexmine.evaluate import kfold_split, sharma_score
 from plexmine.graph import MultiplexGraph
 from plexmine.miner import MiningConfig, mine
 from plexmine.pattern import Strategy
-from plexmine.pipeline import make_rule_scorer, run_mining
+from plexmine.pipeline import cross_validate, make_rule_scorer, run_mining
 from plexmine.rules import RuleBuilder, RuleTable, derive_rules_posthoc
 
 
@@ -85,3 +87,20 @@ def test_shared_memo_changes_no_output():
                     == RuleTable(fresh_sink.result(), fresh).select(fresh, 0.5).rule_set().to_tsv())
             assert (derive_rules_posthoc(shared, 0.5, strategy).to_tsv()
                     == derive_rules_posthoc(fresh, 0.5, strategy).to_tsv())
+
+
+@pytest.mark.parametrize("rules", [False, True])
+def test_cross_validate_frees_each_fold_before_the_next(rules):
+    """The index cached on a scored fold's training graph is freed, with
+    the graph, before the next fold is scored. At k = 10 the rule scorer
+    holds the root's mine, not a fold's."""
+    score = make_rule_scorer(0.25, 3, 0.5) if rules else sharma_score
+    indexes = []
+
+    def scorer(train):
+        assert all(idx() is None for idx in indexes)
+        indexes.append(weakref.ref(train.index()))
+        return score(train)
+
+    cross_validate(_graph(), scorer, k=10, seed=0)
+    assert len(indexes) == 10

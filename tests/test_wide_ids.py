@@ -2,10 +2,10 @@
 with itself passes 2**31, or near 1,000,000.
 
 Node ids are int32, so every product of a node id and the graph width
-must be taken in int64: the first digit of ``matcher.node_set_ids`` and
-the candidate keys of ``predict.encode_keys``. ``GraphIndex`` probes its
-pair table by node rank, so its own products stay below ``(n+1)**2``,
-and only ``rank`` and ``node_label`` grow with the ids. Each graph here
+must be taken in int64: the pair keys that ``GraphIndex`` searches on a
+sparse graph, the first digit of ``matcher.node_set_ids`` and the
+candidate keys of ``predict.encode_keys``. Only ``rank`` and
+``node_label`` in the index grow with the ids. Each graph here
 is a small random graph with every node id shifted up by one of
 ``OFFSETS``. Mining it, deriving its folds from that mine, scoring them
 and enumerating their candidates must agree with the brute-force oracles
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from plexmine.evaluate import candidate_universe, kfold_split
-from plexmine.graph import MultiplexGraph
+from plexmine.graph import TABLE_ENTRIES_PER_PAIR, MultiplexGraph
 from plexmine.miner import MiningConfig, mine, restrict
 from plexmine.pattern import Strategy
 from plexmine.pipeline import run_mining
@@ -146,3 +146,19 @@ def test_index_of_sparse_ids_is_sized_by_node_count():
     assert idx.rank.nbytes + idx.node_label.nbytes == 8 * idx.width
     assert _index_nbytes(idx) <= 10 * 2**20
     assert _index_nbytes(idx) - 8 * idx.width == _index_nbytes(g.index()) - 8 * g.index().width
+
+
+def test_index_of_a_large_sparse_graph_grows_with_its_pairs():
+    """A graph with more than ``TABLE_ENTRIES_PER_PAIR`` rank pairs per
+    indexed pair keeps its sorted pair keys rather than a rank-pair table:
+    a 20,000-node path indexes in under 4 MiB, where the table alone
+    would take 1.6 GB."""
+    n = 20_000
+    g = MultiplexGraph(range(n), [(u, u + 1, 0) for u in range(n - 1)], directed=False)
+    idx = g.index()
+    assert idx.pair_pos is None and len(idx.pair_keys) == len(idx.pairs()[0]) + 1
+    assert len(idx.pair_u) == 2 * (n - 1) and (n + 1)**2 > TABLE_ENTRIES_PER_PAIR * 2 * (n - 1)
+    assert _index_nbytes(idx) < 4 * 2**20
+    ids = np.arange(n, dtype=np.int32)
+    assert idx.has_pairs(ids[:-1], ids[1:], 0).all() and idx.has_pairs(ids[1:], ids[:-1], 0).all()
+    assert not idx.has_pairs(ids[:-2], ids[2:], 0).any()

@@ -28,6 +28,13 @@ Seeds have no parent and try every candidate. A record's inherited
 extensions ride the queue beside it, from its first parent's expansion
 only. The other candidates keep their order, so the records, their
 supports and arrays, and the offers are what an unpruned search finds.
+
+Parents of one level often make the same raw child (the same labels and
+edges in the same node indexing), whose array, support and record do not
+depend on the parent. The queue is FIFO and a child has one more edge
+than its parent, so the miner keeps a table of one level's raw children:
+a repeat is not built, counted or coded, but is still checked against
+its parent's support, marked frequent for inheritance and offered.
 """
 
 from __future__ import annotations
@@ -204,32 +211,45 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
         queue.append((rec, None))
 
     marks = np.zeros(idx.width, dtype=bool)  # scratch for distinct images
+    # the level's raw children so far: (labels, edge bits) -> (support, record or None)
+    level: dict[tuple[tuple[str, ...], int], tuple[int, MinedPattern | None]] = {}
+    n_edges = 0
     while queue:
         parent, inherited = queue.popleft()
+        if len(parent.pattern.edges) > n_edges:  # a new level
+            n_edges = len(parent.pattern.edges)
+            level.clear()
         # filled by this loop, and complete before any child it queues is expanded
         found = _Frequent()
-        for delta, child_embs in _extensions(parent, g, cfg, sigma, marks, inherited):
-            supp_c = mis_support_array(child_embs, sigma, marks)
+        for delta, key, child_embs in _extensions(parent, g, cfg, sigma, marks, inherited,
+                                                  level):
+            if child_embs is None:  # another parent of this level built this child
+                supp_c, rec_c = level[key]
+            else:
+                supp_c, rec_c = mis_support_array(child_embs, sigma, marks), None
             if supp_c > parent.support:
                 raise MiningInvariantError(
                     f"anti-monotonicity violated: child support {supp_c} > "
                     f"parent support {parent.support}"
                 )
             if supp_c < sigma:
+                level[key] = supp_c, None
                 continue
             found.add(delta, idx)
-            child = _record(apply_delta(parent.pattern, delta), supp_c, child_embs,
-                            cfg.strategy, ps.memo)
-            rec_c = ps.get(child.code)
             if rec_c is None:
-                rec_c = child
-                ps.add(rec_c)
-                queue.append((rec_c, (found, delta)))
-            elif rec_c.support != supp_c:
-                raise MiningInvariantError(
-                    f"support mismatch for {child.code.to_string()}: "
-                    f"{rec_c.support} vs {supp_c}"
-                )
+                child = _record(apply_delta(parent.pattern, delta), supp_c, child_embs,
+                                cfg.strategy, ps.memo)
+                rec_c = ps.get(child.code)
+                if rec_c is None:
+                    rec_c = child
+                    ps.add(rec_c)
+                    queue.append((rec_c, (found, delta)))
+                elif rec_c.support != supp_c:
+                    raise MiningInvariantError(
+                        f"support mismatch for {child.code.to_string()}: "
+                        f"{rec_c.support} vs {supp_c}"
+                    )
+                level[key] = supp_c, rec_c
             if rule_sink is not None:
                 rule_sink.offer(parent, rec_c, delta)
     return ps
@@ -400,15 +420,19 @@ class _Frequent:
 
 def _extensions(
     parent: MinedPattern, g: MultiplexGraph, cfg: MiningConfig, sigma: int, marks: np.ndarray,
-    inherited: tuple[_Frequent, Delta] | None,
-) -> Iterator[tuple[Delta, np.ndarray]]:
+    inherited: tuple[_Frequent, Delta] | None, level: dict,
+) -> Iterator[tuple[Delta, tuple[tuple[str, ...], int], np.ndarray | None]]:
     """The single-edge extension candidates with nonempty embedding sets
     that can be frequent.
 
-    Yields (delta, child embeddings); the child pattern is left to the
+    Yields (delta, key, child embeddings); the child pattern is left to the
     caller. Child rows keep the parent's lexicographic row order: a cycle
     closure filters the parent's rows, and a fresh node appends each row's
-    neighbors in ascending order.
+    neighbors in ascending order. The key is the raw child: its node
+    labels and its edges as one int, edge ``(i, j, layer, dirbit)`` at bit
+    ``((i*K + j)*L + p)*2 + dirbit`` for K = ``cfg.max_nodes``, L layers
+    and the layer at position p. A candidate whose key ``level`` holds is
+    yielded with None for embeddings, which are not built.
 
     A fresh-node candidate is yielded only when its new column has at
     least ``sigma`` distinct images, counted exactly on the expansion join
@@ -440,7 +464,10 @@ def _extensions(
     idx = g.index()
     E = parent.embeddings
     k = p.k
-    existing = set(p.edges)
+    K, L = cfg.max_nodes, len(idx.layers)
+    edges = 0
+    for e in p.edges:
+        edges |= 1 << ((e.i * K + e.j) * L + idx.layer_pos[e.layer]) * 2 + e.dirbit
     dirbits = (True, False) if g.directed else (False,)
     if inherited is not None:
         found, made = inherited
@@ -462,13 +489,16 @@ def _extensions(
             present = [int(w) for w in np.bitwise_or.reduce(masks, axis=0)]
             for pos, layer in enumerate(idx.layers):
                 for dirbit in dirbits:
-                    if (i, j, layer, dirbit) in existing:
+                    edge = 1 << ((i * K + j) * L + pos) * 2 + dirbit
+                    if edges & edge:
                         continue
                     bit = 2 * pos + (0 if dirbit else 1)
                     word, flag = bit >> 6, 1 << (bit & 63)
                     if not present[word] & flag or not allowed >> bit & 1:
                         continue
-                    yield Delta(i, j, layer, dirbit), E.compress(masks[:, word] & flag != 0, axis=0)
+                    key = p.node_labels, edges | edge
+                    yield (Delta(i, j, layer, dirbit), key, None if key in level
+                           else E.compress(masks[:, word] & flag != 0, axis=0))
 
     # fresh-node attachments
     if k >= cfg.max_nodes:
@@ -485,12 +515,17 @@ def _extensions(
                 rows, nbrs = attach(idx, E, i, layer, not dirbit)
                 images = np.bincount(idx.node_label[_distinct(nbrs, marks)], minlength=n_labels)
                 lab_ids = idx.node_label[nbrs]
+                edge = 1 << ((i * K + k) * L + pos) * 2 + dirbit
                 for lab_id in np.flatnonzero(images >= sigma):
                     label = idx.labels_list[lab_id]
                     if labels is not None and not labels.get(label, 0) >> bit & 1:
                         continue
+                    key = p.node_labels + (label,), edges | edge
+                    if key in level:
+                        yield Delta(i, None, layer, dirbit, label), key, None
+                        continue
                     m = lab_ids == lab_id
-                    yield (Delta(i, None, layer, dirbit, label),
+                    yield (Delta(i, None, layer, dirbit, label), key,
                            np.column_stack([E[rows[m]], nbrs[m]]))
 
 

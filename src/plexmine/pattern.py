@@ -253,65 +253,103 @@ def _canonical_search(p: Pattern, strategy: Strategy):
     cut. Orderings map code index -> node index; there is one per
     exploration attaining the minimum, so together they carry the
     pattern's canonical automorphisms.
-    """
-    if not p.is_connected():
-        raise PatternError("canonical code requires a connected pattern")
-    k = len(p.node_labels)
-    inc: list[list[int]] = [[] for _ in range(k)]
-    for eidx, e in enumerate(p.edges):
-        inc[e.i].append(eidx)
-        inc[e.j].append(eidx)
-    take, rest = (0, slice(1, None)) if strategy == Strategy.BFS else (-1, slice(None, -1))
 
-    best: list[CodeTuple] | None = None
+    A tuple is one int with the digits src, layer rank, dirbit, label rank
+    and dst, most significant first, each below its own base; ranks keep
+    the order of the pattern's layers and labels, so ints and lists of
+    them compare as tuples and codes do. Emitted edges and the agenda are
+    bitmasks (code indices join the agenda in increasing order, so BFS's
+    front is its lowest bit and DFS's back its highest), ``order`` and
+    ``pos`` are restored on backtrack, and the best code is decoded once.
+    """
+    k = p.k
+    layers = sorted({e.layer for e in p.edges})
+    labels = sorted(set(p.node_labels))
+    flip = len(labels) * k if p.directed else 0  # a dirbit's weight
+    # per node, per incident edge: the edge's bit, the other node, whether
+    # the true edge leaves the node, and the tuple's layer and label digits
+    inc: list[list[tuple[int, int, bool, int]]] = [[] for _ in range(k)]
+    inc_bits = [0] * k
+    node_digit = [labels.index(label) * k for label in p.node_labels]
+    for eidx, (i, j, layer, dirbit) in enumerate(p.edges):
+        bit = 1 << eidx
+        layer_digit = 2 * layers.index(layer) * len(labels) * k
+        inc[i].append((bit, j, dirbit, layer_digit + node_digit[j]))
+        inc[j].append((bit, i, not dirbit, layer_digit + node_digit[i]))
+        inc_bits[i] |= bit
+        inc_bits[j] |= bit
+    src_base = 2 * len(layers) * len(labels) * k
+    bfs = strategy == Strategy.BFS
+    order: list[int] = []
+    pos = [-1] * k
+    tuples: list[int] = []
+    best: list[int] | None = None
     best_orders: list[tuple[int, ...]] = []
 
-    def rec(order, pos, emitted, agenda, tuples, tied):
+    def rec(emitted, agenda, tied, placed, depth):
         nonlocal best, best_orders
-        while agenda and all(e in emitted for e in inc[order[agenda[take]]]):
-            agenda = agenda[rest]
-        if not agenda:
+        while agenda:
+            cur = (agenda & -agenda).bit_length() - 1 if bfs else agenda.bit_length() - 1
+            node = order[cur]
+            if inc_bits[node] & ~emitted:
+                break
+            agenda ^= 1 << cur
+        else:
+            if placed < k:  # only a disconnected pattern leaves a node unreached
+                raise PatternError("canonical code requires a connected pattern")
             if best is None or tuples < best:
-                best = list(tuples)
+                best = tuples.copy()
                 best_orders = [tuple(order)]
             elif tuples == best:
                 best_orders.append(tuple(order))
             return
-        cur = agenda[take]
-        node = order[cur]
-        cands = []
-        for eidx in inc[node]:
-            if eidx in emitted:
+        base = cur * src_base
+        t_min = None
+        for bit, other, out, digits in inc[node]:
+            if emitted & bit:
                 continue
-            e = p.edges[eidx]
-            other = e.j if e.i == node else e.i
-            dst = pos.get(other, len(order))
+            dst = pos[other]
+            if dst < 0:
+                dst = placed
             # the dirbit says the true source has the lower code index
-            src = cur if (e.i if e.dirbit else e.j) == node else dst
-            dirbit = int(p.directed and src == min(cur, dst))
-            cands.append((CodeTuple(cur, e.layer, dirbit, p.node_labels[other], dst), eidx, other))
-        t_min = min(t for t, _, _ in cands)
-        depth = len(tuples)
+            t = base + digits + dst
+            if out == (cur < dst):
+                t += flip
+            if t_min is None or t < t_min:
+                t_min, chosen = t, [(bit, other)]
+            elif t == t_min:
+                chosen.append((bit, other))
         if best is not None and tied:
             if t_min > best[depth]:
                 return
-            tied_next = t_min == best[depth]
-        else:
-            tied_next = tied
-        for t, eidx, other in cands:
-            if t != t_min:
-                continue
-            if t.dst < len(order):
-                rec(order, pos, emitted | {eidx}, agenda, tuples + [t], tied_next)
+            tied = t_min == best[depth]
+        tuples.append(t_min)
+        for bit, other in chosen:
+            if pos[other] >= 0:
+                rec(emitted | bit, agenda, tied, placed, depth + 1)
             else:
-                rec(order + [other], {**pos, other: t.dst}, emitted | {eidx},
-                    agenda + (t.dst,), tuples + [t], tied_next)
+                order.append(other)
+                pos[other] = placed
+                rec(emitted | bit, agenda | 1 << placed, tied, placed + 1, depth + 1)
+                order.pop()
+                pos[other] = -1
+        tuples.pop()
 
-    min_label = min(p.node_labels)
     for root in range(k):
-        if p.node_labels[root] == min_label:
-            rec([root], {root: 0}, frozenset(), (0,), [], best is not None)
-    return tuple(best), tuple(dict.fromkeys(best_orders))
+        if p.node_labels[root] == labels[0]:
+            order.append(root)
+            pos[root] = 0
+            rec(0, 1, best is not None, 1, 0)
+            order.pop()
+            pos[root] = -1
+    code = []
+    for t in best:
+        t, dst = divmod(t, k)
+        t, label = divmod(t, len(labels))
+        t, dirbit = divmod(t, 2)
+        src, layer = divmod(t, len(layers))
+        code.append(CodeTuple(src, layers[layer], dirbit, labels[label], dst))
+    return tuple(code), tuple(dict.fromkeys(best_orders))
 
 
 def _search(p: Pattern, strategy: Strategy, memo: dict | None):

@@ -3,13 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from plexmine import miner
+from plexmine import miner, pattern
 from plexmine.datagen import SynthConfig, generate
 from plexmine.graph import MultiplexGraph
 from plexmine.matcher import match_array
 from plexmine.miner import MiningConfig, MiningError, PatternSet, mine
-from plexmine.pattern import Strategy
+from plexmine.pattern import Strategy, apply_delta, canonical_code
 from plexmine.pipeline import run_mining
+from plexmine.rules import RuleBuilder
 
 from oracles import brute_canonical_key, brute_mine, random_multiplex
 
@@ -77,12 +78,12 @@ def test_inherited_extensions_skip_only_infrequent_candidates(monkeypatch):
     expanded = []
     extensions = miner._extensions
 
-    def recording(parent, g, cfg, sigma, marks, inherited):
+    def recording(parent, g, cfg, sigma, marks, inherited, level):
         tried = []
         expanded.append((parent, tried))
-        for delta, E in extensions(parent, g, cfg, sigma, marks, inherited):
+        for delta, key, E in extensions(parent, g, cfg, sigma, marks, inherited, level):
             tried.append(delta)
-            yield delta, E
+            yield delta, key, E
 
     monkeypatch.setattr(miner, "_extensions", recording)
     rng = random.Random(2501)
@@ -98,7 +99,7 @@ def test_inherited_extensions_skip_only_infrequent_candidates(monkeypatch):
         assert [rec for rec, _ in expanded] == list(ps)
         marks = np.zeros(g.index().width, dtype=bool)
         for rec, tried in expanded:
-            every = dict(extensions(rec, g, cfg, sigma, marks, None))
+            every = {delta: E for delta, _, E in extensions(rec, g, cfg, sigma, marks, None, {})}
             kept = set(tried)
             assert [delta for delta in every if delta in kept] == tried
             for delta in every.keys() - kept:
@@ -107,20 +108,90 @@ def test_inherited_extensions_skip_only_infrequent_candidates(monkeypatch):
     assert skipped > 0
 
 
+class _Offers:
+    def __init__(self):
+        self.offers = []
+
+    def offer(self, parent, child, delta):
+        self.offers.append((parent.code, child.code, child.support, delta))
+
+
+def test_level_table_short_cuts_only_repeated_children(monkeypatch):
+    # a candidate the miner does not build is a raw child that another
+    # parent of its level built, with the support counted then; the
+    # records and the offers are those of a search that builds every child
+    extensions = miner._extensions
+    evaluated = {}  # key -> (raw child, embeddings) of the level being expanded
+    state = {"edges": -1, "short_cuts": 0}
+
+    def checking(parent, g, cfg, sigma, marks, inherited, level):
+        if len(parent.pattern.edges) != state["edges"]:
+            state["edges"] = len(parent.pattern.edges)
+            evaluated.clear()
+        built = {delta: E for delta, _, E in
+                 extensions(parent, g, cfg, sigma, marks, inherited, {})}
+        for delta, key, E in extensions(parent, g, cfg, sigma, marks, inherited, level):
+            child = apply_delta(parent.pattern, delta)
+            if E is None:
+                state["short_cuts"] += 1
+                first, first_E = evaluated[key]
+                assert first == child
+                assert np.array_equal(first_E, built[delta])
+                support, rec = level[key]
+                assert support == miner.mis_support_array(built[delta], sigma, marks)
+                assert (rec is None) == (support < sigma)
+                assert rec is None or rec.code == canonical_code(child, cfg.strategy)
+            else:
+                assert key not in evaluated and np.array_equal(E, built[delta])
+                evaluated[key] = child, E
+            yield delta, key, E
+
+    def building(parent, g, cfg, sigma, marks, inherited, level):
+        return extensions(parent, g, cfg, sigma, marks, inherited, {})
+
+    rng = random.Random(2801)
+    for trial in range(48):
+        g = random_multiplex(rng, max_nodes=7, max_layers=3, max_labels=3,
+                             directed=trial % 2 == 1)
+        sigma = rng.choice((1, 2, 3))
+        cfg = MiningConfig(sigma, 2 + trial // 2 % 4, list(Strategy)[trial // 8 % 2])
+        runs = []
+        for ext in (checking, building):
+            monkeypatch.setattr(miner, "_extensions", ext)
+            sink = _Offers()
+            state["edges"] = -1
+            ps = mine(g, cfg, rule_sink=sink)
+            runs.append((ps, sink.offers))
+        (ps, offers), (every_ps, every_offers) = runs
+        assert _mined_by_brute_key(ps) == brute_mine(g, sigma, cfg.max_nodes)
+        assert offers == every_offers
+        assert [(rec.code, rec.support) for rec in ps] == [
+            (rec.code, rec.support) for rec in every_ps]
+        assert all(np.array_equal(a.embeddings, b.embeddings) for a, b in zip(ps, every_ps))
+    assert state["short_cuts"] > 0
+
+
 def test_standin_mine_counts_support_of_inherited_candidates_only(monkeypatch):
     # the criterion-5 stand-in: without inheritance the search counts the
-    # support of 26,571 candidates, with it 12,301, for the same output
-    calls = []
-    support = miner.mis_support_array
+    # support of 26,571 candidates, with it 12,301, and with each level's
+    # repeated children taken from the level's table 8,226, for the same
+    # output; the 3,071 distinct raw children are coded once each
+    calls = {"support": 0, "code": 0, "search": 0, "offer": 0}
 
-    def counting(*args):
-        calls.append(None)
-        return support(*args)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(miner, "mis_support_array", counting)
+    monkeypatch.setattr(miner, "mis_support_array", counting("support", miner.mis_support_array))
+    monkeypatch.setattr(miner, "canonical_code", counting("code", miner.canonical_code))
+    monkeypatch.setattr(pattern, "_canonical_search",
+                        counting("search", pattern._canonical_search))
+    monkeypatch.setattr(RuleBuilder, "offer", counting("offer", RuleBuilder.offer))
     g = generate(SynthConfig(n=61, layers=5, avg_degree=4, n_labels=1, seed=11))
     run = run_mining(g, 0.4, 4, 0.5)
-    assert len(calls) <= 12_301
+    assert calls == {"support": 8_226, "code": 3_071, "search": 3_071, "offer": 4_415}
     assert (len(run.patterns), len(run.rules)) == (1032, 2933)
 
 

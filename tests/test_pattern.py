@@ -54,6 +54,13 @@ def test_disconnected_pattern_rejected():
     p = Pattern(False, ("x", "y", "z"), (PatternEdge(0, 1, 0, False),))
     with pytest.raises(PatternError):
         canonical_code(p)
+    # two components whose explorations share a first tuple
+    p = Pattern(False, ("a", "b", "a", "b", "b"),
+                (PatternEdge(0, 1, 0, False), PatternEdge(2, 3, 0, False),
+                 PatternEdge(2, 4, 0, False)))
+    for strategy in Strategy:
+        with pytest.raises(PatternError):
+            canonical_code(p, strategy)
 
 
 def test_pattern_validation():
@@ -137,6 +144,42 @@ def test_code_form_is_pinned(p, bfs, dfs):
         code = canonical_code(p, strategy)
         assert code.to_string() == text
         assert CanonicalCode.from_string(text) == code
+
+
+# the canonical orderings of each PINNED_CODES pattern under BFS and DFS,
+# in discovery order; ``RuleTable.columns`` reads the first
+PINNED_ORDERINGS = [
+    (((1, 0, 2, 3),), ((0, 1, 2, 3),)),
+    (((1, 2, 3, 0), (1, 3, 2, 0)), ((1, 0, 2, 3), (1, 0, 3, 2))),
+    (((0, 1, 2),), ((0, 1, 2),)),
+    (((1, 0, 2),), ((1, 0, 2),)),
+    (((1, 0, 2), (1, 2, 0)), ((1, 0, 2), (1, 2, 0))),
+]
+
+
+def test_orderings_of_pinned_codes_are_pinned():
+    assert [(canonical_orderings(p, Strategy.BFS), canonical_orderings(p, Strategy.DFS))
+            for p, _, _ in PINNED_CODES] == PINNED_ORDERINGS
+
+
+@pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.DFS])
+@pytest.mark.parametrize("directed", [False, True])
+def test_canonical_orderings_are_every_permutation_onto_the_code(strategy, directed):
+    # an ordering maps code index -> node index; the orderings are exactly
+    # the permutations that carry the pattern onto its code's pattern
+    rng = random.Random(2803 if directed else 2807)
+    for _ in range(1500):
+        p = random_connected_pattern(rng, max_nodes=5, n_layers=rng.randint(1, 3),
+                                     directed=directed)
+        target = canonical_code(p, strategy).pattern
+        onto = set()
+        for order in itertools.permutations(range(p.k)):
+            inverse = [0] * p.k
+            for ci, node in enumerate(order):
+                inverse[node] = ci
+            if p.relabeled(tuple(inverse)) == target:
+                onto.add(order)
+        assert set(canonical_orderings(p, strategy)) == onto
 
 
 def test_apply_delta_node_and_cycle():

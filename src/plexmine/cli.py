@@ -5,9 +5,10 @@ outputs go to stdout or --out files, and --timings tables go to stderr
 (or --timings-out) so the streams never interleave.
 
 `evaluate` runs one path for every split, the single --temporal split or
-each --kfold fold: ``pipeline.evaluate_split`` scores the training graph
-with each method, adds the --scores-tsv dumps, and combines the tables in
-an ensemble whenever there are two or more of them.
+each --kfold fold: ``pipeline.evaluate_splits`` runs ``evaluate_split``
+on each split in turn, which scores the training graph with each method,
+adds the --scores-tsv dumps, and combines the tables in an ensemble
+whenever there are two or more of them.
 
 Exit codes: 1 input parse error or a file that cannot be read or
 written, 2 invalid parameters, 3 internal assertion failure.
@@ -27,7 +28,7 @@ from .graph import GraphError, flatten_monoplex
 from .io import ParseError, load_multiplex, load_temporal, save_multiplex
 from .miner import MiningConfig, MiningError, MiningInvariantError
 from .pattern import PatternError, Strategy
-from .pipeline import CrossValResult, evaluate_split, make_rule_scorer, run_mining
+from .pipeline import CrossValResult, evaluate_splits, make_rule_scorer, run_mining
 from .predict import apply_rules, explain_text, load_score_dump, ranked_rows, score_text
 from .rules import DEFAULT_MIN_CONFIDENCE, RuleSet, RuleTable
 from .signed import SignMap, SignedError, frustration_report
@@ -201,18 +202,6 @@ def _n_neg_arg(args) -> int | None:
     raise EvalError(f"--universe must be full or sampled:N, got {args.universe!r}")
 
 
-def _print_cv(result: CrossValResult, out_path: str | None) -> None:
-    lines = []
-    for i, rep in enumerate(result.fold_reports):
-        segs = "\t".join(
-            f"{seg.value}={'' if a is None else f'{a:.6f}'}"
-            for seg, a in rep.segment_aucs.items()
-        )
-        lines.append(f"fold{i}\tauc={rep.auc:.6f}\t{segs}")
-    lines.append(f"mean\tauc={result.mean_auc:.6f}")
-    _out(out_path, "\n".join(lines) + "\n")
-
-
 def cmd_evaluate(args) -> int:
     if args.keep_layers and not args.monoplex:
         raise EvalError("--keep-layers needs --monoplex")
@@ -244,15 +233,12 @@ def cmd_evaluate(args) -> int:
     tables = [load_score_dump(path, g) for path in args.scores_tsv or []]
     if not args.temporal:
         splits = kfold_split(g, 10 if args.kfold is None else args.kfold, args.seed)
-    reports = [
-        evaluate_split(split, scorers, tables, optimize=args.ensemble_mode == "opt",
-                       seed=args.seed, n_neg=n_neg)
-        for split in splits
-    ]
+    reports = evaluate_splits(splits, scorers, tables, optimize=args.ensemble_mode == "opt",
+                              seed=args.seed, n_neg=n_neg)
     if args.temporal:
         _out(args.out, reports[0].to_tsv())
     else:
-        _print_cv(CrossValResult.from_reports(reports), args.out)
+        _out(args.out, CrossValResult.from_reports(reports).to_tsv())
     return 0
 
 

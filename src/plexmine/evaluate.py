@@ -383,7 +383,6 @@ def ensemble(
     optimize: bool = False,
     seed: int = 0,
     scorers: Sequence[Scorer] | None = None,
-    restarts: int = ENSEMBLE_RESTARTS,
 ) -> EnsembleResult:
     """Combine z-normalized score tables with (optionally tuned) weights.
 
@@ -391,7 +390,8 @@ def ensemble(
     candidates count as its baseline), then summed with unit-norm weights.
     With ``optimize`` the weights maximize AUC on an internal re-split of
     the training edges, which requires ``scorers``: one callback per table
-    to rebuild it on the internal training graph. The held-out test set is
+    to rebuild it on the internal training graph, and the weight climb
+    takes ``ENSEMBLE_RESTARTS`` starts. The held-out test set is
     never touched. The result carries the universe it built, so the caller
     can score the combined table without building it again.
     """
@@ -404,7 +404,7 @@ def ensemble(
     if optimize:
         if scorers is None or len(scorers) != m:
             raise EvalError("optimize=True needs one scorer callback per table")
-        w, internal_auc = _optimize_on_internal_split(split, scorers, seed, restarts)
+        w, internal_auc = _optimize_on_internal_split(split, scorers, seed)
     else:
         w = np.ones(m) / math.sqrt(m)
     combined = Z @ w
@@ -426,7 +426,7 @@ def _standardized(uni: Universe, tables: Sequence[ScoreTable]):
     return (X - mu) / sd, mu, sd
 
 
-def _optimize_on_internal_split(split, scorers, seed, restarts):
+def _optimize_on_internal_split(split, scorers, seed):
     edges = sorted(split.train.edges)
     rng = random.Random(seed)
     rng.shuffle(edges)
@@ -441,7 +441,7 @@ def _optimize_on_internal_split(split, scorers, seed, restarts):
     if labels.sum() == 0 or labels.sum() == len(labels):
         raise EvalError("internal split produced no usable positives/negatives")
     Zi, _, _ = _standardized(inner_uni, [scorer(inner_train) for scorer in scorers])
-    return _hill_climb_weights(Zi, labels, seed, restarts)
+    return _hill_climb_weights(Zi, labels, seed, ENSEMBLE_RESTARTS)
 
 
 def _hill_climb_weights(Z: np.ndarray, labels: np.ndarray, seed: int, restarts: int):

@@ -10,31 +10,29 @@ Duplicates are pruned by canonical-code lookup, and every frequent
 search runs.
 
 Minimum-image support is anti-monotone: a pattern's support is at most
-that of any connected pattern inside it. The search uses this three
-ways, each skipping only candidates that are infrequent:
+that of any connected pattern inside it. The search uses this two ways,
+each skipping only candidates that are infrequent:
 
 - the label bound: a fresh node needs ``sigma`` distinct images of its
   label on the join;
-- rule A: a record C created from P by one edge tries, on P's nodes, only
-  the closures and attachments that were frequent extensions of P, since
-  C + e holds the connected pattern P + e;
-- rule B: where C attached a node n labeled l to P, a closure between n
-  and a node b is tried only if attaching a node labeled l to b, in the
-  same layer and direction, was a frequent extension of P, since
-  dropping C's attaching edge from C + (b, n) leaves that attachment,
-  still connected.
+- inheritance: where a record P created the record C by the edge d, a
+  candidate C + e is tried only if its subpattern, C + e without d and
+  without C's fresh node when d was that node's only edge, is a frequent
+  raw child of C's level, whose finished table holds every frequent raw
+  child of P.
 
-Seeds have no parent and try every candidate. A record's inherited
-extensions ride the queue beside it, from its first parent's expansion
-only. The other candidates keep their order, so the records, their
-supports and arrays, and the offers are what an unpruned search finds.
+Seeds have no creator and try every candidate, and so do attachments to
+C's fresh node, which dropping d would cut off. The other candidates keep
+their order, so the records, their supports and arrays, and the offers
+are what an unpruned search finds.
 
 Parents of one level often make the same raw child (the same labels and
 edges in the same node indexing), whose array, support and record do not
 depend on the parent. The queue is FIFO and a child has one more edge
-than its parent, so the miner keeps a table of one level's raw children:
-a repeat is not built, counted or coded, but is still checked against
-its parent's support, marked frequent for inheritance and offered.
+than its parent, so the miner keeps one table per level, of its raw
+children: a repeat is not built, counted or coded, but is still checked
+against its parent's support and offered. When the next level starts,
+the table's frequent keys are all that inheritance reads.
 """
 
 from __future__ import annotations
@@ -197,9 +195,9 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
     sigma = cfg.resolve_support(g)
     idx = g.index()
     ps = PatternSet(g, sigma, {} if memo is None else memo)
-    # a record rides the queue with what its creator found frequent and
-    # the delta that created it; a seed has no creator and tries everything
-    queue: deque[tuple[MinedPattern, tuple[_Frequent, Delta] | None]] = deque()
+    # a record rides the queue with the delta that created it; a seed has
+    # no creator and tries everything
+    queue: deque[tuple[MinedPattern, Delta | None]] = deque()
 
     for label in sorted(set(g.attrs.values())):
         members = idx.nodes_by_label[label]
@@ -213,16 +211,16 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
     marks = np.zeros(idx.width, dtype=bool)  # scratch for distinct images
     # the level's raw children so far: (labels, edge bits) -> (support, record or None)
     level: dict[tuple[tuple[str, ...], int], tuple[int, MinedPattern | None]] = {}
+    frequent: set[tuple[tuple[str, ...], int]] = set()  # of the finished level
     n_edges = 0
     while queue:
-        parent, inherited = queue.popleft()
+        parent, made = queue.popleft()
         if len(parent.pattern.edges) > n_edges:  # a new level
             n_edges = len(parent.pattern.edges)
-            level.clear()
-        # filled by this loop, and complete before any child it queues is expanded
-        found = _Frequent()
-        for delta, key, child_embs in _extensions(parent, g, cfg, sigma, marks, inherited,
-                                                  level):
+            frequent = {key for key, (_, rec) in level.items() if rec is not None}
+            level = {}
+        for delta, key, child_embs in _extensions(parent, g, cfg, sigma, marks, made, level,
+                                                  frequent):
             if child_embs is None:  # another parent of this level built this child
                 supp_c, rec_c = level[key]
             else:
@@ -235,7 +233,6 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
             if supp_c < sigma:
                 level[key] = supp_c, None
                 continue
-            found.add(delta, idx)
             if rec_c is None:
                 child = _record(apply_delta(parent.pattern, delta), supp_c, child_embs,
                                 cfg.strategy, ps.memo)
@@ -243,7 +240,7 @@ def mine(g: MultiplexGraph, cfg: MiningConfig, rule_sink: RuleSink | None = None
                 if rec_c is None:
                     rec_c = child
                     ps.add(rec_c)
-                    queue.append((rec_c, (found, delta)))
+                    queue.append((rec_c, delta))
                 elif rec_c.support != supp_c:
                     raise MiningInvariantError(
                         f"support mismatch for {child.code.to_string()}: "
@@ -397,30 +394,9 @@ def _record(pattern: Pattern, support: int, E: np.ndarray, strategy: Strategy,
                         canonical_orderings(pattern, strategy, memo))
 
 
-class _Frequent:
-    """The frequent single-edge extensions found while expanding one
-    record, in its node indexing, as ``GraphIndex.pair_bits`` bits (bit
-    ``2p + (0 if dirbit else 1)`` for the layer at position p):
-    ``closures[i, j]`` of the cycle closures between nodes i < j, and
-    ``attachments[i][label]`` of the attachments of a fresh node labeled
-    ``label`` to node i."""
-
-    def __init__(self):
-        self.closures: dict[tuple[int, int], int] = {}
-        self.attachments: dict[int, dict[str, int]] = {}
-
-    def add(self, delta: Delta, idx: GraphIndex) -> None:
-        bit = 1 << 2 * idx.layer_pos[delta.layer] + (0 if delta.dirbit else 1)
-        if delta.j is None:
-            at = self.attachments.setdefault(delta.i, {})
-            at[delta.new_label] = at.get(delta.new_label, 0) | bit
-        else:
-            self.closures[delta.i, delta.j] = self.closures.get((delta.i, delta.j), 0) | bit
-
-
 def _extensions(
     parent: MinedPattern, g: MultiplexGraph, cfg: MiningConfig, sigma: int, marks: np.ndarray,
-    inherited: tuple[_Frequent, Delta] | None, level: dict,
+    made: Delta | None, level: dict, frequent: set,
 ) -> Iterator[tuple[Delta, tuple[tuple[str, ...], int], np.ndarray | None]]:
     """The single-edge extension candidates with nonempty embedding sets
     that can be frequent.
@@ -440,25 +416,21 @@ def _extensions(
     any one column's count. ``marks`` is the scratch array of
     ``mis_support_array``, left all False at every yield.
 
-    ``inherited`` is what the record P that first created ``parent`` (C)
-    found frequent, with the delta that made C from P; C keeps P's node
-    indices, and a fresh node of C takes the next one. Since a pattern's
-    support is at most that of any connected pattern inside it, a
-    candidate C + e is tried only if no such subpattern is known to be
-    infrequent:
-
-    - rule A: a closure or attachment e on P's nodes is tried only if
-      P + e was a frequent extension of P, as C + e holds P + e;
-    - rule B: where C attached node n labeled l to P, a closure (b, n) is
-      tried only if attaching a node labeled l to b, in the closure's
-      layer and direction, was a frequent extension of P, as dropping C's attaching edge from C + (b, n)
-      leaves exactly that attachment, still connected (b may be the
-      anchor: a parallel edge).
-
-    Both rules skip infrequent candidates only and keep the others' order.
-    A node pair with no allowed bit is not probed, and an anchor with no
-    allowed attachment is not joined. With ``inherited`` None (a seed)
-    every candidate is tried.
+    ``made`` is the delta by which the record P that first created
+    ``parent`` (C) made it, or None for a seed, and ``frequent`` holds the
+    keys of the frequent raw children of C's level. C keeps P's node
+    indices, and a fresh node of C takes the next one. The subpattern of
+    a candidate C + e is C + e without the edge ``made``, and without C's
+    fresh node when no remaining edge touches it (a fresh node of C + e
+    then takes index P.k). It is a connected raw child of P, except for an
+    attachment to C's fresh node, whose subpattern is cut off. P tried it
+    unless it is infrequent or has no embedding, and C + e, which holds
+    it, can be frequent only if it is. So C + e is tried only if its
+    subpattern's key is in ``frequent``, save that a seed tries every
+    candidate and an attachment to C's fresh node is always tried. The
+    rule keeps the candidates' order. A node pair with no allowed
+    candidate is not probed, and an anchor with no allowed attachment is
+    not joined.
     """
     p = parent.pattern
     idx = g.index()
@@ -469,48 +441,53 @@ def _extensions(
     for e in p.edges:
         edges |= 1 << ((e.i * K + e.j) * L + idx.layer_pos[e.layer]) * 2 + e.dirbit
     dirbits = (True, False) if g.directed else (False,)
-    if inherited is not None:
-        found, made = inherited
-        fresh = k - 1 if made.j is None else None  # the node C attached to P
+    fresh = None  # C's node that ``made`` attached
+    if made is not None:
+        # P's raw child C, less its edge ``made``: P's labels and edges
+        fresh = k - 1 if made.j is None else None
+        sub_labels = p.node_labels if fresh is None else p.node_labels[:fresh]
+        sub_edges = edges & ~(1 << ((made.i * K + (made.j if fresh is None else fresh)) * L
+                                    + idx.layer_pos[made.layer]) * 2 + made.dirbit)
 
     # cycle closures (including parallel edges between the same pair): one
     # pair-index probe per node pair serves every layer and direction
     for i in range(k):
         for j in range(i + 1, k):
-            if inherited is None:
-                allowed = -1  # every bit
-            elif j == fresh:
-                allowed = found.attachments.get(i, {}).get(made.new_label, 0)
-            else:
-                allowed = found.closures.get((i, j), 0)
-            if not allowed:
-                continue
-            masks = idx.pair_masks(E[:, i], E[:, j])
-            present = [int(w) for w in np.bitwise_or.reduce(masks, axis=0)]
+            # a closure to the fresh node keeps it, as an attachment to P
+            labels = p.node_labels if made is None or j == fresh else sub_labels
+            tries = []
             for pos, layer in enumerate(idx.layers):
                 for dirbit in dirbits:
                     edge = 1 << ((i * K + j) * L + pos) * 2 + dirbit
-                    if edges & edge:
-                        continue
-                    bit = 2 * pos + (0 if dirbit else 1)
-                    word, flag = bit >> 6, 1 << (bit & 63)
-                    if not present[word] & flag or not allowed >> bit & 1:
-                        continue
-                    key = p.node_labels, edges | edge
-                    yield (Delta(i, j, layer, dirbit), key, None if key in level
-                           else E.compress(masks[:, word] & flag != 0, axis=0))
+                    if not edges & edge and (made is None
+                                             or (labels, sub_edges | edge) in frequent):
+                        tries.append((layer, dirbit, edge, 2 * pos + (0 if dirbit else 1)))
+            if not tries:
+                continue
+            masks = idx.pair_masks(E[:, i], E[:, j])
+            present = [int(w) for w in np.bitwise_or.reduce(masks, axis=0)]
+            for layer, dirbit, edge, bit in tries:
+                word, flag = bit >> 6, 1 << (bit & 63)
+                if not present[word] & flag:
+                    continue
+                key = p.node_labels, edges | edge
+                yield (Delta(i, j, layer, dirbit), key, None if key in level
+                       else E.compress(masks[:, word] & flag != 0, axis=0))
 
     # fresh-node attachments
     if k >= cfg.max_nodes:
         return
     n_labels = len(idx.labels_list)
     for i in range(k):
-        labels = None if inherited is None or i == fresh else found.attachments.get(i, {})
         for pos, layer in enumerate(idx.layers):
             for dirbit in dirbits:
-                bit = 2 * pos + (0 if dirbit else 1)
-                if labels is not None and not any(bits >> bit & 1 for bits in labels.values()):
-                    continue
+                allowed = None  # every label
+                if made is not None and i != fresh:
+                    sub_edge = 1 << ((i * K + len(sub_labels)) * L + pos) * 2 + dirbit
+                    allowed = {label for label in idx.labels_list
+                               if (sub_labels + (label,), sub_edges | sub_edge) in frequent}
+                    if not allowed:
+                        continue
                 # new -> anchor (dirbit False) follows the anchor's in-edges
                 rows, nbrs = attach(idx, E, i, layer, not dirbit)
                 images = np.bincount(idx.node_label[_distinct(nbrs, marks)], minlength=n_labels)
@@ -518,7 +495,7 @@ def _extensions(
                 edge = 1 << ((i * K + k) * L + pos) * 2 + dirbit
                 for lab_id in np.flatnonzero(images >= sigma):
                     label = idx.labels_list[lab_id]
-                    if labels is not None and not labels.get(label, 0) >> bit & 1:
+                    if allowed is not None and label not in allowed:
                         continue
                     key = p.node_labels + (label,), edges | edge
                     if key in level:

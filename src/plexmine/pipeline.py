@@ -157,6 +157,24 @@ def evaluate_split(
                    uni=res.universe if n_neg is None else None)
 
 
+def evaluate_splits(
+    splits: list[Split],
+    scorers: Sequence[Scorer],
+    tables: Sequence[ScoreTable] = (),
+    optimize: bool = False,
+    seed: int = 0,
+    n_neg: int | None = None,
+) -> list[EvalReport]:
+    """``evaluate_split`` on each of ``splits`` in order, with the same
+    arguments. Each split is popped from the list before it is evaluated,
+    so that its training graph and the ``GraphIndex`` cached on it are
+    freed before the next split is scored."""
+    reports = []
+    while splits:
+        reports.append(evaluate_split(splits.pop(0), scorers, tables, optimize, seed, n_neg))
+    return reports
+
+
 @dataclass
 class CrossValResult:
     fold_reports: list[EvalReport]
@@ -166,6 +184,18 @@ class CrossValResult:
     def from_reports(cls, reports: list[EvalReport]) -> "CrossValResult":
         return cls(fold_reports=reports, mean_auc=sum(r.auc for r in reports) / len(reports))
 
+    def to_tsv(self) -> str:
+        """One line per fold, with its AUC and segment AUCs, then the mean."""
+        lines = []
+        for i, rep in enumerate(self.fold_reports):
+            segs = "\t".join(
+                f"{seg.value}={'' if a is None else f'{a:.6f}'}"
+                for seg, a in rep.segment_aucs.items()
+            )
+            lines.append(f"fold{i}\tauc={rep.auc:.6f}\t{segs}")
+        lines.append(f"mean\tauc={self.mean_auc:.6f}")
+        return "\n".join(lines) + "\n"
+
 
 def cross_validate(
     g: MultiplexGraph,
@@ -174,11 +204,7 @@ def cross_validate(
     seed: int = 0,
     n_neg: int | None = None,
 ) -> CrossValResult:
-    """k-fold CV: rescore each training fold and evaluate on its test fold.
-    Each split is dropped once evaluated, so that its training graph and
-    the ``GraphIndex`` cached on it are freed before the next fold."""
-    splits = kfold_split(g, k, seed)
-    reports = []
-    while splits:
-        reports.append(evaluate_split(splits.pop(0), [scorer], seed=seed, n_neg=n_neg))
-    return CrossValResult.from_reports(reports)
+    """k-fold CV: rescore each training fold and evaluate on its test fold
+    (``evaluate_splits``)."""
+    return CrossValResult.from_reports(
+        evaluate_splits(kfold_split(g, k, seed), [scorer], seed=seed, n_neg=n_neg))

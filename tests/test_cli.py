@@ -1,13 +1,14 @@
 import io
 import random
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plexmine import evaluate, predict
+from plexmine import cli, evaluate, predict
 from plexmine.cli import _support_arg, main
 from plexmine.evaluate import kfold_split, sharma_score, temporal_split
 from plexmine.io import load_multiplex, load_temporal
@@ -445,6 +446,32 @@ def test_evaluate_kfold_prints_evaluate_split_per_fold(small_graph, flags, repor
                              "--support", "25%", "--size", "3", *flags)
     assert code == 0, err
     assert out == _cv_text(reports(load_multiplex(small_graph + ".edges")))
+
+
+@pytest.mark.parametrize("methods", [("--method", "sharma"), ("--method", "rules"),
+                                     ("--ensemble", "rules,sharma")])
+def test_evaluate_frees_each_fold_before_the_next(small_graph, monkeypatch, methods):
+    """The index cached on a scored fold's training graph is freed, with
+    the graph, before the next fold is scored."""
+    indexes = []
+    method_scorer = cli._method_scorer
+
+    def tracking(name, args):
+        score = method_scorer(name, args)
+
+        def scorer(train):
+            idx = train.index()
+            assert all(ref() is None or ref() is idx for ref in indexes)
+            indexes.append(weakref.ref(idx))
+            return score(train)
+
+        return scorer
+
+    monkeypatch.setattr(cli, "_method_scorer", tracking)
+    code, out, err = run_cli("evaluate", small_graph + ".edges", "--kfold", "10", "--seed", "1",
+                             "--support", "25%", "--size", "3", *methods)
+    assert code == 0, err
+    assert len(indexes) == 10 * len(methods[1].split(","))
 
 
 @pytest.mark.parametrize("with_dump", [False, True])

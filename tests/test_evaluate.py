@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from plexmine import evaluate
 from plexmine.datagen import SynthConfig, generate
 from plexmine.evaluate import (
     EvalError,
@@ -467,7 +468,8 @@ def test_ensemble_optimize_requires_scorers():
         ensemble([t, t], split, optimize=True)
 
 
-def test_ensemble_optimized_recovers_planted_signal():
+def test_ensemble_optimized_recovers_planted_signal(monkeypatch):
+    monkeypatch.setattr(evaluate, "ENSEMBLE_RESTARTS", 10)
     g = generate(SynthConfig(n=50, layers=2, avg_degree=4, n_labels=1, seed=8))
     split = kfold_split(g, 5, seed=1)[0]
 
@@ -494,7 +496,7 @@ def test_ensemble_optimized_recovers_planted_signal():
 
     tables = [perfect(split.train), noise(split.train)]
     res = ensemble(tables, split, optimize=True, seed=4,
-                   scorers=[perfect, noise], restarts=10)
+                   scorers=[perfect, noise])
     assert res.internal_auc is not None
     perfect_only = roc_auc(tables[0], split).auc
     combined = roc_auc(res.table, split).auc

@@ -8,11 +8,11 @@ from plexmine.datagen import SynthConfig, generate
 from plexmine.graph import MultiplexGraph
 from plexmine.matcher import match_array
 from plexmine.miner import MiningConfig, MiningError, PatternSet, mine
-from plexmine.pattern import Strategy, apply_delta, canonical_code
+from plexmine.pattern import Pattern, PatternEdge, Strategy, apply_delta, canonical_code
 from plexmine.pipeline import run_mining
 from plexmine.rules import RuleBuilder
 
-from oracles import brute_canonical_key, brute_mine, random_multiplex
+from oracles import brute_canonical_key, brute_mine, brute_mis, random_multiplex
 
 
 def _mined_by_brute_key(ps: PatternSet) -> dict:
@@ -78,10 +78,10 @@ def test_inherited_extensions_skip_only_infrequent_candidates(monkeypatch):
     expanded = []
     extensions = miner._extensions
 
-    def recording(parent, g, cfg, sigma, marks, inherited, level):
+    def recording(parent, g, cfg, sigma, marks, made, level, frequent):
         tried = []
         expanded.append((parent, tried))
-        for delta, key, E in extensions(parent, g, cfg, sigma, marks, inherited, level):
+        for delta, key, E in extensions(parent, g, cfg, sigma, marks, made, level, frequent):
             tried.append(delta)
             yield delta, key, E
 
@@ -99,13 +99,82 @@ def test_inherited_extensions_skip_only_infrequent_candidates(monkeypatch):
         assert [rec for rec, _ in expanded] == list(ps)
         marks = np.zeros(g.index().width, dtype=bool)
         for rec, tried in expanded:
-            every = {delta: E for delta, _, E in extensions(rec, g, cfg, sigma, marks, None, {})}
+            every = {delta: E for delta, _, E in
+                     extensions(rec, g, cfg, sigma, marks, None, {}, set())}
             kept = set(tried)
             assert [delta for delta in every if delta in kept] == tried
             for delta in every.keys() - kept:
                 assert miner.mis_support_array(every[delta], sigma, marks) < sigma
                 skipped += 1
     assert skipped > 0
+
+
+def _subpattern(child: Pattern, made, k: int) -> Pattern | None:
+    """``child`` = C + e for a record C of ``k`` nodes that the delta
+    ``made`` created: C + e without ``made``'s edge, and without C's fresh
+    node when no remaining edge touches it; None when what remains is not
+    connected."""
+    fresh = k - 1 if made.j is None else None
+    drop = PatternEdge(made.i, fresh if fresh is not None else made.j, made.layer, made.dirbit)
+    labels, edges = child.node_labels, [e for e in child.edges if e != drop]
+    if fresh is not None and all(fresh not in (e.i, e.j) for e in edges):
+        labels = labels[:fresh] + labels[fresh + 1:]
+        edges = [PatternEdge(*(n - (n > fresh) for n in (e.i, e.j)), e.layer, e.dirbit)
+                 for e in edges]
+    reached, grown = {0}, True
+    while grown:
+        grown = False
+        for e in edges:
+            if (e.i in reached) != (e.j in reached):
+                reached |= {e.i, e.j}
+                grown = True
+    return Pattern(child.directed, labels, tuple(edges)) if len(reached) == len(labels) else None
+
+
+def test_inheritance_tries_the_candidates_whose_subpattern_is_frequent(monkeypatch):
+    # a record C that the delta d created tries, in order, exactly the
+    # unpruned candidates C + e whose subpattern (C + e without d, and
+    # without C's fresh node when d was its only edge) has brute-force
+    # support of at least sigma; a seed, and an attachment to C's fresh
+    # node, whose subpattern is cut off, try everything
+    expanded = []
+    extensions = miner._extensions
+
+    def recording(parent, g, cfg, sigma, marks, made, level, frequent):
+        tried = []
+        expanded.append((parent, made, tried))
+        for delta, key, E in extensions(parent, g, cfg, sigma, marks, made, level, frequent):
+            tried.append(delta)
+            yield delta, key, E
+
+    monkeypatch.setattr(miner, "_extensions", recording)
+    rng = random.Random(2901)
+    checked = skipped = 0
+    for trial in range(48):
+        g = random_multiplex(rng, max_nodes=7, max_layers=3, max_labels=3,
+                             directed=trial % 2 == 1)
+        sigma = 1 + trial // 16
+        cfg = MiningConfig(sigma, 2 + trial // 2 % 4, list(Strategy)[trial // 8 % 2])
+        expanded.clear()
+        mine(g, cfg)
+        marks = np.zeros(g.index().width, dtype=bool)
+        supports = {}
+        for rec, made, tried in expanded:
+            want = []
+            for delta, _, _ in extensions(rec, g, cfg, sigma, marks, None, {}, set()):
+                sub = None if made is None else _subpattern(apply_delta(rec.pattern, delta),
+                                                            made, rec.pattern.k)
+                if sub is not None:
+                    key = sub.node_labels, sub.edges
+                    if key not in supports:
+                        supports[key] = brute_mis(sub, g)
+                    if supports[key] < sigma:
+                        skipped += 1
+                        continue
+                want.append(delta)
+            assert tried == want
+            checked += len(want)
+    assert checked > 3000 and skipped > 100
 
 
 class _Offers:
@@ -124,13 +193,13 @@ def test_level_table_short_cuts_only_repeated_children(monkeypatch):
     evaluated = {}  # key -> (raw child, embeddings) of the level being expanded
     state = {"edges": -1, "short_cuts": 0}
 
-    def checking(parent, g, cfg, sigma, marks, inherited, level):
+    def checking(parent, g, cfg, sigma, marks, made, level, frequent):
         if len(parent.pattern.edges) != state["edges"]:
             state["edges"] = len(parent.pattern.edges)
             evaluated.clear()
         built = {delta: E for delta, _, E in
-                 extensions(parent, g, cfg, sigma, marks, inherited, {})}
-        for delta, key, E in extensions(parent, g, cfg, sigma, marks, inherited, level):
+                 extensions(parent, g, cfg, sigma, marks, made, {}, frequent)}
+        for delta, key, E in extensions(parent, g, cfg, sigma, marks, made, level, frequent):
             child = apply_delta(parent.pattern, delta)
             if E is None:
                 state["short_cuts"] += 1
@@ -146,8 +215,8 @@ def test_level_table_short_cuts_only_repeated_children(monkeypatch):
                 evaluated[key] = child, E
             yield delta, key, E
 
-    def building(parent, g, cfg, sigma, marks, inherited, level):
-        return extensions(parent, g, cfg, sigma, marks, inherited, {})
+    def building(parent, g, cfg, sigma, marks, made, level, frequent):
+        return extensions(parent, g, cfg, sigma, marks, made, {}, frequent)
 
     rng = random.Random(2801)
     for trial in range(48):

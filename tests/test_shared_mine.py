@@ -22,7 +22,7 @@ from plexmine.pipeline import SOURCE_MINE_MAX_LACKING, evaluate_split, make_rule
 from plexmine.predict import apply_rules
 from plexmine.rules import RuleBuilder, RuleTable, derive_rules_posthoc
 
-from oracles import brute_apply_rules, random_multiplex
+from oracles import brute_apply_rules, brute_canonical_key, brute_mine, random_multiplex
 
 CONFIDENCE = 0.5
 
@@ -111,6 +111,39 @@ def test_derived_fold_tables_equal_per_fold_mining_and_brute_force(strategy, dir
         want = _reference(split.train, 3, 3, strategy)
         _assert_same_mine(*got, *want)
         _assert_same_tables(split.train, got, want, brute=True)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_layers_past_32_match_brute_force_through_mine_folds_and_scores(directed):
+    """40 declared layers put the bits of layer positions 32 and up in a
+    second ``GraphIndex.pair_bits`` word. With edges at positions 0, 31,
+    32, 33 and 39, the mine equals brute force, each 5-fold training graph
+    derived from it equals its own mining, and its scores equal the
+    oracle's."""
+    layers = list(range(0, 80, 2))
+    hot = [layers[pos] for pos in (0, 31, 32, 33, 39)]
+    rng = random.Random(40 + directed)
+    high_rows_lost = 0
+    for trial in range(6):
+        n = rng.randint(5, 7)
+        edges = set()
+        for _ in range(14):
+            u, v = rng.sample(range(n), 2) if directed else sorted(rng.sample(range(n), 2))
+            edges.add((u, v, rng.choice(hot)))
+        g = MultiplexGraph(range(n), edges, attrs={u: rng.choice("ab") for u in range(n)},
+                           directed=directed, layers=layers)
+        sigma, strategy = rng.choice((1, 2)), list(Strategy)[trial % 2]
+        ps_src, offers = _mine_source(g, sigma, 3, strategy)
+        assert {brute_canonical_key(r.pattern): r.support for r in ps_src} \
+            == brute_mine(g, sigma, 3)
+        for split in kfold_split(g, 5, seed=trial):
+            got = _derived(ps_src, offers, split.train, sigma)
+            want = _reference(split.train, sigma, 3, strategy)
+            _assert_same_mine(*got, *want)
+            _assert_same_tables(split.train, got, want, brute=True)
+            high_rows_lost += sum(rec.rows is not None and any(
+                layers.index(e.layer) >= 32 for e in rec.pattern.edges) for rec in got[0])
+    assert high_rows_lost > 0
 
 
 def test_random_subgraphs_equal_their_own_mining():
